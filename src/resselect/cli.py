@@ -13,128 +13,13 @@ import json
 import sys
 from typing import List, Optional
 
-from . import model
+from . import codec, model
 from .config import Config
 from .match import viable_set
-from .plan import SelectionPlan, plan_model, plan_random
+from .plan import plan_model, plan_random
 from .predict import load_clocks, load_profiles, predict_sequential_cycles, predict_tx, profiles_by_task
 from .queuewait import QueueWaitStore, _parse_iso8601
-from .sim import ResourceBehavior, SimulationResult, compare, simulate
-
-CONSUMABLE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "type": {"type": "string", "minLength": 1},
-        "form": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array",
-                "items": {"type": ["number", "string"]},
-                "minItems": 1,
-            },
-        },
-    },
-    "required": ["type"],
-}
-
-REQUIREMENT_SCHEMA = {
-    "allOf": [CONSUMABLE_SCHEMA],
-    "properties": {"amount": {"type": "number", "exclusiveMinimum": 0}},
-    "required": ["amount"],
-}
-
-TASK_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "task_id": {"type": "string", "minLength": 1},
-        "instructions": {
-            "type": "array",
-            "items": {"type": "array", "items": REQUIREMENT_SCHEMA, "minItems": 1},
-        },
-        "requirements": {"type": "array", "items": REQUIREMENT_SCHEMA},
-    },
-    "required": ["task_id"],
-    "oneOf": [{"required": ["instructions"]}, {"required": ["requirements"]}],
-}
-
-POOL_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "resource_id": {"type": "string", "minLength": 1},
-            "capabilities": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "allOf": [CONSUMABLE_SCHEMA],
-                    "properties": {"rate": {"type": "number", "exclusiveMinimum": 0}},
-                    "required": ["rate"],
-                },
-            },
-        },
-        "required": ["resource_id", "capabilities"],
-    },
-}
-
-WORKLOAD_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "workload_id": {"type": "string", "minLength": 1},
-        "tasks": {"type": "array", "items": TASK_SCHEMA},
-    },
-    "required": ["workload_id", "tasks"],
-}
-
-VIABLE_SET_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "task_id": {"type": "string"},
-        "viable": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": ["task_id", "viable"],
-}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "plan": {"type": ["string", "object"]},
-        "behaviors": {"type": "array"},
-        "trials": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-    },
-    "required": ["plan", "behaviors", "trials", "seed"],
-}
-
-SCHEMAS = {
-    "aggregate": {"input": {"task": TASK_SCHEMA}, "output": TASK_SCHEMA},
-    "match": {
-        "input": {"task": TASK_SCHEMA, "pool": POOL_SCHEMA},
-        "output": VIABLE_SET_SCHEMA,
-    },
-    "predict": {
-        "input": {
-            "profiles": "CSV: task_id,workload_param,instructions,cycles,instr_rate,avg_clock_ghz,tx_s",
-            "clocks": {"type": "array"},
-        },
-        "output": {"type": "array", "items": {"type": "object"}},
-    },
-    "queue-wait": {
-        "input": {
-            "history": "CSV: machine,queue,submit_time_iso8601,wait_s,walltime_req_s,cores_req"
-        },
-        "output": {"type": "object"},
-    },
-    "select": {
-        "input": {"workload": WORKLOAD_SCHEMA, "pool": POOL_SCHEMA},
-        "output": {"type": "object", "required": ["workload_id", "assignments"]},
-    },
-    "simulate": {"input": {"scenario": SCENARIO_SCHEMA}, "output": {"type": "object"}},
-    "report": {
-        "input": {"model": "SimulationResult JSON", "random": "SimulationResult JSON"},
-        "output": "CSV: group,metric,mean,sample_stddev",
-    },
-}
+from .sim import compare, simulate
 
 
 class CliError(Exception):
@@ -143,22 +28,19 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _read_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", exit_code=2) from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}") from exc
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", exit_code=2) from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -172,41 +54,50 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _load(path: str, decode):
+    """Read ``path`` as JSON and ``decode`` it; format errors name the file."""
+    obj = _read_json(path)
+    try:
+        return decode(obj)
+    except codec.DecodeError as exc:
+        exc.source = exc.source or path
+        raise
+
+
 def _load_config(path: Optional[str]) -> Config:
-    return Config.from_json(_read_json(path)) if path else Config()
+    return _load(path, codec.CONFIG.decode) if path else Config()
 
 
-def _load_history(path: str) -> QueueWaitStore:
-    store = QueueWaitStore()
-    _, warnings = store.ingest_csv(io.StringIO(_read_text(path)))
+def _load_csv(path: str, load):
+    """``load`` the CSV at ``path``; its skipped rows are warnings on stderr."""
+    result, warnings = load(io.StringIO(_read_text(path)))
     for w in warnings:
         print(f"warning: {path}: {w}", file=sys.stderr)
-    return store
+    return result
 
 
-def _load_profile_file(path: str):
-    profiles, warnings = load_profiles(io.StringIO(_read_text(path)))
-    for w in warnings:
-        print(f"warning: {path}: {w}", file=sys.stderr)
-    return profiles
+def _time(text: str) -> float:
+    try:
+        return _parse_iso8601(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an ISO-8601 time: {text!r}") from None
 
 
 def _cmd_aggregate(args) -> None:
-    task = model.task_from_json(_read_json(args.task))
-    out = model.task_to_json(model.aggregate(task))
-    _emit(model.canonical_dumps(out), args.out)
+    task = _load(args.task, codec.TASK.decode)
+    _emit(model.canonical_dumps(codec.TASK.encode(model.aggregate(task))), args.out)
 
 
 def _cmd_match(args) -> None:
-    task = model.task_from_json(_read_json(args.task))
-    pool = [model.resource_from_json(r) for r in _read_json(args.pool)]
+    task = _load(args.task, codec.TASK.decode)
+    pool = _load(args.pool, codec.POOL.decode)
     vs = viable_set(task, pool)
-    _emit(model.canonical_dumps(vs.to_json()), args.out)
+    _emit(model.canonical_dumps(codec.VIABLE_SET.encode(vs)), args.out)
 
 
 def _cmd_predict(args) -> None:
-    profiles = _load_profile_file(args.profiles)
-    clocks = load_clocks(_read_json(args.clocks))
+    profiles = _load_csv(args.profiles, load_profiles)
+    clocks = _load(args.clocks, load_clocks)
     config = _load_config(args.config)
     by_task = profiles_by_task(profiles)
     task_ids = [args.task_id] if args.task_id else sorted(by_task)
@@ -222,55 +113,51 @@ def _cmd_predict(args) -> None:
                 inflation=config.inflation_factors.get(rid, 1.0),
                 task_id=task_id,
             )
-            entry = report.to_json()
-            entry["pred_cycles_stddev"] = cycles.stddev
-            entry["n_profiles"] = cycles.n_samples
-            reports.append(entry)
+            reports.append(codec.PREDICTION.encode((report, cycles)))
     _emit(model.canonical_dumps(reports), args.out)
 
 
 def _cmd_queue_wait(args) -> None:
-    store = _load_history(args.history)
+    store = QueueWaitStore()
+    _load_csv(args.history, store.ingest_csv)
     config = _load_config(args.config)
     estimate = store.estimate_tq(
         machine=args.machine,
         queue=args.queue,
         walltime_req_s=args.walltime,
         cores_req=args.cores,
-        now=_parse_iso8601(args.now),
+        now=args.now,
         window_s=config.window_s,
         buckets=config.buckets,
     )
-    _emit(model.canonical_dumps(estimate.to_json()), args.out)
+    _emit(model.canonical_dumps(codec.QUEUE_ESTIMATE.encode(estimate)), args.out)
 
 
 def _cmd_select(args) -> None:
-    workload = model.workload_from_json(_read_json(args.workload))
-    pool = [model.resource_from_json(r) for r in _read_json(args.pool)]
+    needed = ("seed",) if args.strategy == "random" else ("profiles", "clocks", "history", "now")
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise CliError(f"the {args.strategy} strategy requires {', '.join(missing)}")
+    workload = _load(args.workload, codec.WORKLOAD.decode)
+    pool = _load(args.pool, codec.POOL.decode)
     config = _load_config(args.config)
     if args.strategy == "random":
-        if args.seed is None:
-            raise CliError("--seed is required for the random strategy")
         plan = plan_random(workload, pool, args.seed, config.cores_per_task)
     else:
-        profiles = _load_profile_file(args.profiles)
-        clocks = load_clocks(_read_json(args.clocks))
-        store = _load_history(args.history)
-        plan = plan_model(
-            workload, pool, profiles, clocks, store, config, now=_parse_iso8601(args.now)
-        )
+        profiles = _load_csv(args.profiles, load_profiles)
+        clocks = _load(args.clocks, load_clocks)
+        store = QueueWaitStore()
+        _load_csv(args.history, store.ingest_csv)
+        plan = plan_model(workload, pool, profiles, clocks, store, config, now=args.now)
     _emit(model.canonical_dumps(plan.to_json()), args.out)
 
 
 def _cmd_simulate(args) -> None:
-    scenario = _read_json(args.scenario)
-    plan_obj = scenario["plan"]
-    if isinstance(plan_obj, str):
-        plan_obj = _read_json(plan_obj)
-    plan = SelectionPlan.from_json(plan_obj)
-    behaviors = {
-        b["resource_id"]: ResourceBehavior.from_json(b) for b in scenario["behaviors"]
-    }
+    scenario = _load(args.scenario, codec.SCENARIO.decode)
+    plan = scenario["plan"]
+    if isinstance(plan, str):
+        plan = _load(plan, codec.PLAN.decode)
+    behaviors = {b.resource_id: b for b in scenario["behaviors"]}
     result = simulate(plan, behaviors, trials=scenario["trials"], seed=scenario["seed"])
     _emit(model.canonical_dumps(result.to_json()), args.out)
     if args.trials_csv:
@@ -280,10 +167,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    model_result = SimulationResult.from_json(_read_json(args.model))
-    random_result = SimulationResult.from_json(_read_json(args.random))
+    model_result = _load(args.model, codec.RESULT.decode)
+    random_result = _load(args.random, codec.RESULT.decode)
     rep = compare(model_result, random_result)
-    lines = ["group,metric,mean,sample_stddev"]
+    lines = [",".join(codec.REPORT.columns)]
     for metric, entry in sorted(rep["metrics"].items()):
         lines.append(
             f"model,{metric},{entry['model_mean']!r},{entry['model_sample_stddev']!r}"
@@ -295,95 +182,108 @@ def _cmd_report(args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1, the validation-error code; argparse's own 2
+    would read as an I/O error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _PrintSchema(argparse.Action):
+    """``--schema``: print the subcommand's formats (``const``: its input
+    formats by flag and its output format) and exit while parsing, before
+    argparse checks the required flags."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        inputs, output = self.const
+        doc = {"input": {flag: fmt.schema() for flag, fmt in inputs.items()},
+               "output": output.schema()}
+        sys.stdout.write(model.canonical_dumps(doc))
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resselect",
         description="Model-driven resource selection for bag-of-tasks workloads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, output):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler, command=name)
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument(
-            "--schema",
-            action="store_true",
-            help="print this subcommand's input/output JSON schema and exit",
-        )
-        return p
+        inputs = {}
+        p.add_argument("--schema", action=_PrintSchema, nargs=0, const=(inputs, output),
+                       help="print this subcommand's input/output formats and exit")
 
-    p = add("aggregate", _cmd_aggregate, "collapse a task's instructions into totals")
-    p.add_argument("--task", help="task JSON file")
+        def file_arg(flag, kind, help_text, required=True):
+            inputs[flag[2:]] = kind
+            p.add_argument(flag, required=required, help=help_text)
 
-    p = add("match", _cmd_match, "compute a task's viable resources")
-    p.add_argument("--task", help="task JSON file")
-    p.add_argument("--pool", help="resource pool JSON file")
+        return p, file_arg
 
-    p = add("predict", _cmd_predict, "predict execution times from profiles")
-    p.add_argument("--profiles", help="baseline profile CSV")
-    p.add_argument("--clocks", help="clock specification JSON")
+    p, file_arg = add("aggregate", _cmd_aggregate, "collapse a task's instructions into totals",
+                      codec.TASK)
+    file_arg("--task", codec.TASK, "task JSON file")
+
+    p, file_arg = add("match", _cmd_match, "compute a task's viable resources", codec.VIABLE_SET)
+    file_arg("--task", codec.TASK, "task JSON file")
+    file_arg("--pool", codec.POOL, "resource pool JSON file")
+
+    p, file_arg = add("predict", _cmd_predict, "predict execution times from profiles",
+                      codec.Arr(codec.PREDICTION))
+    file_arg("--profiles", codec.PROFILES, "baseline profile CSV")
+    file_arg("--clocks", codec.CLOCKS, "clock specification JSON")
     p.add_argument("--task-id", help="restrict to one task id")
-    p.add_argument("--config", help="config JSON")
+    file_arg("--config", codec.CONFIG, "config JSON", required=False)
 
-    p = add("queue-wait", _cmd_queue_wait, "estimate queue wait from history")
-    p.add_argument("--history", help="queue-wait history CSV")
-    p.add_argument("--machine")
-    p.add_argument("--queue")
-    p.add_argument("--walltime", type=float, help="requested walltime in seconds")
-    p.add_argument("--cores", type=int, help="requested core count")
-    p.add_argument("--now", help="query time, ISO-8601 UTC")
-    p.add_argument("--config", help="config JSON")
+    p, file_arg = add("queue-wait", _cmd_queue_wait, "estimate queue wait from history",
+                      codec.QUEUE_ESTIMATE)
+    file_arg("--history", codec.HISTORY, "queue-wait history CSV")
+    p.add_argument("--machine", required=True)
+    p.add_argument("--queue", required=True)
+    p.add_argument("--walltime", type=codec.number, required=True,
+                   help="requested walltime in seconds")
+    p.add_argument("--cores", type=int, required=True, help="requested core count")
+    p.add_argument("--now", type=_time, required=True, help="query time, ISO-8601 UTC")
+    file_arg("--config", codec.CONFIG, "config JSON", required=False)
 
-    p = add("select", _cmd_select, "plan a workload over a pool")
-    p.add_argument("--workload", help="workload JSON file")
-    p.add_argument("--pool", help="resource pool JSON file")
-    p.add_argument("--profiles", help="baseline profile CSV")
-    p.add_argument("--clocks", help="clock specification JSON")
-    p.add_argument("--history", help="queue-wait history CSV")
-    p.add_argument("--config", help="config JSON")
-    p.add_argument("--now", help="planning time, ISO-8601 UTC")
+    p, file_arg = add("select", _cmd_select, "plan a workload over a pool", codec.PLAN)
+    file_arg("--workload", codec.WORKLOAD, "workload JSON file")
+    file_arg("--pool", codec.POOL, "resource pool JSON file")
+    file_arg("--profiles", codec.PROFILES, "baseline profile CSV (model strategy)",
+             required=False)
+    file_arg("--clocks", codec.CLOCKS, "clock specification JSON (model strategy)",
+             required=False)
+    file_arg("--history", codec.HISTORY, "queue-wait history CSV (model strategy)",
+             required=False)
+    file_arg("--config", codec.CONFIG, "config JSON", required=False)
+    p.add_argument("--now", type=_time, help="planning time, ISO-8601 UTC (model strategy)")
     p.add_argument("--strategy", choices=["model", "random"], default="model")
     p.add_argument("--seed", type=int, help="PRNG seed (random strategy)")
 
-    p = add("simulate", _cmd_simulate, "Monte-Carlo simulate a selection plan")
-    p.add_argument("--scenario", help="scenario JSON (plan, behaviors, trials, seed)")
+    p, file_arg = add("simulate", _cmd_simulate, "Monte-Carlo simulate a selection plan",
+                      codec.RESULT)
+    file_arg("--scenario", codec.SCENARIO, "scenario JSON (plan, behaviors, trials, seed)")
     p.add_argument("--trials-csv", help="also write per-trial metrics CSV here")
 
-    p = add("report", _cmd_report, "compare model vs random simulation results")
-    p.add_argument("--model", help="model-strategy SimulationResult JSON")
-    p.add_argument("--random", help="random-strategy SimulationResult JSON")
+    p, file_arg = add("report", _cmd_report, "compare model vs random simulation results",
+                      codec.REPORT)
+    file_arg("--model", codec.RESULT, "model-strategy SimulationResult JSON")
+    file_arg("--random", codec.RESULT, "random-strategy SimulationResult JSON")
 
     return parser
 
 
-REQUIRED_FLAGS = {
-    "aggregate": ["task"],
-    "match": ["task", "pool"],
-    "predict": ["profiles", "clocks"],
-    "queue-wait": ["history", "machine", "queue", "walltime", "cores", "now"],
-    "select": ["workload", "pool"],
-    "simulate": ["scenario"],
-    "report": ["model", "random"],
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.schema:
-        sys.stdout.write(model.canonical_dumps(SCHEMAS[args.command]))
-        return 0
-    missing = [
-        f"--{name.replace('_', '-')}"
-        for name in REQUIRED_FLAGS[args.command]
-        if getattr(args, name.replace("-", "_")) is None
-    ]
-    if missing:
-        print(
-            f"error: {args.command} requires {', '.join(missing)}", file=sys.stderr
-        )
-        return 1
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, --schema or an argument error
+        return exc.code
     try:
         args.handler(args)
     except CliError as exc:

@@ -53,42 +53,6 @@ class Config:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Config":
-        buckets = DEFAULT_BUCKETS
-        if "buckets" in obj:
-            buckets = SimilarityBuckets(
-                walltime_edges_s=tuple(obj["buckets"]["walltime_edges_s"]),
-                cores_edges=tuple(obj["buckets"]["cores_edges"]),
-            )
-        queues = {
-            rid: (mq["machine"], mq["queue"])
-            for rid, mq in obj.get("resource_queues", {}).items()
-        }
-        return cls(
-            inflation_factors=dict(obj.get("inflation_factors", {})),
-            walltime_safety_factor=obj.get("walltime_safety_factor", 1.5),
-            buckets=buckets,
-            window_s=obj.get("window_s", DEFAULT_WINDOW_S),
-            affinity=obj.get("affinity", "neg_ttc"),
-            frequency_choice=obj.get("frequency_choice", "base"),
-            resource_queues=queues,
-            cores_per_task=obj.get("cores_per_task", 1),
-            profile_overrides=dict(obj.get("profile_overrides", {})),
-            default_profile=obj.get("default_profile"),
-        )
+        from .codec import CONFIG
 
-    def to_json(self) -> dict:
-        return {
-            "inflation_factors": dict(self.inflation_factors),
-            "walltime_safety_factor": self.walltime_safety_factor,
-            "buckets": self.buckets.to_json(),
-            "window_s": self.window_s,
-            "affinity": self.affinity,
-            "frequency_choice": self.frequency_choice,
-            "resource_queues": {
-                rid: {"machine": m, "queue": q}
-                for rid, (m, q) in self.resource_queues.items()
-            },
-            "cores_per_task": self.cores_per_task,
-            "profile_overrides": dict(self.profile_overrides),
-            "default_profile": self.default_profile,
-        }
+        return CONFIG.decode(obj)

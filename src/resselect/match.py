@@ -24,9 +24,6 @@ class ViableSet:
     task_id: str
     resource_ids: Tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {"task_id": self.task_id, "viable": list(self.resource_ids)}
-
 
 def satisfy_req(req: Requirement, cap: Capability) -> bool:
     """True iff the capability's consumable can satisfy the requirement.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import FrozenSet, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, float, str]
 
@@ -75,9 +75,13 @@ class ConsumableSpec:
     def __hash__(self):
         return hash(self._key())
 
+    def sorted_form(self) -> Dict[str, list]:
+        """The form with each value set in canonical order."""
+        return {a: sorted(vs, key=_value_key) for a, vs in sorted(self.form.items())}
+
     def sort_key(self) -> Tuple[str, str]:
         """Canonical ordering key: (type, serialized form)."""
-        return (self.ctype, json.dumps(consumable_to_json(self)["form"], sort_keys=True))
+        return (self.ctype, json.dumps(self.sorted_form(), sort_keys=True))
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,6 @@ class TaskSpec:
             object.__setattr__(
                 self, "requirements", _merge_requirements(self.requirements)
             )
-
-    @property
-    def is_aggregated(self) -> bool:
-        return self.requirements is not None
 
 
 @dataclass(frozen=True)
@@ -232,94 +232,22 @@ def cost(task: TaskSpec, resource: ResourceSpec) -> float:
     return total
 
 
-# --- JSON serialization ------------------------------------------------------
-#
-# Field names below are a format contract; canonical output is sorted so
-# identical inputs always serialize to identical bytes.
+# --- JSON: the file formats live in resselect.codec; canonical output is
+# sorted so identical inputs always serialize to identical bytes.
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def consumable_to_json(c: ConsumableSpec) -> dict:
-    return {
-        "type": c.ctype,
-        "form": {a: sorted(vs, key=_value_key) for a, vs in sorted(c.form.items())},
-    }
-
-
-def consumable_from_json(obj: dict) -> ConsumableSpec:
-    form = {a: frozenset(vals) for a, vals in obj.get("form", {}).items()}
-    return ConsumableSpec(obj["type"], form)
-
-
-def requirement_to_json(req: Requirement) -> dict:
-    out = consumable_to_json(req.consumable)
-    out["amount"] = req.amount
-    return out
-
-
-def requirement_from_json(obj: dict) -> Requirement:
-    return Requirement(consumable_from_json(obj), obj["amount"])
-
-
-def capability_to_json(cap: Capability) -> dict:
-    out = consumable_to_json(cap.consumable)
-    out["rate"] = cap.rate
-    return out
-
-
-def capability_from_json(obj: dict) -> Capability:
-    return Capability(consumable_from_json(obj), obj["rate"])
-
-
-def task_to_json(task: TaskSpec) -> dict:
-    if task.is_aggregated:
-        return {
-            "task_id": task.task_id,
-            "requirements": [requirement_to_json(r) for r in task.requirements],
-        }
-    return {
-        "task_id": task.task_id,
-        "instructions": [
-            [requirement_to_json(r) for r in ins.requirements]
-            for ins in task.instructions
-        ],
-    }
-
-
-def task_from_json(obj: dict) -> TaskSpec:
-    if "requirements" in obj:
-        reqs = tuple(requirement_from_json(r) for r in obj["requirements"])
-        return TaskSpec(obj["task_id"], requirements=reqs)
-    instructions = tuple(
-        Instruction(tuple(requirement_from_json(r) for r in ins))
-        for ins in obj["instructions"]
-    )
-    return TaskSpec(obj["task_id"], instructions=instructions)
-
-
-def resource_to_json(res: ResourceSpec) -> dict:
-    return {
-        "resource_id": res.resource_id,
-        "capabilities": [capability_to_json(c) for c in res.capabilities],
-    }
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+    return text + "\n"
 
 
 def resource_from_json(obj: dict) -> ResourceSpec:
-    caps = tuple(capability_from_json(c) for c in obj["capabilities"])
-    return ResourceSpec(obj["resource_id"], caps)
+    from .codec import RESOURCE
 
-
-def workload_to_json(wl: WorkloadSpec) -> dict:
-    return {
-        "workload_id": wl.workload_id,
-        "tasks": [task_to_json(t) for t in wl.tasks],
-    }
+    return RESOURCE.decode(obj)
 
 
 def workload_from_json(obj: dict) -> WorkloadSpec:
-    return WorkloadSpec(
-        obj["workload_id"], tuple(task_from_json(t) for t in obj["tasks"])
-    )
+    from .codec import WORKLOAD
+
+    return WORKLOAD.decode(obj)

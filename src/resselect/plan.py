@@ -25,12 +25,14 @@ from .queuewait import NoQueueHistoryError, QueueWaitStore
 @dataclass(frozen=True)
 class TtcEstimate:
     """Predicted queue wait, execution time and their sum for one
-    (task, resource) pair."""
+    (task, resource) pair.  walltime_s is the walltime the queue-wait query
+    asked for; a plan read back from a file does not carry it."""
 
     task_id: str
     resource_id: str
     tq_s: float
     tx_s: float
+    walltime_s: Optional[float] = None
 
     @property
     def ttc_s(self) -> float:
@@ -59,43 +61,9 @@ class SelectionPlan:
     rng_seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        out_assignments = {}
-        for task_id, a in sorted(self.assignments.items()):
-            entry = {"resource_id": a.resource_id}
-            if a.estimate is not None:
-                entry.update(
-                    tq_s=a.estimate.tq_s,
-                    tx_s=a.estimate.tx_s,
-                    ttc_s=a.estimate.ttc_s,
-                )
-            out_assignments[task_id] = entry
-        out = {
-            "workload_id": self.workload_id,
-            "strategy": self.strategy,
-            "assignments": out_assignments,
-            "resource_requests": self.resource_requests,
-        }
-        if self.rng_seed is not None:
-            out["rng_seed"] = self.rng_seed
-        return out
+        from .codec import PLAN
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SelectionPlan":
-        assignments = {}
-        for task_id, entry in obj["assignments"].items():
-            estimate = None
-            if "ttc_s" in entry:
-                estimate = TtcEstimate(
-                    task_id, entry["resource_id"], entry["tq_s"], entry["tx_s"]
-                )
-            assignments[task_id] = Assignment(entry["resource_id"], estimate)
-        return cls(
-            workload_id=obj["workload_id"],
-            strategy=obj["strategy"],
-            assignments=assignments,
-            resource_requests=obj.get("resource_requests", {}),
-            rng_seed=obj.get("rng_seed"),
-        )
+        return PLAN.encode(self)
 
 
 def _resource_requests(
@@ -169,7 +137,7 @@ def task_estimates(
                 ) from exc
             if _tq_cache is not None:
                 _tq_cache[cache_key] = tq
-        estimates.append(TtcEstimate(task.task_id, rid, tq_s=tq, tx_s=tx))
+        estimates.append(TtcEstimate(task.task_id, rid, tq, tx, walltime))
     return estimates
 
 
@@ -202,11 +170,7 @@ def plan_model(
         chosen = res_select(vs.resource_ids, payloads, affinity)
         chosen_est = next(e for e in estimates if e.resource_id == chosen)
         assignments[task.task_id] = Assignment(chosen, chosen_est)
-        walltimes[task.task_id] = (
-            chosen_est.tx_s
-            if config.frequency_choice == "base"
-            else chosen_est.tx_s * clocks[chosen].max_hz / clocks[chosen].base_hz
-        ) * config.walltime_safety_factor
+        walltimes[task.task_id] = chosen_est.walltime_s
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="model",

@@ -7,9 +7,8 @@ then divides by a target clock frequency to get an execution-time estimate.
 
 from __future__ import annotations
 
-import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 GHZ = 1e9
@@ -106,16 +105,6 @@ class PredictionReport:
     tx_max_s: float
     inflation_factor: float
 
-    def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "resource_id": self.resource_id,
-            "pred_cycles": self.pred_cycles,
-            "tx_base_s": self.tx_base_s,
-            "tx_max_s": self.tx_max_s,
-            "inflation_factor": self.inflation_factor,
-        }
-
 
 @dataclass(frozen=True)
 class DiagnosticReport:
@@ -210,11 +199,8 @@ def diagnose(
         cycle_overprediction_pct=(p2a - 1.0) * 100.0,
     )
     if tx_actual_s is not None:
-        report = DiagnosticReport(
-            p2a_cy=report.p2a_cy,
-            instr_rate_act=report.instr_rate_act,
-            epsilon_pct=report.epsilon_pct,
-            cycle_overprediction_pct=report.cycle_overprediction_pct,
+        report = replace(
+            report,
             tx_error_base_pct=(
                 tx_error(tx_pred_base_s, tx_actual_s)
                 if tx_pred_base_s is not None
@@ -239,42 +225,13 @@ def tx_error(predicted_s: float, actual_s: float) -> float:
 
 # --- ingest ------------------------------------------------------------------
 
-PROFILE_CSV_COLUMNS = (
-    "task_id",
-    "workload_param",
-    "instructions",
-    "cycles",
-    "instr_rate",
-    "avg_clock_ghz",
-    "tx_s",
-)
-
 
 def load_profiles(stream) -> Tuple[List[BaselineProfile], List[str]]:
     """Read baseline profiles from CSV; inconsistent or malformed rows are
     skipped and reported as warnings with their line numbers."""
-    reader = csv.DictReader(stream)
-    missing = [c for c in PROFILE_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-    if missing:
-        raise ValueError(f"profile CSV missing columns: {', '.join(missing)}")
-    profiles: List[BaselineProfile] = []
-    warnings: List[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            profiles.append(
-                BaselineProfile(
-                    task_id=row["task_id"],
-                    workload_param=int(row["workload_param"]),
-                    instructions=float(row["instructions"]),
-                    cycles=float(row["cycles"]),
-                    instr_rate=float(row["instr_rate"]),
-                    avg_clock_hz=float(row["avg_clock_ghz"]) * GHZ,
-                    measured_tx_s=float(row["tx_s"]),
-                )
-            )
-        except (ValueError, TypeError) as exc:
-            warnings.append(f"line {lineno}: {exc}")
-    return profiles, warnings
+    from .codec import PROFILES
+
+    return PROFILES.read(stream)
 
 
 def profiles_by_task(
@@ -286,37 +243,8 @@ def profiles_by_task(
     return by_task
 
 
-def clock_from_json(obj: dict) -> ClockSpec:
-    """Parse one clock entry; frequencies are given in GHz on disk.
-
-    An entry may instead carry an ``inventory`` list of CPU models, in which
-    case the node-count-weighted pool average is built.
-    """
-    if "inventory" in obj:
-        entries = [
-            PoolInventoryEntry(
-                cpu_model=e["cpu_model"],
-                node_count=int(e["node_count"]),
-                base_hz=float(e["base_ghz"]) * GHZ,
-                max_hz=float(e["max_ghz"]) * GHZ,
-            )
-            for e in obj["inventory"]
-        ]
-        return pool_clock_spec(entries, resource_id=obj["resource_id"])
-    return ClockSpec(
-        resource_id=obj["resource_id"],
-        base_hz=float(obj["base_ghz"]) * GHZ,
-        max_hz=float(obj["max_ghz"]) * GHZ,
-        avg_hz=float(obj["avg_ghz"]) * GHZ if "avg_ghz" in obj else None,
-        avg_stddev_hz=(
-            float(obj["avg_stddev_ghz"]) * GHZ if "avg_stddev_ghz" in obj else None
-        ),
-    )
-
-
 def load_clocks(obj_list: Sequence[dict]) -> Dict[str, ClockSpec]:
-    clocks = {}
-    for obj in obj_list:
-        spec = clock_from_json(obj)
-        clocks[spec.resource_id] = spec
-    return clocks
+    """Clock specifications keyed by resource id; frequencies are in GHz on disk."""
+    from .codec import CLOCKS
+
+    return {spec.resource_id: spec for spec in CLOCKS.decode(obj_list)}

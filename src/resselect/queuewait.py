@@ -9,7 +9,6 @@ window are kept) and the estimate is flagged as a fallback.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -67,12 +66,6 @@ class SimilarityBuckets:
     def cores_bucket(self, cores: int) -> int:
         return bisect_right(self.cores_edges, cores)
 
-    def to_json(self) -> dict:
-        return {
-            "walltime_edges_s": list(self.walltime_edges_s),
-            "cores_edges": list(self.cores_edges),
-        }
-
 
 DEFAULT_BUCKETS = SimilarityBuckets(
     walltime_edges_s=(900.0, 3600.0, 14400.0, 43200.0, 86400.0, 172800.0),
@@ -88,26 +81,6 @@ class QueueWaitEstimate:
     sample_stddev_s: Optional[float]
     n_samples: int
     fallback_used: bool
-
-    def to_json(self) -> dict:
-        return {
-            "machine": self.machine,
-            "queue": self.queue,
-            "mean_wait_s": self.mean_wait_s,
-            "sample_stddev_s": self.sample_stddev_s,
-            "n_samples": self.n_samples,
-            "fallback_used": self.fallback_used,
-        }
-
-
-HISTORY_CSV_COLUMNS = (
-    "machine",
-    "queue",
-    "submit_time_iso8601",
-    "wait_s",
-    "walltime_req_s",
-    "cores_req",
-)
 
 
 def _parse_iso8601(text: str) -> float:
@@ -127,34 +100,14 @@ class QueueWaitStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def add(self, record: QueueWaitRecord) -> None:
-        self._records.append(record)
-
     def ingest_csv(self, stream) -> Tuple[int, List[str]]:
         """Read records from CSV; returns (accepted count, warnings).
         Malformed rows are skipped with line-numbered warnings."""
-        reader = csv.DictReader(stream)
-        missing = [c for c in HISTORY_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"history CSV missing columns: {', '.join(missing)}")
-        accepted = 0
-        warnings: List[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                self.add(
-                    QueueWaitRecord(
-                        machine=row["machine"],
-                        queue=row["queue"],
-                        submit_time=_parse_iso8601(row["submit_time_iso8601"]),
-                        wait_s=float(row["wait_s"]),
-                        walltime_req_s=float(row["walltime_req_s"]),
-                        cores_req=int(row["cores_req"]),
-                    )
-                )
-                accepted += 1
-            except (ValueError, TypeError) as exc:
-                warnings.append(f"line {lineno}: {exc}")
-        return accepted, warnings
+        from .codec import HISTORY
+
+        records, warnings = HISTORY.read(stream)
+        self._records.extend(records)
+        return len(records), warnings
 
     def estimate_tq(
         self,

@@ -17,7 +17,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .plan import SelectionPlan
 
@@ -59,27 +59,6 @@ class DistSpec:
             return max(0.0, rng.gauss(self.mean, self.stddev))
         return self.samples[rng.randrange(len(self.samples))]
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DistSpec":
-        return cls(
-            kind=obj["kind"],
-            value=obj.get("value"),
-            mean=obj.get("mean"),
-            stddev=obj.get("stddev"),
-            samples=tuple(obj["samples"]) if "samples" in obj else None,
-        )
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "constant":
-            out["value"] = self.value
-        elif self.kind == "normal":
-            out["mean"] = self.mean
-            out["stddev"] = self.stddev
-        else:
-            out["samples"] = list(self.samples)
-        return out
-
 
 @dataclass(frozen=True)
 class ResourceBehavior:
@@ -93,13 +72,10 @@ class ResourceBehavior:
     resource_id: str
     tq_dist: DistSpec
     tx_dist: DistSpec
-    cores_per_node: int = 1
     capacity_cores: Optional[int] = None
     pilot_mode: str = "single"
 
     def __post_init__(self):
-        if self.cores_per_node < 1:
-            raise ValueError("cores_per_node must be >= 1")
         if self.capacity_cores is not None and self.capacity_cores < 1:
             raise ValueError("capacity_cores must be >= 1 when set")
         if self.pilot_mode not in ("single", "per_task"):
@@ -107,26 +83,9 @@ class ResourceBehavior:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ResourceBehavior":
-        return cls(
-            resource_id=obj["resource_id"],
-            tq_dist=DistSpec.from_json(obj["tq_dist"]),
-            tx_dist=DistSpec.from_json(obj["tx_dist"]),
-            cores_per_node=obj.get("cores_per_node", 1),
-            capacity_cores=obj.get("capacity_cores"),
-            pilot_mode=obj.get("pilot_mode", "single"),
-        )
+        from .codec import BEHAVIOR
 
-    def to_json(self) -> dict:
-        out = {
-            "resource_id": self.resource_id,
-            "tq_dist": self.tq_dist.to_json(),
-            "tx_dist": self.tx_dist.to_json(),
-            "cores_per_node": self.cores_per_node,
-            "pilot_mode": self.pilot_mode,
-        }
-        if self.capacity_cores is not None:
-            out["capacity_cores"] = self.capacity_cores
-        return out
+        return BEHAVIOR.decode(obj)
 
 
 @dataclass(frozen=True)
@@ -140,44 +99,14 @@ class SimulationResult:
     tq_wkd_s: Tuple[float, ...]
     tx_wkd_s: Tuple[float, ...]
 
-    def _summary(self, values: Sequence[float]) -> dict:
-        return {
-            "mean": statistics.mean(values),
-            "sample_stddev": statistics.stdev(values) if len(values) >= 2 else None,
-        }
-
     @property
     def mean_ttc_s(self) -> float:
         return statistics.mean(self.ttc_wkd_s)
 
     def to_json(self) -> dict:
-        return {
-            "workload_id": self.workload_id,
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "per_trial": {
-                "ttc_wkd_s": list(self.ttc_wkd_s),
-                "tq_wkd_s": list(self.tq_wkd_s),
-                "tx_wkd_s": list(self.tx_wkd_s),
-            },
-            "summary": {
-                "ttc_wkd_s": self._summary(self.ttc_wkd_s),
-                "tq_wkd_s": self._summary(self.tq_wkd_s),
-                "tx_wkd_s": self._summary(self.tx_wkd_s),
-            },
-        }
+        from .codec import RESULT
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SimulationResult":
-        per = obj["per_trial"]
-        return cls(
-            workload_id=obj["workload_id"],
-            strategy=obj["strategy"],
-            trials=obj["trials"],
-            ttc_wkd_s=tuple(per["ttc_wkd_s"]),
-            tq_wkd_s=tuple(per["tq_wkd_s"]),
-            tx_wkd_s=tuple(per["tx_wkd_s"]),
-        )
+        return RESULT.encode(self)
 
     def write_trials_csv(self, stream) -> None:
         writer = csv.writer(stream)
@@ -263,6 +192,8 @@ def simulate(
                     heapq.heappush(busy_ends, start + dur)
                 intervals.append((start, start + dur))
         ttc = max(end for _, end in intervals)
+        if not math.isfinite(ttc):
+            raise ValueError(f"trial {trial}: waits plus durations overflow to a TTC of {ttc!r}")
         tx = _union_length(intervals)
         ttc_list.append(ttc)
         tx_list.append(tx)
@@ -285,6 +216,8 @@ def compare(model_result: SimulationResult, random_result: SimulationResult) -> 
             "mismatched workloads: "
             f"{model_result.workload_id!r} vs {random_result.workload_id!r}"
         )
+    if random_result.mean_ttc_s == 0:
+        raise ValueError("random strategy has a mean TTC of 0: no reduction to report")
     report = {
         "workload_id": model_result.workload_id,
         "ttc_reduction_pct": (

@@ -31,7 +31,7 @@ from resselect.config import Config
 from resselect.model import canonical_dumps, resource_from_json, workload_from_json
 from resselect.predict import GHZ, load_clocks, load_profiles, sequential_cycles
 from resselect.queuewait import DEFAULT_BUCKETS, DEFAULT_WINDOW_S, NoQueueHistoryError
-from resselect.sim import SimulationResult
+from resselect.codec import RESULT
 
 from conftest import (
     BUNDLED,
@@ -337,5 +337,5 @@ def test_criterion_10_determinism_byte_identical_results():
     b1 = canonical_dumps(r1.to_json()).encode()
     b2 = canonical_dumps(r2.to_json()).encode()
     assert b1 == b2
-    assert SimulationResult.from_json(json.loads(b1)) == r1
+    assert RESULT.decode(json.loads(b1)) == r1
     report(10, started)

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resselect.cli import main
+from resselect.sim import SimulationResult
 
 from conftest import BUNDLED
 
@@ -80,15 +88,155 @@ class TestMatch:
         assert json.loads(capsys.readouterr().out)["viable"] == []
 
 
+COMMANDS = ["aggregate", "match", "predict", "queue-wait", "select", "simulate", "report"]
+BUNDLED_INPUTS = {
+    "workload": "workload_64.json", "pool": "pool.json", "clocks": "clocks.json",
+    "config": "config.json", "scenario": "scenario.json",
+    "profiles": "profiles.csv", "history": "history.csv",
+}
+
+
+def undeclared(value, schema):
+    """The keys in ``value`` that ``schema`` (as ``--schema`` prints it) does
+    not declare."""
+    if "oneOf" in schema:
+        return min((undeclared(value, s) for s in schema["oneOf"]), key=len)
+    if isinstance(value, list):
+        return [k for v in value for k in undeclared(v, schema.get("items", {}))]
+    if not isinstance(value, dict):
+        return []
+    if schema.get("type") != "object":
+        return list(value)
+    props = schema.get("properties")
+    if props is None:  # free keys, such as resource ids
+        return [k for v in value.values() for k in undeclared(v, schema["additionalProperties"])]
+    return [k for k in value if k not in props] + [
+        bad for k, v in value.items() if k in props for bad in undeclared(v, props[k])]
+
+
 class TestSchemas:
-    @pytest.mark.parametrize(
-        "cmd",
-        ["aggregate", "match", "predict", "queue-wait", "select", "simulate", "report"],
-    )
+    @pytest.mark.parametrize("cmd", COMMANDS)
     def test_every_subcommand_has_schema(self, cmd, capsys):
         assert main([cmd, "--schema"]) == 0
         schema = json.loads(capsys.readouterr().out)
         assert "input" in schema and "output" in schema
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_schema_names_every_key_the_bundled_files_use(self, cmd, capsys):
+        assert main([cmd, "--schema"]) == 0
+        inputs = json.loads(capsys.readouterr().out)["input"]
+        for flag, fmt in inputs.items():
+            if flag == "task":
+                value = json.loads((BUNDLED / "workload_64.json").read_text())["tasks"][0]
+            elif flag in BUNDLED_INPUTS:
+                path = BUNDLED / BUNDLED_INPUTS[flag]
+                if isinstance(fmt, str):  # CSV: the header must be the declared columns
+                    header = path.read_text().splitlines()[0].split(",")
+                    assert fmt == "CSV: " + ",".join(header)
+                    continue
+                value = json.loads(path.read_text())
+            else:
+                continue
+            assert undeclared(value, fmt) == [], (cmd, flag)
+
+
+# The subcommand that reads each bundled file ("@name" is the file's copy).
+# Each mutation is (file, op, path, key): add an unknown key, set a key to NaN/Infinity, or
+# delete a required key; stderr must name the file and ``key``.
+STRICT_CASES = {
+    "workload_64.json": ["select", "--workload", "@workload_64.json", "--pool", "@pool.json",
+                         "--strategy", "random", "--seed", "1"],
+    "pool.json": ["select", "--workload", "@workload_64.json", "--pool", "@pool.json",
+                  "--strategy", "random", "--seed", "1"],
+    "clocks.json": ["predict", "--profiles", "@profiles.csv", "--clocks", "@clocks.json"],
+    "config.json": ["predict", "--profiles", "@profiles.csv", "--clocks", "@clocks.json",
+                    "--config", "@config.json"],
+    "scenario.json": ["simulate", "--scenario", "@scenario.json"],
+}
+MUTATIONS = [
+    ("workload_64.json", "add", [], "tasks_"),
+    ("workload_64.json", "add", ["tasks", 0, "requirements", 0], "amout"),
+    ("workload_64.json", math.nan, ["tasks", 0, "requirements", 0], "amount"),
+    ("workload_64.json", math.inf, ["tasks", 3, "requirements", 0], "amount"),
+    ("workload_64.json", "del", ["tasks", 0], "task_id"),
+    ("pool.json", "add", [0], "speed"),
+    ("pool.json", "add", [1, "capabilities", 0], "rat"),
+    ("pool.json", math.nan, [1, "capabilities", 0], "rate"),
+    ("pool.json", math.inf, [1, "capabilities", 0], "rate"),
+    ("pool.json", "del", [2, "capabilities", 0], "rate"),
+    ("clocks.json", "add", [0], "turbo_ghz"),
+    ("clocks.json", math.nan, [1], "base_ghz"),
+    ("clocks.json", -math.inf, [2], "avg_ghz"),
+    ("clocks.json", "del", [3], "max_ghz"),
+    ("config.json", "add", [], "frequency_choise"),
+    ("config.json", "add", ["resource_queues", "bridges"], "queu"),
+    ("config.json", math.nan, [], "walltime_safety_factor"),
+    ("config.json", math.inf, [], "window_s"),
+    ("config.json", "del", ["resource_queues", "comet"], "queue"),
+    ("scenario.json", "add", [], "trails"),
+    ("scenario.json", "add", ["behaviors", 0, "tq_dist"], "meen"),
+    ("scenario.json", math.nan, ["behaviors", 2, "tq_dist"], "mean"),
+    ("scenario.json", math.inf, ["behaviors", 1, "tx_dist"], "value"),
+    ("scenario.json", "del", ["behaviors", 0], "tx_dist"),
+]
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize(
+        "name,op,path,key", MUTATIONS,
+        ids=[f"{m[0].split('.')[0]}-{m[3]}-{m[1] if isinstance(m[1], str) else repr(m[1])}"
+             for m in MUTATIONS],
+    )
+    def test_bad_input_exits_1_naming_file_and_key(self, tmp_path, capsys, name, op, path, key):
+        files = {}
+        for f in BUNDLED.iterdir():
+            files[f.name] = str(shutil.copy(f, tmp_path / f.name))
+        write(tmp_path / "plan.json", {
+            "workload_id": "w", "strategy": "random",
+            "assignments": {"t": {"resource_id": "supermic"}}})
+        doc = json.loads((tmp_path / name).read_text())
+        if name == "scenario.json":
+            doc["plan"] = str(tmp_path / "plan.json")
+        target = doc
+        for step in path:
+            target = target[step]
+        if op == "add":
+            target[key] = 1
+        elif op == "del":
+            del target[key]
+        else:
+            target[key] = op
+        write(tmp_path / name, doc)
+        argv = [files[a[1:]] if a.startswith("@") else a for a in STRICT_CASES[name]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert files[name] in err and key in err, err
+
+
+class TestArgumentErrors:
+    SELECT = ["select", "--workload", str(BUNDLED / "workload_64.json"),
+              "--pool", str(BUNDLED / "pool.json")]
+
+    @pytest.mark.parametrize("extra", [["--bogus"], ["--strategy", "best"]])
+    def test_argument_error_exits_1(self, extra, capsys):
+        assert main(self.SELECT + extra) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_model_strategy_names_missing_flags(self, capsys):
+        assert main(self.SELECT) == 1
+        err = capsys.readouterr().err
+        assert all(f in err for f in ("--profiles", "--clocks", "--history", "--now"))
+
+    def test_unparseable_now_exits_1(self, capsys):
+        argv = self.SELECT + ["--profiles", str(BUNDLED / "profiles.csv"),
+                              "--clocks", str(BUNDLED / "clocks.json"),
+                              "--history", str(BUNDLED / "history.csv"), "--now", "yesterday"]
+        assert main(argv) == 1
+        assert "--now" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["select", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
 
 
 class TestPipeline:
@@ -191,3 +339,80 @@ class TestPipeline:
                      "--walltime", "7200", "--cores", "1", "--now", NOW]) == 0
         err = capsys.readouterr().err
         assert "line 3" in err
+
+
+# --- mutated inputs never crash the CLI -------------------------------------
+
+TASK = json.loads((BUNDLED / "workload_64.json").read_text())["tasks"][0]
+POOL = json.loads((BUNDLED / "pool.json").read_text())
+SCENARIO = {
+    "plan": {"workload_id": "w", "strategy": "random",
+             "assignments": {f"t{i}": {"resource_id": r} for i, r in
+                             enumerate(["supermic", "osg", "comet", "osg"])}},
+    "behaviors": json.loads((BUNDLED / "behaviors.json").read_text()),
+    "trials": 3, "seed": 1,
+}
+RESULTS = [SimulationResult("w", s, 2, ttc, (1.0, 1.0), tuple(t - 1.0 for t in ttc)).to_json()
+           for s, ttc in (("model", (5.0, 6.0)), ("random", (9.0, 12.0)))]
+FUZZ_INPUTS = {  # subcommand -> its (flag, document) inputs
+    "aggregate": [("--task", TASK)],
+    "match": [("--task", TASK), ("--pool", POOL)],
+    "simulate": [("--scenario", SCENARIO)],
+    "report": [("--model", RESULTS[0]), ("--random", RESULTS[1])],
+}
+JSON_VALUES = [None, True, "x", 0, -1, 2, 0.5, 1e308, 10**400, math.nan, -math.inf, [], {}, [0],
+               {"k": 1}]
+
+
+def _locations(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def mutated_run(draw):
+    cmd = draw(st.sampled_from(sorted(FUZZ_INPUTS)))
+    inputs = copy.deepcopy(FUZZ_INPUTS[cmd])
+    which = draw(st.integers(0, len(inputs) - 1))
+    doc = inputs[which][1]
+    path = draw(st.sampled_from(list(_locations(doc))))
+    value = draw(st.sampled_from(JSON_VALUES))
+    if not path:
+        inputs[which] = (inputs[which][0], value)
+        return cmd, inputs
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    op = draw(st.sampled_from(["replace", "delete", "add"]))
+    if op == "replace":
+        parent[path[-1]] = value
+    elif op == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent["extra"] = value
+    else:
+        parent.append(value)
+    return cmd, inputs
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run=mutated_run())
+def test_mutated_inputs_exit_0_1_or_2_without_traceback(fuzz_dir, run):
+    cmd, inputs = run
+    argv = [cmd, "--out", str(fuzz_dir / "out")]
+    for i, (flag, doc) in enumerate(inputs):
+        path = fuzz_dir / f"in{i}.json"
+        path.write_text(json.dumps(doc))
+        argv += [flag, str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

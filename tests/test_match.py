@@ -19,6 +19,7 @@ from resselect import (
     satisfy_task,
     viable_set,
 )
+from resselect.codec import VIABLE_SET
 from resselect.match import get_affinity, list_affinities, neg_ttc
 
 from conftest import (
@@ -156,7 +157,7 @@ class TestViableSet:
         task, _, no = self._pool()
         vs = viable_set(task, [no("r1"), no("r2")])
         assert vs.resource_ids == ()
-        assert vs.to_json() == {"task_id": "t", "viable": []}
+        assert VIABLE_SET.encode(vs) == {"task_id": "t", "viable": []}
 
     def test_filter_preserves_pool_order(self):
         task, yes, no = self._pool()

@@ -17,13 +17,8 @@ from resselect import (
     aggregate,
     cost,
 )
-from resselect.model import (
-    canonical_dumps,
-    task_from_json,
-    task_to_json,
-    resource_from_json,
-    resource_to_json,
-)
+from resselect.codec import RESOURCE, TASK
+from resselect.model import canonical_dumps
 
 from conftest import matching_resource, random_sequenced_task
 from oracles import aggregate_oracle, consumable_key, cost_oracle
@@ -224,11 +219,19 @@ class TestSerialization:
                 Requirement(CYC_A, 1),
             ),
         )
-        blob = canonical_dumps(task_to_json(task))
-        again = task_from_json(task_to_json(task))
+        blob = canonical_dumps(TASK.encode(task))
+        again = TASK.decode(TASK.encode(task))
         assert again == task
-        assert canonical_dumps(task_to_json(again)) == blob
+        assert canonical_dumps(TASK.encode(again)) == blob
 
     def test_resource_round_trip(self):
         res = ResourceSpec("r", (Capability(c("cyc", isa=["x86"]), 2.5e9),))
-        assert resource_from_json(resource_to_json(res)) == res
+        assert RESOURCE.decode(RESOURCE.encode(res)) == res
+
+    def test_instruction_task_round_trip(self):
+        task = random_sequenced_task(random.Random(3))
+        assert TASK.decode(TASK.encode(task)) == task
+
+    def test_canonical_dumps_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": float("nan")})

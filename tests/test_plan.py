@@ -19,7 +19,7 @@ from resselect import (
     register_affinity,
 )
 from resselect.match import EmptyViableSetError
-from resselect.plan import SelectionPlan
+from resselect.codec import PLAN
 from resselect.predict import UnknownTaskError
 from resselect.queuewait import NoQueueHistoryError
 
@@ -238,7 +238,7 @@ class TestPlanSerialization:
             make_workload(3), make_pool({"rA": 2.0e9}), make_profiles(), CLOCKS,
             make_store({"rA": [100.0]}), base_config(), now=NOW,
         )
-        again = SelectionPlan.from_json(plan.to_json())
+        again = PLAN.decode(plan.to_json())
         assert again.workload_id == plan.workload_id
         assert again.strategy == "model"
         for task_id, a in plan.assignments.items():
@@ -248,6 +248,6 @@ class TestPlanSerialization:
 
     def test_random_plan_round_trip_keeps_seed(self):
         plan = plan_random(make_workload(3), make_pool({"rA": 1e9}), seed=5)
-        again = SelectionPlan.from_json(plan.to_json())
+        again = PLAN.decode(plan.to_json())
         assert again.rng_seed == 5
         assert again.assignments["t-0000"].estimate is None

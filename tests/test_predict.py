@@ -15,11 +15,11 @@ from resselect import (
     predict_tx,
     tx_error,
 )
+from resselect.codec import CLOCK
 from resselect.predict import (
     GHZ,
     ProfileConsistencyError,
     UnknownTaskError,
-    clock_from_json,
     load_clocks,
     load_profiles,
     profiles_by_task,
@@ -224,6 +224,13 @@ class TestIngest:
         assert len(warnings) == 1
         assert "line 4" in warnings[0]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_counter_row_skipped(self, bad):
+        csv_text = self.CSV.replace("md,1000,8.2e9,", f"md,1000,{bad},")
+        profiles, warnings = load_profiles(io.StringIO(csv_text))
+        assert len(profiles) == 1
+        assert "line 3" in warnings[0] and "non-finite" in warnings[0]
+
     def test_missing_columns_rejected(self):
         with pytest.raises(ValueError, match="missing columns"):
             load_profiles(io.StringIO("task_id,cycles\nmd,4e9\n"))
@@ -233,12 +240,12 @@ class TestIngest:
         assert set(profiles_by_task(profiles)) == {"md"}
 
     def test_clock_json_ghz_units(self):
-        spec = clock_from_json({"resource_id": "r", "base_ghz": 2.3, "max_ghz": 3.3})
+        spec = CLOCK.decode({"resource_id": "r", "base_ghz": 2.3, "max_ghz": 3.3})
         assert spec.base_hz == 2.3e9
         assert spec.max_hz == 3.3e9
 
     def test_clock_json_inventory_pool(self):
-        spec = clock_from_json(
+        spec = CLOCK.decode(
             {
                 "resource_id": "pool",
                 "inventory": [

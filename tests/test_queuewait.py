@@ -174,6 +174,14 @@ class TestIngestCsv:
         assert count == 3
         assert len(warnings) == 1 and "line 3" in warnings[0]
 
+    @pytest.mark.parametrize("row", ["m,q,2023-11-11T00:00:00Z,nan,7200,1",
+                                     "m,q,2023-11-11T00:00:00Z,100,inf,1"])
+    def test_non_finite_row_skipped(self, row):
+        csv_text = self.HEADER + "m,q,2023-11-10T00:00:00Z,100,7200,1\n" + row + "\n"
+        count, warnings = QueueWaitStore().ingest_csv(io.StringIO(csv_text))
+        assert count == 1
+        assert len(warnings) == 1 and "line 3" in warnings[0] and "non-finite" in warnings[0]
+
     def test_empty_file_with_header(self):
         store = QueueWaitStore()
         count, warnings = store.ingest_csv(io.StringIO(self.HEADER))

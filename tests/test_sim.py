@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resselect import DistSpec, ResourceBehavior, SimulationResult, compare, simulate
+from resselect.codec import DIST, RESULT
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan
 
@@ -55,7 +56,7 @@ class TestDistSpec:
     def test_json_round_trip(self):
         for d in (const(2.0), DistSpec("normal", mean=1.0, stddev=0.5),
                   DistSpec("empirical", samples=(1.0, 2.0))):
-            assert DistSpec.from_json(d.to_json()) == d
+            assert DIST.decode(DIST.encode(d)) == d
 
 
 class TestSimulate:
@@ -89,6 +90,12 @@ class TestSimulate:
         r2 = simulate(plan, behaviors, trials=20, seed=9)
         assert r1 == r2
         assert canonical_dumps(r1.to_json()) == canonical_dumps(r2.to_json())
+
+    def test_overflowing_ttc_rejected(self):
+        plan = make_plan({"t1": "r"})
+        behaviors = {"r": behavior("r", const(1e308), const(1e308))}
+        with pytest.raises(ValueError, match="overflow"):
+            simulate(plan, behaviors, trials=1, seed=1)
 
     def test_capacity_serializes_tasks(self):
         plan = make_plan({"t1": "r", "t2": "r", "t3": "r"})
@@ -195,6 +202,12 @@ class TestCompare:
         r = self.make_result("w", "random", [100.0])
         assert compare(m, r)["ttc_reduction_pct"] == -100.0
 
+    def test_zero_random_ttc_rejected(self):
+        m = self.make_result("w", "model", [0.0])
+        r = self.make_result("w", "random", [0.0])
+        with pytest.raises(ValueError, match="mean TTC of 0"):
+            compare(m, r)
+
     def test_mismatched_workloads_rejected(self):
         m = self.make_result("w1", "model", [1.0])
         r = self.make_result("w2", "random", [1.0])
@@ -203,4 +216,4 @@ class TestCompare:
 
     def test_result_json_round_trip(self):
         m = self.make_result("w", "model", [1.0, 2.0, 3.0])
-        assert SimulationResult.from_json(m.to_json()) == m
+        assert RESULT.decode(m.to_json()) == m
