@@ -83,6 +83,21 @@ def _time(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not an ISO-8601 time: {text!r}") from None
 
 
+def _positive(parse, what: str):
+    """An argparse type: ``parse`` the text as ``what`` and require a value > 0."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+            if value > 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not {what} > 0: {text!r}")
+
+    return check
+
+
 def _cmd_aggregate(args) -> None:
     task = _load(args.task, codec.TASK.decode)
     _emit(model.canonical_dumps(codec.TASK.encode(model.aggregate(task))), args.out)
@@ -245,9 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     file_arg("--history", codec.HISTORY, "queue-wait history CSV")
     p.add_argument("--machine", required=True)
     p.add_argument("--queue", required=True)
-    p.add_argument("--walltime", type=codec.number, required=True,
-                   help="requested walltime in seconds")
-    p.add_argument("--cores", type=int, required=True, help="requested core count")
+    p.add_argument("--walltime", type=_positive(codec.number, "a finite number"),
+                   required=True, help="requested walltime in seconds")
+    p.add_argument("--cores", type=_positive(int, "an integer"), required=True,
+                   help="requested core count")
     p.add_argument("--now", type=_time, required=True, help="query time, ISO-8601 UTC")
     file_arg("--config", codec.CONFIG, "config JSON", required=False)
 

@@ -42,19 +42,27 @@ def satisfy_req(req: Requirement, cap: Capability) -> bool:
     return True
 
 
+def _satisfies(requirements: Sequence[Requirement], resource: ResourceSpec) -> bool:
+    return all(
+        any(satisfy_req(req, cap) for cap in resource.capabilities)
+        for req in requirements
+    )
+
+
 def satisfy_task(task: TaskSpec, resource: ResourceSpec) -> bool:
     """True iff every requirement of the task is matched by some capability."""
     if task.requirements is None:
         task = aggregate(task)
-    return all(
-        any(satisfy_req(req, cap) for cap in resource.capabilities)
-        for req in task.requirements
-    )
+    return _satisfies(task.requirements, resource)
 
 
 def viable_set(task: TaskSpec, pool: Sequence[ResourceSpec]) -> ViableSet:
-    """Filter the pool to resources that can execute the task (pool order kept)."""
-    ids = tuple(r.resource_id for r in pool if satisfy_task(task, r))
+    """Filter the pool to resources that can execute the task (pool order
+    kept).  A task given as instructions is aggregated once, not once per
+    resource, and not at all for an empty pool."""
+    if task.requirements is None and pool:
+        task = aggregate(task)
+    ids = tuple(r.resource_id for r in pool if _satisfies(task.requirements, r))
     return ViableSet(task.task_id, ids)
 
 

@@ -118,7 +118,8 @@ def _merge_requirements(reqs) -> Tuple[Requirement, ...]:
     for req in reqs:
         totals[req.consumable] = totals.get(req.consumable, 0.0) + req.amount
     merged = [Requirement(c, amt) for c, amt in totals.items()]
-    merged.sort(key=lambda r: r.consumable.sort_key())
+    if len(merged) > 1:  # sort_key serializes the form: skip it when there is no order
+        merged.sort(key=lambda r: r.consumable.sort_key())
     return tuple(merged)
 
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Config
 from .match import EmptyViableSetError, get_affinity, res_select, viable_set
-from .model import ResourceSpec, WorkloadSpec
+from .model import ResourceSpec, TaskSpec, WorkloadSpec, aggregate
 from .predict import (
     BaselineProfile,
     ClockSpec,
@@ -19,7 +19,7 @@ from .predict import (
     predict_tx,
     profiles_by_task,
 )
-from .queuewait import NoQueueHistoryError, QueueWaitStore
+from .queuewait import NoQueueHistoryError, QueueWaitEstimate, QueueWaitStore, SimilarityBuckets
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ def task_estimates(
     queue_store: QueueWaitStore,
     config: Config,
     now: float,
-    _tq_cache: Optional[dict] = None,
 ) -> List[TtcEstimate]:
     """Per-viable-resource TTC estimates for one task."""
     profile_id = config.profile_id(task.task_id)
@@ -112,33 +111,58 @@ def task_estimates(
         tx = report.tx_base_s if config.frequency_choice == "base" else report.tx_max_s
         walltime = report.tx_base_s * config.walltime_safety_factor
         machine, queue = config.machine_queue(rid)
-        cache_key = (
-            machine,
-            queue,
-            config.buckets.walltime_bucket(walltime),
-            config.buckets.cores_bucket(config.cores_per_task),
-        )
-        if _tq_cache is not None and cache_key in _tq_cache:
-            tq = _tq_cache[cache_key]
-        else:
-            try:
-                tq = queue_store.estimate_tq(
-                    machine,
-                    queue,
-                    walltime_req_s=walltime,
-                    cores_req=config.cores_per_task,
-                    now=now,
-                    window_s=config.window_s,
-                    buckets=config.buckets,
-                ).mean_wait_s
-            except NoQueueHistoryError as exc:
-                raise NoQueueHistoryError(
-                    f"missing queue inputs for resource {rid!r}: {exc}"
-                ) from exc
-            if _tq_cache is not None:
-                _tq_cache[cache_key] = tq
+        try:
+            tq = queue_store.estimate_tq(
+                machine,
+                queue,
+                walltime_req_s=walltime,
+                cores_req=config.cores_per_task,
+                now=now,
+                window_s=config.window_s,
+                buckets=config.buckets,
+            ).mean_wait_s
+        except NoQueueHistoryError as exc:
+            raise NoQueueHistoryError(
+                f"missing queue inputs for resource {rid!r}: {exc}"
+            ) from exc
         estimates.append(TtcEstimate(task.task_id, rid, tq, tx, walltime))
     return estimates
+
+
+class _BucketedQueries:
+    """A queue store's estimates for one planning call.  An estimate reads
+    the walltime and cores of its query only through their similarity
+    buckets, so each bucketed query reaches the store once."""
+
+    def __init__(self, store: QueueWaitStore):
+        self._store = store
+        self._memo: Dict[tuple, QueueWaitEstimate] = {}
+
+    def estimate_tq(self, machine: str, queue: str, walltime_req_s: float, cores_req: int,
+                    now: float, window_s: float, buckets: SimilarityBuckets) -> QueueWaitEstimate:
+        key = (machine, queue, buckets.walltime_bucket(walltime_req_s),
+               buckets.cores_bucket(cores_req), now, window_s, buckets)
+        if key not in self._memo:
+            self._memo[key] = self._store.estimate_tq(
+                machine, queue, walltime_req_s, cores_req, now, window_s, buckets)
+        return self._memo[key]
+
+
+def _viable_ids(
+    task: TaskSpec, pool: Sequence[ResourceSpec], memo: Dict[tuple, Tuple[str, ...]]
+) -> Tuple[str, ...]:
+    """The task's viable resource ids.  Matching reads nothing of a task but
+    its aggregated requirements, so ``memo`` matches each distinct set once."""
+    if task.requirements is None and pool:  # an empty pool reports no viable set, not the task
+        task = aggregate(task)
+    ids = memo.get(task.requirements)
+    if ids is None:
+        ids = memo[task.requirements] = viable_set(task, pool).resource_ids
+    if not ids:
+        raise EmptyViableSetError(
+            f"empty viable set: task {task.task_id!r} cannot run on any pool resource"
+        )
+    return ids
 
 
 def plan_model(
@@ -151,26 +175,31 @@ def plan_model(
     now: float,
 ) -> SelectionPlan:
     """Assign every task the viable resource with the highest affinity
-    (by default the smallest predicted TTC).  Ties go to pool order."""
+    (by default the smallest predicted TTC).  Ties go to pool order.
+
+    A task's estimates depend on nothing but its profile id and its viable
+    resources, and the affinity is pure, so each distinct (profile id,
+    viable ids) kind is estimated once and its choice is reused, re-stamped
+    with the task id."""
     affinity = get_affinity(config.affinity)
     by_task = profiles_by_task(profiles)
+    queries = _BucketedQueries(queue_store)
+    viable: Dict[tuple, Tuple[str, ...]] = {}
+    chosen_by_kind: Dict[tuple, TtcEstimate] = {}
     assignments: Dict[str, Assignment] = {}
     walltimes: Dict[str, float] = {}
-    tq_cache: dict = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
-        vs = viable_set(task, pool)
-        if not vs.resource_ids:
-            raise EmptyViableSetError(
-                f"empty viable set: task {task.task_id!r} cannot run on any pool resource"
-            )
-        estimates = task_estimates(
-            task, vs.resource_ids, by_task, clocks, queue_store, config, now, tq_cache
-        )
-        payloads = [{"tq_s": e.tq_s, "tx_s": e.tx_s} for e in estimates]
-        chosen = res_select(vs.resource_ids, payloads, affinity)
-        chosen_est = next(e for e in estimates if e.resource_id == chosen)
-        assignments[task.task_id] = Assignment(chosen, chosen_est)
-        walltimes[task.task_id] = chosen_est.walltime_s
+        ids = _viable_ids(task, pool, viable)
+        kind = (config.profile_id(task.task_id), ids)
+        if kind not in chosen_by_kind:
+            estimates = task_estimates(task, ids, by_task, clocks, queries, config, now)
+            payloads = [{"tq_s": e.tq_s, "tx_s": e.tx_s} for e in estimates]
+            chosen = res_select(ids, payloads, affinity)
+            chosen_by_kind[kind] = next(e for e in estimates if e.resource_id == chosen)
+        e = chosen_by_kind[kind]
+        estimate = TtcEstimate(task.task_id, e.resource_id, e.tq_s, e.tx_s, e.walltime_s)
+        assignments[task.task_id] = Assignment(estimate.resource_id, estimate)
+        walltimes[task.task_id] = estimate.walltime_s
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="model",
@@ -190,14 +219,10 @@ def plan_random(
     """Assign every task uniformly at random over its viable set using a
     Mersenne-Twister PRNG seeded with ``seed``; the plan records the seed."""
     rng = random.Random(seed)
+    viable: Dict[tuple, Tuple[str, ...]] = {}
     assignments: Dict[str, Assignment] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
-        vs = viable_set(task, pool)
-        if not vs.resource_ids:
-            raise EmptyViableSetError(
-                f"empty viable set: task {task.task_id!r} cannot run on any pool resource"
-            )
-        assignments[task.task_id] = Assignment(rng.choice(vs.resource_ids))
+        assignments[task.task_id] = Assignment(rng.choice(_viable_ids(task, pool, viable)))
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="random",

@@ -9,11 +9,13 @@ window are kept) and the estimate is flagged as a fallback.
 
 from __future__ import annotations
 
+import math
 import statistics
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_WINDOW_S = 7 * 24 * 3600
 
@@ -90,15 +92,51 @@ def _parse_iso8601(text: str) -> float:
     return dt.timestamp()
 
 
+class _Rows(NamedTuple):
+    """The history of one (machine, queue), as columns sorted on submit time."""
+
+    times: List[float]
+    waits: List[float]
+    walltimes: List[float]
+    cores: List[int]
+
+
+_NO_ROWS = _Rows([], [], [], [])
+_SUBMIT_TIME = attrgetter("submit_time")
+
+
 class QueueWaitStore:
     """Historical queue-wait records; single-writer ingest, then read-only
-    queries (safe to query concurrently once ingest is done)."""
+    queries (safe to query concurrently once ingest is done).
+
+    The history is held once, indexed by (machine, queue).  Each group keeps
+    its records' submit times, waits, requested walltimes and cores as
+    columns sorted on submit time (stable, so equal times keep their ingest
+    order), and a query bisects the times for its window instead of scanning
+    the whole history.  The columns hold plain numbers, not record objects,
+    so a large history adds little to each garbage collection."""
 
     def __init__(self, records: Sequence[QueueWaitRecord] = ()):
-        self._records: List[QueueWaitRecord] = list(records)
+        self._groups: Dict[Tuple[str, str], _Rows] = {}
+        self._add(records)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(rows.times) for rows in self._groups.values())
+
+    def _add(self, records: Sequence[QueueWaitRecord]) -> None:
+        by_key: Dict[Tuple[str, str], List[QueueWaitRecord]] = {}
+        for r in records:
+            by_key.setdefault((r.machine, r.queue), []).append(r)
+        for key, group in by_key.items():
+            if key in self._groups:  # a later ingest: the rows held so far go first
+                group = [QueueWaitRecord(*key, *row) for row in zip(*self._groups[key])] + group
+            group.sort(key=_SUBMIT_TIME)
+            self._groups[key] = _Rows(
+                [r.submit_time for r in group],
+                [r.wait_s for r in group],
+                [r.walltime_req_s for r in group],
+                [r.cores_req for r in group],
+            )
 
     def ingest_csv(self, stream) -> Tuple[int, List[str]]:
         """Read records from CSV; returns (accepted count, warnings).
@@ -106,7 +144,7 @@ class QueueWaitStore:
         from .codec import HISTORY
 
         records, warnings = HISTORY.read(stream)
-        self._records.extend(records)
+        self._add(records)
         return len(records), warnings
 
     def estimate_tq(
@@ -122,30 +160,35 @@ class QueueWaitStore:
         """Estimate the queue wait for a job submitted now.
 
         The window is closed on both ends: a record at exactly
-        now - window_s is included; future records are excluded.
+        now - window_s is included; future records are excluded.  The
+        estimate does not depend on the order of the records: the mean and
+        stddev are computed exactly.
         """
-        lo = now - window_s
-        base = [
-            r
-            for r in self._records
-            if r.machine == machine and r.queue == queue and lo <= r.submit_time <= now
-        ]
-        if not base:
+        if not (math.isfinite(walltime_req_s) and walltime_req_s > 0):
+            raise ValueError(f"walltime_req_s must be finite and > 0, got {walltime_req_s!r}")
+        if cores_req < 1:
+            raise ValueError(f"cores_req must be >= 1, got {cores_req!r}")
+        if not window_s > 0:
+            raise ValueError(f"window_s must be > 0, got {window_s!r}")
+        if not math.isfinite(now):
+            raise ValueError(f"now must be finite, got {now!r}")
+        rows = self._groups.get((machine, queue), _NO_ROWS)
+        lo, hi = bisect_left(rows.times, now - window_s), bisect_right(rows.times, now)
+        if lo == hi:
             raise NoQueueHistoryError(
                 f"no queue history for machine {machine!r} queue {queue!r} "
                 f"in the past {window_s:g} s"
             )
         wb = buckets.walltime_bucket(walltime_req_s)
         cb = buckets.cores_bucket(cores_req)
+        base = rows.waits[lo:hi]
         filtered = [
-            r
-            for r in base
-            if buckets.walltime_bucket(r.walltime_req_s) == wb
-            and buckets.cores_bucket(r.cores_req) == cb
+            wait
+            for wait, walltime, cores in zip(base, rows.walltimes[lo:hi], rows.cores[lo:hi])
+            if buckets.walltime_bucket(walltime) == wb and buckets.cores_bucket(cores) == cb
         ]
         fallback = not filtered
-        sample = base if fallback else filtered
-        waits = [r.wait_s for r in sample]
+        waits = base if fallback else filtered
         return QueueWaitEstimate(
             machine=machine,
             queue=queue,

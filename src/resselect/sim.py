@@ -22,6 +22,14 @@ from typing import Dict, List, Optional, Tuple
 from .plan import SelectionPlan
 
 
+# the fields each distribution kind reads; giving any other is an error
+_DIST_FIELDS = {
+    "constant": ("value",),
+    "normal": ("mean", "stddev"),
+    "empirical": ("samples",),
+}
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """A sampling distribution: constant, normal truncated at 0, or empirical."""
@@ -47,6 +55,10 @@ class DistSpec:
                 raise ValueError("empirical samples must be >= 0")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        unread = [f for f in ("value", "mean", "stddev", "samples")
+                  if f not in _DIST_FIELDS[self.kind] and getattr(self, f) is not None]
+        if unread:
+            raise ValueError(f"{self.kind} distribution does not read {', '.join(unread)}")
 
     @property
     def is_constant(self) -> bool:
@@ -80,6 +92,8 @@ class ResourceBehavior:
             raise ValueError("capacity_cores must be >= 1 when set")
         if self.pilot_mode not in ("single", "per_task"):
             raise ValueError("pilot_mode must be 'single' or 'per_task'")
+        if self.pilot_mode == "per_task" and self.capacity_cores is not None:
+            raise ValueError("per_task pilot mode does not read capacity_cores")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ResourceBehavior":

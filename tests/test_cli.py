@@ -213,6 +213,31 @@ class TestStrictInputs:
         assert files[name] in err and key in err, err
 
 
+class TestUnreadFields:
+    """A field that a distribution's kind or a behavior's pilot mode never
+    reads is rejected: exit 1, naming the file, the key path and the field."""
+
+    @pytest.mark.parametrize("index,key,patch,named", [
+        (0, "tx_dist", {"mean": 1.0, "samples": [1.0]}, "mean, samples"),  # constant
+        (0, "tq_dist", {"value": 1.0}, "value"),  # normal
+        (1, "tx_dist", {"kind": "empirical", "samples": [1.0], "stddev": 2.0}, "value, stddev"),
+        (3, None, {"capacity_cores": 4}, "capacity_cores"),  # per_task pilot
+    ])
+    def test_unread_field_exits_1(self, tmp_path, capsys, index, key, patch, named):
+        doc = json.loads((BUNDLED / "scenario.json").read_text())
+        doc["plan"] = write(tmp_path / "plan.json", {
+            "workload_id": "w", "strategy": "random",
+            "assignments": {"t": {"resource_id": "supermic"}}})
+        behavior = doc["behaviors"][index]
+        (behavior[key] if key else behavior).update(patch)
+        scenario = write(tmp_path / "scenario.json", doc)
+        assert main(["simulate", "--scenario", scenario]) == 1
+        err = capsys.readouterr().err
+        path = f"behaviors[{index}]" + (f".{key}" if key else "")
+        assert f"{scenario}: {path}: " in err and named in err, err
+        assert "Traceback" not in err
+
+
 class TestArgumentErrors:
     SELECT = ["select", "--workload", str(BUNDLED / "workload_64.json"),
               "--pool", str(BUNDLED / "pool.json")]
@@ -318,6 +343,19 @@ class TestPipeline:
         est = json.loads(capsys.readouterr().out)
         assert est["mean_wait_s"] == 600.0
         assert est["fallback_used"] is False
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--walltime", "-5"), ("--walltime", "0"), ("--walltime", "nan"),
+        ("--cores", "-3"), ("--cores", "0"),
+    ])
+    def test_queue_wait_rejects_invalid_query(self, capsys, flag, value):
+        query = {"--walltime": "7200", "--cores": "1", flag: value}
+        argv = ["queue-wait", "--history", str(BUNDLED / "history.csv"),
+                "--machine", "supermic", "--queue", "workq", "--now", NOW]
+        assert main(argv + [a for kv in query.items() for a in kv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err and "Traceback" not in captured.err
 
     def test_malformed_csv_exits_1_with_line_message(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

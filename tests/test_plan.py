@@ -1,27 +1,38 @@
+import functools
+import inspect
 import math
+import random
 
 import pytest
 
+import resselect.plan as plan_module
 from resselect import (
     BaselineProfile,
     Capability,
     ClockSpec,
     Config,
     ConsumableSpec,
+    Instruction,
     QueueWaitRecord,
     QueueWaitStore,
     Requirement,
     ResourceSpec,
     TaskSpec,
     WorkloadSpec,
+    aggregate,
     plan_model,
     plan_random,
     register_affinity,
+    viable_set,
 )
 from resselect.match import EmptyViableSetError
 from resselect.codec import PLAN
-from resselect.predict import UnknownTaskError
-from resselect.queuewait import NoQueueHistoryError
+from resselect.model import canonical_dumps
+from resselect.plan import Assignment, SelectionPlan, task_estimates
+from resselect.predict import UnknownTaskError, profiles_by_task
+from resselect.queuewait import DEFAULT_BUCKETS, NoQueueHistoryError
+
+from oracles import first_argmax_oracle
 
 NOW = 1_700_000_000.0
 X86 = ConsumableSpec("x86_cycle", {"isa": frozenset(["x86"])})
@@ -251,3 +262,142 @@ class TestPlanSerialization:
         again = PLAN.decode(plan.to_json())
         assert again.rng_seed == 5
         assert again.assignments["t-0000"].estimate is None
+
+
+# --- per-kind dedupe: a bag with repeated kinds, planned against a per-task rescan
+
+ARM = ConsumableSpec("arm_cycle", {"isa": frozenset(["arm"])})
+MEM = ConsumableSpec("byte")
+
+
+def kinds_bag():
+    """24 tasks in four (requirement set, profile id) kinds, interleaved by id.
+    Kind x86-p1 mixes tasks given as requirements with tasks given as two
+    instructions that aggregate to the same requirements."""
+    x86 = (Requirement(X86, 1e13),)
+    x86_split = (Instruction((Requirement(X86, 4e12),)), Instruction((Requirement(X86, 6e12),)))
+    x86_mem = (Requirement(X86, 5e12), Requirement(MEM, 1e9))
+    arm = (Requirement(ARM, 2e13),)
+    tasks, overrides = [], {}
+    for i in range(24):
+        task_id = f"t-{(i * 7) % 24:03d}"
+        kind = i % 4
+        if kind == 0:
+            tasks.append(TaskSpec(task_id, instructions=x86_split) if i % 8 else
+                         TaskSpec(task_id, requirements=x86))
+        elif kind == 1:
+            tasks.append(TaskSpec(task_id, requirements=x86))
+        elif kind == 2:
+            tasks.append(TaskSpec(task_id, requirements=x86_mem))
+        else:
+            tasks.append(TaskSpec(task_id, requirements=arm))
+        overrides[task_id] = "p1" if kind in (0, 2) else "p2"
+    pool = [
+        ResourceSpec("rA", (Capability(X86, 2.0e9),)),
+        ResourceSpec("rB", (Capability(X86, 2.5e9), Capability(MEM, 1e9))),
+        ResourceSpec("rC", (Capability(ARM, 2.0e9), Capability(MEM, 1e9))),
+        ResourceSpec("rD", (Capability(X86, 3.0e9),)),
+    ]
+    clocks = {rid: ClockSpec(rid, hz, hz * 1.2) for rid, hz in
+              (("rA", 2.0e9), ("rB", 2.5e9), ("rC", 2.0e9), ("rD", 3.0e9))}
+    profiles = make_profiles(1e13, "p1") + make_profiles(2e13, "p2")
+    records = [
+        QueueWaitRecord(machine, "default", NOW - 3600 * (i + 1), wait, walltime, 1)
+        for machine in ("rA", "rB", "rC", "rD")
+        for i, (wait, walltime) in enumerate([(300.0, 7200.0), (9000.0, 20000.0),
+                                              (5000.0, 50000.0), (700.0, 7200.0)])
+    ]
+    config = Config(profile_overrides=overrides)
+    store = QueueWaitStore(records)
+    return WorkloadSpec("bag", tuple(tasks)), pool, profiles, clocks, store, config
+
+
+def rescan_model_plan(workload, pool, profiles, clocks, store, config):
+    """The model plan the slow way: every task matched, estimated and
+    selected on its own."""
+    by_task = profiles_by_task(profiles)
+    assignments, requests = {}, {}
+    for task in sorted(workload.tasks, key=lambda t: t.task_id):
+        ids = viable_set(task, pool).resource_ids
+        estimates = task_estimates(task, ids, by_task, clocks, store, config, NOW)
+        best = estimates[first_argmax_oracle([-e.ttc_s for e in estimates])]
+        assignments[task.task_id] = Assignment(best.resource_id, best)
+        entry = requests.setdefault(
+            best.resource_id, {"task_count": 0, "cores": 0, "max_walltime_s": None})
+        entry["task_count"] += 1
+        entry["cores"] += config.cores_per_task
+        entry["max_walltime_s"] = max(best.walltime_s, entry["max_walltime_s"] or 0.0)
+    return SelectionPlan(workload.workload_id, "model", assignments, requests)
+
+
+def counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that records each call's bound
+    arguments in the returned list."""
+    original = getattr(owner, name)
+    signature = inspect.signature(original)
+    calls = []
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def bucketed(call):
+    b = call.get("buckets", DEFAULT_BUCKETS)
+    return (call["machine"], call["queue"], b.walltime_bucket(call["walltime_req_s"]),
+            b.cores_bucket(call["cores_req"]))
+
+
+class TestKindDedupe:
+    def test_model_plan_equals_per_task_rescan(self):
+        args = kinds_bag()
+        plan = plan_model(*args, now=NOW)
+        expected = rescan_model_plan(*args)
+        assert canonical_dumps(PLAN.encode(plan)) == canonical_dumps(PLAN.encode(expected))
+        assert plan == expected  # also the task ids and walltimes the file does not carry
+        assert {a.resource_id for a in plan.assignments.values()} >= {"rC"}
+
+    def test_random_plan_equals_per_task_rescan(self):
+        workload, pool = kinds_bag()[:2]
+        rng = random.Random(7)
+        expected = {t.task_id: rng.choice(viable_set(t, pool).resource_ids)
+                    for t in sorted(workload.tasks, key=lambda t: t.task_id)}
+        plan = plan_random(workload, pool, seed=7)
+        assert {t: a.resource_id for t, a in plan.assignments.items()} == expected
+
+    def test_each_kind_and_query_is_computed_once(self, monkeypatch):
+        args = kinds_bag()
+        workload, _, _, _, store, config = args
+        rescan_queries = counted(monkeypatch, QueueWaitStore, "estimate_tq")
+        rescan_model_plan(*args)
+        distinct = {bucketed(c) for c in rescan_queries}
+        assert len(rescan_queries) > len(distinct)  # the rescan repeats queries
+
+        matched = counted(monkeypatch, plan_module, "viable_set")
+        predicted = counted(monkeypatch, plan_module, "predict_sequential_cycles")
+        queries = counted(monkeypatch, QueueWaitStore, "estimate_tq")
+        plan_model(*args, now=NOW)
+        requirement_sets = {aggregate(t).requirements for t in workload.tasks}
+        assert len(requirement_sets) == 3
+        assert len(matched) == 3
+        assert {aggregate(c["task"]).requirements for c in matched} == requirement_sets
+        assert len(predicted) == 4  # (requirement set, profile id) kinds
+        assert sorted(bucketed(c) for c in queries) == sorted(distinct)
+
+        matched.clear()
+        plan_random(workload, args[1], seed=3)
+        assert len(matched) == 3
+
+    def test_errors_name_the_first_task_of_a_kind(self):
+        workload, pool, profiles, clocks, store, config = kinds_bag()
+        p1_only = [p for p in profiles if p.task_id == "p1"]
+        with pytest.raises(UnknownTaskError) as memo:
+            plan_model(workload, pool, p1_only, clocks, store, config, now=NOW)
+        with pytest.raises(UnknownTaskError) as rescan:
+            rescan_model_plan(workload, pool, p1_only, clocks, store, config)
+        assert str(memo.value) == str(rescan.value)
+        assert "'t-001'" in str(memo.value)

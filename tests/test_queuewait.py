@@ -1,6 +1,8 @@
 import io
+import math
 import random
 import statistics
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,72 @@ class TestEstimate:
         est1 = store.estimate_tq("m", "q", 7200.0, 1, now=NOW)
         est2 = QueueWaitStore(shuffled).estimate_tq("m", "q", 7200.0, 1, now=NOW)
         assert est1 == est2
+
+
+def history_csv(records):
+    """The records as a history CSV; submit times must be whole seconds."""
+    lines = ["machine,queue,submit_time_iso8601,wait_s,walltime_req_s,cores_req"]
+    for r in records:
+        when = datetime.fromtimestamp(r.submit_time, timezone.utc).isoformat()
+        lines.append(f"{r.machine},{r.queue},{when},{r.wait_s!r},{r.walltime_req_s!r},"
+                     f"{r.cores_req}")
+    return io.StringIO("\n".join(lines) + "\n")
+
+
+class TestIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_indexed_store_matches_oracle_after_out_of_order_ingests(self, seed):
+        rng = random.Random(seed)
+        window = rng.choice([DAY, 3 * DAY, DEFAULT_WINDOW_S])
+        # both ends of the window, one second outside each, and times in between
+        edges = [NOW - window, NOW, NOW - window - 1, NOW + 1]
+        records = [
+            QueueWaitRecord(
+                machine=rng.choice(["m1", "m2"]),
+                queue=rng.choice(["q1", "q2"]),
+                submit_time=(rng.choice(edges) if rng.random() < 0.3
+                             else NOW - rng.randint(-86400, 10 * 86400)),
+                wait_s=float(rng.randint(0, 5000)),
+                walltime_req_s=rng.choice([600.0, 7200.0, 20000.0]),
+                cores_req=rng.choice([1, 2, 16]),
+            )
+            for _ in range(rng.randint(0, 120))
+        ]
+        rng.shuffle(records)
+        half = rng.randint(0, len(records))
+        store = QueueWaitStore()
+        for part in (records[:half], records[half:]):
+            assert store.ingest_csv(history_csv(part)) == (len(part), [])
+        assert len(store) == len(records)
+        for machine, queue in [("m1", "q1"), ("m1", "q2"), ("m2", "q1"), ("m3", "q1")]:
+            walltime, cores = rng.choice([600.0, 7200.0, 20000.0]), rng.choice([1, 2, 16])
+            in_window, same_bucket = queue_filter_oracle(
+                records, machine, queue, walltime, cores, NOW, window, DEFAULT_BUCKETS)
+            if not in_window:  # always so for the unknown m3/q1
+                with pytest.raises(NoQueueHistoryError):
+                    store.estimate_tq(machine, queue, walltime, cores, NOW, window)
+                continue
+            est = store.estimate_tq(machine, queue, walltime, cores, NOW, window)
+            waits = [r.wait_s for r in (same_bucket or in_window)]
+            assert est.fallback_used == (not same_bucket)
+            assert est.n_samples == len(waits)
+            assert est.mean_wait_s == statistics.mean(waits)
+            assert est.sample_stddev_s == (statistics.stdev(waits) if len(waits) >= 2
+                                           else None)
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize("bad", [
+        {"walltime_req_s": -5.0}, {"walltime_req_s": 0.0}, {"walltime_req_s": math.nan},
+        {"walltime_req_s": math.inf}, {"cores_req": 0}, {"cores_req": -3},
+        {"window_s": 0.0}, {"window_s": -DAY}, {"window_s": math.nan}, {"now": math.nan},
+    ], ids=repr)
+    def test_invalid_query_rejected(self, bad):
+        query = {"walltime_req_s": 7200.0, "cores_req": 1, "now": NOW, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))) as err:
+            store_of(rec(100)).estimate_tq("m", "q", **query)
+        assert not isinstance(err.value, NoQueueHistoryError)
 
 
 class TestIngestCsv:

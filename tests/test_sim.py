@@ -53,6 +53,23 @@ class TestDistSpec:
         with pytest.raises(ValueError):
             DistSpec("weird")
 
+    @pytest.mark.parametrize("kind,given,unread", [
+        ("constant", {"value": 1.0, "mean": 2.0, "stddev": 1.0}, "mean, stddev"),
+        ("constant", {"value": 1.0, "samples": (1.0,)}, "samples"),
+        ("normal", {"mean": 1.0, "stddev": 1.0, "value": 1.0}, "value"),
+        ("normal", {"mean": 1.0, "stddev": 1.0, "samples": (1.0,)}, "samples"),
+        ("empirical", {"samples": (1.0,), "value": 1.0, "mean": 1.0}, "value, mean"),
+        ("empirical", {"samples": (1.0,), "stddev": 1.0}, "stddev"),
+    ])
+    def test_fields_the_kind_never_reads_rejected(self, kind, given, unread):
+        with pytest.raises(ValueError, match=f"{kind} distribution does not read {unread}$"):
+            DistSpec(kind, **given)
+
+    def test_capacity_rejected_for_per_task_pilots(self):
+        with pytest.raises(ValueError, match="capacity_cores"):
+            behavior("r", const(1.0), const(1.0), pilot_mode="per_task", capacity_cores=2)
+        assert behavior("r", const(1.0), const(1.0), capacity_cores=2).capacity_cores == 2
+
     def test_json_round_trip(self):
         for d in (const(2.0), DistSpec("normal", mean=1.0, stddev=0.5),
                   DistSpec("empirical", samples=(1.0, 2.0))):
