@@ -12,7 +12,6 @@ the key path here.
 from __future__ import annotations
 
 import csv
-import statistics
 import sys
 from math import isfinite
 from typing import Callable, Dict, List, Optional, Tuple
@@ -25,7 +24,7 @@ from .model import (
 from .plan import Assignment, SelectionPlan, TtcEstimate
 from .predict import GHZ, BaselineProfile, ClockSpec, PoolInventoryEntry, pool_clock_spec
 from .queuewait import QueueWaitEstimate, QueueWaitRecord, SimilarityBuckets, _parse_iso8601
-from .sim import DistSpec, ResourceBehavior, SimulationResult
+from .sim import METRICS, DistSpec, ResourceBehavior, SimulationResult, mean_and_stddev
 
 
 class DecodeError(ValueError):
@@ -88,10 +87,11 @@ class Scalar:
 
 
 class Arr:
-    """A JSON array of one kind, decoded to a tuple."""
+    """A JSON array of one kind, decoded to a tuple.  With ``unique``, no
+    two items may share that attribute (such as a resource id)."""
 
-    def __init__(self, item):
-        self.item = item
+    def __init__(self, item, unique: Optional[str] = None):
+        self.item, self.unique = item, unique
 
     def decode(self, value) -> tuple:
         if type(value) is not list:
@@ -100,6 +100,13 @@ class Arr:
         try:
             for i, item in enumerate(value):
                 out.append(decode(item))
+            if self.unique:
+                first = {}
+                for i, item in enumerate(out):
+                    key = getattr(item, self.unique)
+                    if first.setdefault(key, i) != i:
+                        raise DecodeError(
+                            f"duplicate {self.unique} {key!r}, first at index {first[key]}")
         except DecodeError as exc:
             exc.path.append(i)
             raise
@@ -250,7 +257,7 @@ TASK = Record(
         i.requirements for i in t.instructions]})
 WORKLOAD = Record(WorkloadSpec, {"workload_id": STR, "tasks": Arr(TASK)})
 RESOURCE = Record(ResourceSpec, {"resource_id": STR, "capabilities": Arr(CAPABILITY)})
-POOL = Arr(RESOURCE)
+POOL = Arr(RESOURCE, unique="resource_id")
 VIABLE_SET = Record(ViableSet, {"task_id": STR, "viable": Field(Arr(STR), attr="resource_ids")})
 
 # --- clocks (in GHz on disk) and configuration
@@ -272,7 +279,7 @@ _POOL_CLOCK = Record(
 CLOCK = OneOf(
     lambda v: _POOL_CLOCK if isinstance(v, dict) and "inventory" in v else _PLAIN_CLOCK,
     _PLAIN_CLOCK, _POOL_CLOCK)
-CLOCKS = Arr(CLOCK)
+CLOCKS = Arr(CLOCK, unique="resource_id")
 CONFIG = Record(Config, {
     "inflation_factors": opt(Map(NUM)), "walltime_safety_factor": opt(NUM),
     "buckets": opt(Record(SimilarityBuckets, {"walltime_edges_s": Arr(NUM),
@@ -324,15 +331,13 @@ BEHAVIOR = Record(ResourceBehavior, {
     "capacity_cores": opt(INT), "pilot_mode": opt(STR)})
 SCENARIO = Record(dict, {
     "plan": OneOf(lambda v: STR if isinstance(v, str) else PLAN, STR, PLAN),  # path or plan
-    "behaviors": Arr(BEHAVIOR), "trials": INT, "seed": INT}, dict)
-_METRICS = ("ttc_wkd_s", "tq_wkd_s", "tx_wkd_s")
+    "behaviors": Arr(BEHAVIOR, unique="resource_id"), "trials": INT, "seed": INT}, dict)
 _STAT = Record(dict, {"mean": NUM, "sample_stddev": NUM_OR_NULL}, dict)
 
 
 def _result_view(result: SimulationResult) -> dict:
-    per_trial = {m: getattr(result, m) for m in _METRICS}
-    summary = {m: {"mean": statistics.mean(v),
-                   "sample_stddev": statistics.stdev(v) if len(v) >= 2 else None}
+    per_trial = {m: getattr(result, m) for m in METRICS}
+    summary = {m: dict(zip(("mean", "sample_stddev"), mean_and_stddev(v)))
                for m, v in per_trial.items()}
     return {**vars(result), "per_trial": per_trial, "summary": summary}
 
@@ -340,8 +345,8 @@ def _result_view(result: SimulationResult) -> dict:
 RESULT = Record(
     lambda per_trial, summary=None, **head: SimulationResult(**head, **per_trial),
     {"workload_id": STR, "strategy": STR, "trials": INT,
-     "per_trial": Record(dict, {m: Arr(NUM) for m in _METRICS}, dict),
-     "summary": opt(Record(dict, {m: _STAT for m in _METRICS}, dict))},
+     "per_trial": Record(dict, {m: Arr(NUM) for m in METRICS}, dict),
+     "summary": opt(Record(dict, {m: _STAT for m in METRICS}, dict))},
     _result_view)
 
 # --- CSV files: a header naming the columns, then one record per row
@@ -356,7 +361,7 @@ class Csv:
         self.name, self.build, self.columns = name, build, columns
 
     def read(self, stream) -> Tuple[list, List[str]]:
-        reader = csv.DictReader(stream)
+        reader = csv.DictReader(stream, restval="")  # a short row reads as empty cells
         missing = [c for c in self.columns if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{self.name} CSV missing columns: {', '.join(missing)}")

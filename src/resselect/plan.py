@@ -66,17 +66,15 @@ class SelectionPlan:
         return PLAN.encode(self)
 
 
-def _resource_requests(
-    assignments: Dict[str, Assignment], cores_per_task: int, walltimes: Dict[str, float]
-) -> Dict[str, dict]:
+def _resource_requests(assignments: Dict[str, Assignment], cores_per_task: int) -> Dict[str, dict]:
     requests: Dict[str, dict] = {}
-    for task_id, a in assignments.items():
+    for a in assignments.values():
         entry = requests.setdefault(
             a.resource_id, {"task_count": 0, "cores": 0, "max_walltime_s": None}
         )
         entry["task_count"] += 1
         entry["cores"] += cores_per_task
-        wt = walltimes.get(task_id)
+        wt = a.estimate and a.estimate.walltime_s  # None for random plans
         if wt is not None:
             prev = entry["max_walltime_s"]
             entry["max_walltime_s"] = wt if prev is None else max(prev, wt)
@@ -187,7 +185,6 @@ def plan_model(
     viable: Dict[tuple, Tuple[str, ...]] = {}
     chosen_by_kind: Dict[tuple, TtcEstimate] = {}
     assignments: Dict[str, Assignment] = {}
-    walltimes: Dict[str, float] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
         ids = _viable_ids(task, pool, viable)
         kind = (config.profile_id(task.task_id), ids)
@@ -199,14 +196,11 @@ def plan_model(
         e = chosen_by_kind[kind]
         estimate = TtcEstimate(task.task_id, e.resource_id, e.tq_s, e.tx_s, e.walltime_s)
         assignments[task.task_id] = Assignment(estimate.resource_id, estimate)
-        walltimes[task.task_id] = estimate.walltime_s
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="model",
         assignments=assignments,
-        resource_requests=_resource_requests(
-            assignments, config.cores_per_task, walltimes
-        ),
+        resource_requests=_resource_requests(assignments, config.cores_per_task),
     )
 
 
@@ -227,6 +221,6 @@ def plan_random(
         workload_id=workload.workload_id,
         strategy="random",
         assignments=assignments,
-        resource_requests=_resource_requests(assignments, cores_per_task, {}),
+        resource_requests=_resource_requests(assignments, cores_per_task),
         rng_seed=seed,
     )

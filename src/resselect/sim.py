@@ -59,10 +59,10 @@ class DistSpec:
                   if f not in _DIST_FIELDS[self.kind] and getattr(self, f) is not None]
         if unread:
             raise ValueError(f"{self.kind} distribution does not read {', '.join(unread)}")
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
+        for f in _DIST_FIELDS[self.kind]:  # NaN passes every comparison above
+            values = self.samples if f == "samples" else (getattr(self, f),)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{self.kind} distribution needs a finite {f}")
 
     def sample(self, rng: random.Random) -> float:
         if self.kind == "constant":
@@ -102,6 +102,15 @@ class ResourceBehavior:
         return BEHAVIOR.decode(obj)
 
 
+# the per-trial workload metrics, in the order every output lists them
+METRICS = ("ttc_wkd_s", "tq_wkd_s", "tx_wkd_s")
+
+
+def mean_and_stddev(values) -> Tuple[float, Optional[float]]:
+    """The exact mean and sample stddev (None below two values)."""
+    return statistics.mean(values), statistics.stdev(values) if len(values) >= 2 else None
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Per-trial workload metrics plus their means and sample stddevs."""
@@ -124,25 +133,19 @@ class SimulationResult:
 
     def write_trials_csv(self, stream) -> None:
         writer = csv.writer(stream)
-        writer.writerow(["trial", "ttc_wkd_s", "tq_wkd_s", "tx_wkd_s"])
-        for i, (ttc, tq, tx) in enumerate(
-            zip(self.ttc_wkd_s, self.tq_wkd_s, self.tx_wkd_s)
-        ):
-            writer.writerow([i, repr(ttc), repr(tq), repr(tx)])
+        writer.writerow(["trial", *METRICS])
+        for i, row in enumerate(zip(*(getattr(self, m) for m in METRICS))):
+            writer.writerow([i, *map(repr, row)])
 
 
-def _derive_rng(seed: int, *parts) -> random.Random:
-    """PRNG stream keyed by (seed, trial, resource, task): results never
-    depend on iteration order or parallelism."""
-    token = "|".join(str(p) for p in (seed, *parts))
-    digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
-def _sample(dist: DistSpec, seed: int, *parts) -> float:
-    if dist.is_constant:
+def _draw(dist: DistSpec, seed: int, *key) -> float:
+    """A sample of ``dist`` from the stream keyed by (seed, trial, resource,
+    task): results never depend on iteration order or parallelism."""
+    if dist.kind == "constant":
         return dist.value
-    return dist.sample(_derive_rng(seed, *parts))
+    token = "|".join(str(p) for p in (seed, *key))
+    digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
+    return dist.sample(random.Random(int.from_bytes(digest, "big")))
 
 
 def _union_length(intervals: List[Tuple[float, float]]) -> float:
@@ -190,21 +193,24 @@ def simulate(
             task_ids = tasks_by_res[rid]
             if beh.pilot_mode == "per_task":
                 for tid in task_ids:
-                    start = _sample(beh.tq_dist, seed, trial, rid, tid, "tq")
-                    dur = _sample(beh.tx_dist, seed, trial, rid, tid, "tx")
+                    start = _draw(beh.tq_dist, seed, trial, rid, tid, "tq")
+                    dur = _draw(beh.tx_dist, seed, trial, rid, tid, "tx")
                     intervals.append((start, start + dur))
                 continue
-            activation = _sample(beh.tq_dist, seed, trial, rid, "tq")
+            # Each task starts at activation or when an earlier task frees its
+            # core, so with durations >= 0 the pilot is busy from activation to
+            # its last task end: one interval.
+            activation = _draw(beh.tq_dist, seed, trial, rid, "tq")
+            durations = [_draw(beh.tx_dist, seed, trial, rid, tid, "tx") for tid in task_ids]
             capacity = beh.capacity_cores
-            busy_ends: List[float] = []  # one entry per occupied core
-            for tid in task_ids:
-                dur = _sample(beh.tx_dist, seed, trial, rid, tid, "tx")
-                start = activation
-                if capacity is not None:
-                    if len(busy_ends) >= capacity:
-                        start = max(activation, heapq.heappop(busy_ends))
-                    heapq.heappush(busy_ends, start + dur)
-                intervals.append((start, start + dur))
+            if capacity is None or capacity >= len(durations):
+                intervals.append((activation, activation + max(durations)))
+                continue
+            busy_ends = [activation + dur for dur in durations[:capacity]]  # one per core
+            heapq.heapify(busy_ends)
+            for dur in durations[capacity:]:  # the next task takes the core freed first
+                heapq.heapreplace(busy_ends, busy_ends[0] + dur)
+            intervals.append((activation, max(busy_ends)))
         ttc = max(end for _, end in intervals)
         if not math.isfinite(ttc):
             raise ValueError(f"trial {trial}: waits plus durations overflow to a TTC of {ttc!r}")
@@ -232,29 +238,12 @@ def compare(model_result: SimulationResult, random_result: SimulationResult) -> 
         )
     if random_result.mean_ttc_s == 0:
         raise ValueError("random strategy has a mean TTC of 0: no reduction to report")
-    report = {
-        "workload_id": model_result.workload_id,
-        "ttc_reduction_pct": (
-            (random_result.mean_ttc_s - model_result.mean_ttc_s)
-            / random_result.mean_ttc_s
-            * 100.0
-        ),
-        "metrics": {},
-    }
-    for metric in ("ttc_wkd_s", "tq_wkd_s", "tx_wkd_s"):
-        m_vals = getattr(model_result, metric)
-        r_vals = getattr(random_result, metric)
-        m_mean = statistics.mean(m_vals)
-        r_mean = statistics.mean(r_vals)
-        report["metrics"][metric] = {
-            "model_mean": m_mean,
-            "random_mean": r_mean,
-            "delta": r_mean - m_mean,
-            "model_sample_stddev": (
-                statistics.stdev(m_vals) if len(m_vals) >= 2 else None
-            ),
-            "random_sample_stddev": (
-                statistics.stdev(r_vals) if len(r_vals) >= 2 else None
-            ),
-        }
-    return report
+    metrics = {}
+    for metric in METRICS:
+        m_mean, m_stddev = mean_and_stddev(getattr(model_result, metric))
+        r_mean, r_stddev = mean_and_stddev(getattr(random_result, metric))
+        metrics[metric] = {"model_mean": m_mean, "random_mean": r_mean, "delta": r_mean - m_mean,
+                           "model_sample_stddev": m_stddev, "random_sample_stddev": r_stddev}
+    ttc = metrics["ttc_wkd_s"]
+    return {"workload_id": model_result.workload_id,
+            "ttc_reduction_pct": ttc["delta"] / ttc["random_mean"] * 100.0, "metrics": metrics}

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -188,29 +189,58 @@ class TestStrictInputs:
              for m in MUTATIONS],
     )
     def test_bad_input_exits_1_naming_file_and_key(self, tmp_path, capsys, name, op, path, key):
-        files = {}
-        for f in BUNDLED.iterdir():
-            files[f.name] = str(shutil.copy(f, tmp_path / f.name))
-        write(tmp_path / "plan.json", {
-            "workload_id": "w", "strategy": "random",
-            "assignments": {"t": {"resource_id": "supermic"}}})
-        doc = json.loads((tmp_path / name).read_text())
-        if name == "scenario.json":
-            doc["plan"] = str(tmp_path / "plan.json")
-        target = doc
-        for step in path:
-            target = target[step]
-        if op == "add":
-            target[key] = 1
-        elif op == "del":
-            del target[key]
-        else:
-            target[key] = op
-        write(tmp_path / name, doc)
-        argv = [files[a[1:]] if a.startswith("@") else a for a in STRICT_CASES[name]]
+        def mutate(target):
+            if op == "add":
+                target[key] = 1
+            elif op == "del":
+                del target[key]
+            else:
+                target[key] = op
+
+        file, argv = edited_bundled_copy(tmp_path, name, path, mutate)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert files[name] in err and key in err, err
+        assert file in err and key in err, err
+
+
+def edited_bundled_copy(tmp_path, name, path, edit):
+    """Copy the bundled files to ``tmp_path``, call ``edit`` on the value at
+    ``path`` in the copy of ``name``, and return that copy's path and the
+    argv of the subcommand that reads it (a scenario's plan is a one-task
+    random plan)."""
+    files = {f.name: str(shutil.copy(f, tmp_path / f.name)) for f in BUNDLED.iterdir()}
+    doc = json.loads((tmp_path / name).read_text())
+    if name == "scenario.json":
+        doc["plan"] = write(tmp_path / "plan.json", {
+            "workload_id": "w", "strategy": "random",
+            "assignments": {"t": {"resource_id": "supermic"}}})
+    target = doc
+    for step in path:
+        target = target[step]
+    edit(target)
+    write(tmp_path / name, doc)
+    return files[name], [files[a[1:]] if a.startswith("@") else a for a in STRICT_CASES[name]]
+
+
+class TestDuplicateIds:
+    """A resource id listed twice in the pool, the clocks or a scenario's
+    behaviors exits 1, naming the file, the index path and the id; the
+    second entry would otherwise count twice or replace the first."""
+
+    @pytest.mark.parametrize("name,key,index", [
+        ("pool.json", "", 1), ("clocks.json", "", 2), ("scenario.json", "behaviors", 0),
+    ])
+    def test_duplicate_resource_id_exits_1(self, tmp_path, capsys, name, key, index):
+        items = json.loads((BUNDLED / name).read_text())
+        items = items[key] if key else items
+        rid, dup = items[index]["resource_id"], len(items)  # the copy goes last
+        file, argv = edited_bundled_copy(tmp_path, name, [key] if key else [],
+                                         lambda target: target.append(target[index]))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{file}: {key}[{dup}]: duplicate resource_id {rid!r}, first at index {index}" in \
+            captured.err, captured.err
 
 
 class TestUnreadFields:
@@ -381,8 +411,14 @@ class TestPipeline:
 
 # --- mutated inputs never crash the CLI -------------------------------------
 
-TASK = json.loads((BUNDLED / "workload_64.json").read_text())["tasks"][0]
+WORKLOAD = json.loads((BUNDLED / "workload_64.json").read_text())
+WORKLOAD["tasks"] = WORKLOAD["tasks"][:3]
+TASK = WORKLOAD["tasks"][0]
 POOL = json.loads((BUNDLED / "pool.json").read_text())
+CLOCKS = json.loads((BUNDLED / "clocks.json").read_text())
+CONFIG = json.loads((BUNDLED / "config.json").read_text())
+PROFILES, HISTORY = (list(csv.reader(io.StringIO((BUNDLED / name).read_text())))
+                     for name in ("profiles.csv", "history.csv"))
 SCENARIO = {
     "plan": {"workload_id": "w", "strategy": "random",
              "assignments": {f"t{i}": {"resource_id": r} for i, r in
@@ -392,14 +428,26 @@ SCENARIO = {
 }
 RESULTS = [SimulationResult("w", s, 2, ttc, (1.0, 1.0), tuple(t - 1.0 for t in ttc)).to_json()
            for s, ttc in (("model", (5.0, 6.0)), ("random", (9.0, 12.0)))]
-FUZZ_INPUTS = {  # subcommand -> its (flag, document) inputs
+FUZZ_INPUTS = {  # subcommand -> its (flag, document) inputs; a CSV document is a list of rows
     "aggregate": [("--task", TASK)],
     "match": [("--task", TASK), ("--pool", POOL)],
+    "predict": [("--profiles", PROFILES), ("--clocks", CLOCKS), ("--config", CONFIG)],
+    "queue-wait": [("--history", HISTORY), ("--config", CONFIG)],
+    "select": [("--workload", WORKLOAD), ("--pool", POOL), ("--profiles", PROFILES),
+               ("--clocks", CLOCKS), ("--history", HISTORY), ("--config", CONFIG)],
     "simulate": [("--scenario", SCENARIO)],
     "report": [("--model", RESULTS[0]), ("--random", RESULTS[1])],
 }
+FUZZ_ARGS = {  # subcommand -> the arguments that are not files
+    "queue-wait": ["--machine", "supermic", "--queue", "workq", "--walltime", "7200",
+                   "--cores", "1", "--now", NOW],
+    "select": ["--now", NOW],
+}
+CSV_FLAGS = {"--profiles", "--history"}
 JSON_VALUES = [None, True, "x", 0, -1, 2, 0.5, 1e308, 10**400, math.nan, -math.inf, [], {}, [0],
                {"k": 1}]
+CSV_VALUES = ["", "x", "0", "-1", "0.5", "1e308", "1e400", "nan", "-inf", "2026-02-30T00:00:00Z",
+              "supermic", "md-100k", ["x", "1"], []]
 
 
 def _locations(doc, path=()):
@@ -414,11 +462,12 @@ def mutated_run(draw):
     cmd = draw(st.sampled_from(sorted(FUZZ_INPUTS)))
     inputs = copy.deepcopy(FUZZ_INPUTS[cmd])
     which = draw(st.integers(0, len(inputs) - 1))
-    doc = inputs[which][1]
+    flag, doc = inputs[which]
     path = draw(st.sampled_from(list(_locations(doc))))
-    value = draw(st.sampled_from(JSON_VALUES))
+    value = draw(st.sampled_from(CSV_VALUES if flag in CSV_FLAGS else JSON_VALUES))
     if not path:
-        inputs[which] = (inputs[which][0], value)
+        if flag not in CSV_FLAGS:
+            inputs[which] = (flag, value)
         return cmd, inputs
     parent = doc
     for step in path[:-1]:
@@ -435,19 +484,27 @@ def mutated_run(draw):
     return cmd, inputs
 
 
+def _fuzz_text(flag, doc) -> str:
+    if flag not in CSV_FLAGS:
+        return json.dumps(doc)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(row if isinstance(row, list) else [row] for row in doc)
+    return buf.getvalue()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(run=mutated_run())
 def test_mutated_inputs_exit_0_1_or_2_without_traceback(fuzz_dir, run):
     cmd, inputs = run
-    argv = [cmd, "--out", str(fuzz_dir / "out")]
+    argv = [cmd, "--out", str(fuzz_dir / "out"), *FUZZ_ARGS.get(cmd, [])]
     for i, (flag, doc) in enumerate(inputs):
-        path = fuzz_dir / f"in{i}.json"
-        path.write_text(json.dumps(doc))
+        path = fuzz_dir / f"in{i}"
+        path.write_text(_fuzz_text(flag, doc))
         argv += [flag, str(path)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from resselect import DistSpec, ResourceBehavior, SimulationResult, compare, sim
 from resselect.codec import DIST, RESULT
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan
+from resselect.sim import _draw
 
 from oracles import timeline_oracle
 
@@ -52,6 +54,20 @@ class TestDistSpec:
             DistSpec("empirical", samples=())
         with pytest.raises(ValueError):
             DistSpec("weird")
+        # NaN passes every ordering check: a NaN duration would vanish from
+        # the TTC's max() and a NaN mean would draw max(0.0, nan) == 0.0
+        for kind, given, field in [
+            ("constant", {"value": math.nan}, "value"),
+            ("constant", {"value": math.inf}, "value"),
+            ("normal", {"mean": math.nan, "stddev": 1.0}, "mean"),
+            ("normal", {"mean": -math.inf, "stddev": 1.0}, "mean"),
+            ("normal", {"mean": 1.0, "stddev": math.nan}, "stddev"),
+            ("normal", {"mean": 1.0, "stddev": math.inf}, "stddev"),
+            ("empirical", {"samples": (1.0, math.nan)}, "samples"),
+            ("empirical", {"samples": (math.inf,)}, "samples"),
+        ]:
+            with pytest.raises(ValueError, match=f"{kind} distribution needs a finite {field}$"):
+                DistSpec(kind, **given)
 
     @pytest.mark.parametrize("kind,given,unread", [
         ("constant", {"value": 1.0, "mean": 2.0, "stddev": 1.0}, "mean, stddev"),
@@ -172,30 +188,52 @@ class TestSimulate:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_constant_distributions_match_interval_oracle(self, seed):
+        """Each single pilot adds one busy interval; the oracle gets one
+        interval per task from a per-core schedule built here, over constant,
+        normal and empirical draws (zero durations included), capacities
+        None, 1, below and at least the task count, and per_task pilots."""
         rng = random.Random(seed)
-        n_res = rng.randint(1, 3)
-        resources = [f"r{i}" for i in range(n_res)]
-        behaviors = {}
-        expected_intervals = []
-        assignments = {}
-        for rid in resources:
-            tq = rng.uniform(0, 500)
-            tx = rng.uniform(1, 100)
-            behaviors[rid] = behavior(rid, const(tq), const(tx))
-            n_tasks = rng.randint(1, 3)
+        dists = [const(0.0), const(round(rng.uniform(0, 500), 3)),
+                 DistSpec("normal", mean=rng.uniform(-50, 300), stddev=rng.uniform(0, 100)),
+                 DistSpec("empirical", samples=(0.0, 7.5, 7.5, rng.uniform(0, 200)))]
+        behaviors, assignments = {}, {}
+        for rid in [f"r{i}" for i in range(rng.randint(1, 4))]:
+            n_tasks = rng.randint(1, 6)
+            mode = rng.choice(["single", "single", "per_task"])
+            capacity = None if mode == "per_task" else rng.choice(
+                [None, 1, rng.randint(1, n_tasks), n_tasks, n_tasks + 2])
+            behaviors[rid] = behavior(rid, rng.choice(dists), rng.choice(dists),
+                                      capacity_cores=capacity, pilot_mode=mode)
             for _ in range(n_tasks):
-                tid = f"t{len(assignments)}"
-                assignments[tid] = rid
-                expected_intervals.append((tq, tq + tx))
-        if len(assignments) > 8:
-            expected_intervals = expected_intervals[: len(assignments)]
+                assignments[f"t{len(assignments)}"] = rid
         plan = make_plan(assignments)
-        result = simulate(plan, behaviors, trials=2, seed=seed)
-        ttc, tq_w, tx_w = timeline_oracle(expected_intervals)
-        for trial in range(2):
-            assert result.ttc_wkd_s[trial] == pytest.approx(ttc, rel=1e-12)
-            assert result.tx_wkd_s[trial] == pytest.approx(tx_w, rel=1e-12)
-            assert result.tq_wkd_s[trial] == pytest.approx(tq_w, abs=1e-9)
+        result = simulate(plan, behaviors, trials=3, seed=seed)
+        for trial in range(3):
+            expected = timeline_oracle(per_task_schedule(assignments, behaviors, seed, trial))
+            got = (result.ttc_wkd_s[trial], result.tq_wkd_s[trial], result.tx_wkd_s[trial])
+            assert got == expected
+
+
+def per_task_schedule(assignments, behaviors, seed, trial):
+    """One interval per task, on the simulator's keyed draws: a per_task
+    pilot starts each task at its own wait; a single pilot starts each task,
+    in task-id order, on the core that frees first."""
+    intervals = []
+    for rid, beh in behaviors.items():
+        task_ids = sorted(t for t, r in assignments.items() if r == rid)
+        if beh.pilot_mode == "per_task":
+            for tid in task_ids:
+                start = _draw(beh.tq_dist, seed, trial, rid, tid, "tq")
+                intervals.append((start, start + _draw(beh.tx_dist, seed, trial, rid, tid, "tx")))
+            continue
+        activation = _draw(beh.tq_dist, seed, trial, rid, "tq")
+        free_at = [activation] * (beh.capacity_cores or len(task_ids))  # per core
+        for tid in task_ids:
+            core = free_at.index(min(free_at))
+            start = free_at[core]
+            free_at[core] = start + _draw(beh.tx_dist, seed, trial, rid, tid, "tx")
+            intervals.append((start, free_at[core]))
+    return intervals
 
 
 class TestCompare:
@@ -218,6 +256,14 @@ class TestCompare:
         m = self.make_result("w", "model", [200.0])
         r = self.make_result("w", "random", [100.0])
         assert compare(m, r)["ttc_reduction_pct"] == -100.0
+
+    @pytest.mark.parametrize("ttcs,stddev", [((3.0,), None), ((3.0, 5.0), math.sqrt(2.0))])
+    def test_sample_stddev_needs_two_trials(self, ttcs, stddev):
+        m = self.make_result("w", "model", ttcs)
+        entry = compare(m, self.make_result("w", "random", [10.0] * len(ttcs)))["metrics"]
+        assert entry["ttc_wkd_s"]["model_sample_stddev"] == stddev
+        assert m.to_json()["summary"]["ttc_wkd_s"] == {"mean": 4.0 if stddev else 3.0,
+                                                     "sample_stddev": stddev}
 
     def test_zero_random_ttc_rejected(self):
         m = self.make_result("w", "model", [0.0])
