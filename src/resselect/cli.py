@@ -68,6 +68,16 @@ def _load_config(path: Optional[str]) -> Config:
     return _load(path, codec.CONFIG.decode) if path else Config()
 
 
+def _check_resource_ids(config: Config, config_path: Optional[str], ids, source: str) -> None:
+    """Every key of the config's per-resource maps names a resource in
+    ``ids``, read from ``source``: a misspelt id would silently get the
+    default inflation or queue."""
+    for name in ("inflation_factors", "resource_queues"):
+        for rid in sorted(getattr(config, name)):
+            if rid not in ids:
+                raise CliError(f"{config_path}: {name}.{rid}: no resource {rid!r} in {source}")
+
+
 def _load_csv(path: str, load):
     """``load`` the CSV at ``path``; its skipped rows are warnings on stderr."""
     result, warnings = load(io.StringIO(_read_text(path)))
@@ -114,6 +124,7 @@ def _cmd_predict(args) -> None:
     profiles = _load_csv(args.profiles, load_profiles)
     clocks = _load(args.clocks, load_clocks)
     config = _load_config(args.config)
+    _check_resource_ids(config, args.config, clocks, args.clocks)
     by_task = profiles_by_task(profiles)
     task_ids = [args.task_id] if args.task_id else sorted(by_task)
     reports = []
@@ -156,6 +167,7 @@ def _cmd_select(args) -> None:
     workload = _load(args.workload, codec.WORKLOAD.decode)
     pool = _load(args.pool, codec.POOL.decode)
     config = _load_config(args.config)
+    _check_resource_ids(config, args.config, {r.resource_id for r in pool}, args.pool)
     if args.strategy == "random":
         plan = plan_random(workload, pool, args.seed, config.cores_per_task)
     else:

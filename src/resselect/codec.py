@@ -354,19 +354,24 @@ RESULT = Record(
 
 class Csv:
     """A CSV format: its columns and ``build``, which makes a record from a
-    row.  Reading skips the rows ``build`` rejects, with line-numbered
-    warnings."""
+    row.  Reading skips the rows with more cells than the header and the rows
+    ``build`` rejects, with line-numbered warnings."""
 
     def __init__(self, name: str, build: Optional[Callable], *columns: str):
         self.name, self.build, self.columns = name, build, columns
 
     def read(self, stream) -> Tuple[list, List[str]]:
-        reader = csv.DictReader(stream, restval="")  # a short row reads as empty cells
+        # a short row reads as empty cells; a long row keeps its extra cells
+        # under the key None, which no header names
+        reader = csv.DictReader(stream, restkey=None, restval="")
         missing = [c for c in self.columns if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{self.name} CSV missing columns: {', '.join(missing)}")
         records, warnings = [], []
         for lineno, row in enumerate(reader, start=2):
+            if None in row:
+                warnings.append(f"line {lineno}: {len(row[None])} more cells than the header")
+                continue
             try:
                 records.append(self.build(row))
             except (ValueError, TypeError) as exc:

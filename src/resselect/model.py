@@ -63,17 +63,17 @@ class ConsumableSpec:
                 _check_scalar(v)
             frozen[attr] = values
         object.__setattr__(self, "form", frozen)
-
-    def _key(self):
-        return (self.ctype, frozenset(self.form.items()))
+        # the hash, computed once: not a field, so repr and the encoding
+        # never see it
+        object.__setattr__(self, "_hash", hash((self.ctype, frozenset(frozen.items()))))
 
     def __eq__(self, other):
         if not isinstance(other, ConsumableSpec):
             return NotImplemented
-        return self._key() == other._key()
+        return self._hash == other._hash and self.ctype == other.ctype and self.form == other.form
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def sorted_form(self) -> Dict[str, list]:
         """The form with each value set in canonical order."""

@@ -6,6 +6,12 @@ durations are sampled per task.  Workload metrics come from the resulting
 timeline: TTC is the last task end, execution time is the span during which
 at least one task runs, and queue time is everything else (the span before
 the first start plus any zero-running-task gaps).
+
+Each sample is keyed by (seed, trial, resource, task) and counter-based:
+the top 52 bits of a blake2b digest of the key are the draw, mapped by
+``DistSpec.at`` through the normal's inverse CDF or to an empirical index.
+Results therefore do not depend on iteration order, and two plans that put
+a task on the same resource see the same draws for it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,13 @@ _DIST_FIELDS = {
     "normal": ("mean", "stddev"),
     "empirical": ("samples",),
 }
+
+
+# a draw is the top _BITS bits of its key's digest, read as a uniform in
+# units of _ULP
+_BITS = 52
+_ULP = 2.0 ** -_BITS
+_Z = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -64,12 +77,18 @@ class DistSpec:
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{self.kind} distribution needs a finite {f}")
 
-    def sample(self, rng: random.Random) -> float:
+    def at(self, k: int) -> float:
+        """The sample at the 52-bit integer ``k``: the normal's inverse CDF at
+        the uniform ``(k + 0.5) / 2**52``, strictly inside (0, 1), truncated
+        at 0; or the empirical sample at the exact index ``k * n >> 52``."""
         if self.kind == "constant":
             return self.value
         if self.kind == "normal":
-            return max(0.0, rng.gauss(self.mean, self.stddev))
-        return self.samples[rng.randrange(len(self.samples))]
+            return max(0.0, self.mean + self.stddev * _Z.inv_cdf((k + 0.5) * _ULP))
+        return self.samples[(k * len(self.samples)) >> _BITS]
+
+    def sample(self, rng: random.Random) -> float:
+        return self.at(rng.getrandbits(_BITS))
 
 
 @dataclass(frozen=True)
@@ -138,14 +157,33 @@ class SimulationResult:
             writer.writerow([i, *map(repr, row)])
 
 
+def _top_bits(h) -> int:
+    """The top ``_BITS`` bits of a hash's 8-byte digest."""
+    return int.from_bytes(h.digest(), "big") >> (64 - _BITS)
+
+
 def _draw(dist: DistSpec, seed: int, *key) -> float:
-    """A sample of ``dist`` from the stream keyed by (seed, trial, resource,
-    task): results never depend on iteration order or parallelism."""
+    """The sample of ``dist`` keyed by (seed, trial, resource, task), with
+    the token hashed in one piece: what ``simulate`` draws, hashing the
+    head once per pilot, and the reference tests compare it with."""
     if dist.kind == "constant":
         return dist.value
     token = "|".join(str(p) for p in (seed, *key))
-    digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
-    return dist.sample(random.Random(int.from_bytes(digest, "big")))
+    return dist.at(_top_bits(hashlib.blake2b(token.encode(), digest_size=8)))
+
+
+def _draws(dist: DistSpec, prefix, suffixes: List[bytes]) -> List[float]:
+    """``_draw``'s samples of ``dist`` for the keys ``prefix`` (a hash of the
+    token's head) then each of ``suffixes``: the head is hashed once."""
+    if dist.kind == "constant":
+        return [dist.value] * len(suffixes)
+    at, copy = dist.at, prefix.copy
+    samples = []
+    for suffix in suffixes:
+        h = copy()
+        h.update(suffix)
+        samples.append(at(_top_bits(h)))
+    return samples
 
 
 def _union_length(intervals: List[Tuple[float, float]]) -> float:
@@ -177,10 +215,15 @@ def simulate(
     tasks_by_res: Dict[str, List[str]] = {}
     for task_id, a in plan.assignments.items():
         tasks_by_res.setdefault(a.resource_id, []).append(task_id)
-    for rid in tasks_by_res:
+    # each task's key suffixes after "seed|trial|resource|", encoded once
+    tq_keys: Dict[str, List[bytes]] = {}
+    tx_keys: Dict[str, List[bytes]] = {}
+    for rid, task_ids in tasks_by_res.items():
         if rid not in behaviors:
             raise ValueError(f"missing behavior for resource {rid!r}")
-        tasks_by_res[rid].sort()
+        task_ids.sort()
+        tq_keys[rid] = [f"{tid}|tq".encode() for tid in task_ids]
+        tx_keys[rid] = [f"{tid}|tx".encode() for tid in task_ids]
     resource_ids = sorted(tasks_by_res)
 
     ttc_list: List[float] = []
@@ -190,18 +233,16 @@ def simulate(
         intervals: List[Tuple[float, float]] = []
         for rid in resource_ids:
             beh = behaviors[rid]
-            task_ids = tasks_by_res[rid]
+            prefix = hashlib.blake2b(f"{seed}|{trial}|{rid}|".encode(), digest_size=8)
+            durations = _draws(beh.tx_dist, prefix, tx_keys[rid])
             if beh.pilot_mode == "per_task":
-                for tid in task_ids:
-                    start = _draw(beh.tq_dist, seed, trial, rid, tid, "tq")
-                    dur = _draw(beh.tx_dist, seed, trial, rid, tid, "tx")
-                    intervals.append((start, start + dur))
+                starts = _draws(beh.tq_dist, prefix, tq_keys[rid])
+                intervals.extend((s, s + d) for s, d in zip(starts, durations))
                 continue
             # Each task starts at activation or when an earlier task frees its
             # core, so with durations >= 0 the pilot is busy from activation to
             # its last task end: one interval.
-            activation = _draw(beh.tq_dist, seed, trial, rid, "tq")
-            durations = [_draw(beh.tx_dist, seed, trial, rid, tid, "tx") for tid in task_ids]
+            activation = _draws(beh.tq_dist, prefix, [b"tq"])[0]
             capacity = beh.capacity_cores
             if capacity is None or capacity >= len(durations):
                 intervals.append((activation, activation + max(durations)))

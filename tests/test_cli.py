@@ -408,6 +408,55 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    def test_history_row_with_extra_cells_skipped(self, tmp_path, capsys):
+        csv_path = tmp_path / "hist.csv"
+        csv_path.write_text(
+            "machine,queue,submit_time_iso8601,wait_s,walltime_req_s,cores_req\n"
+            "supermic,workq,2026-08-19T00:00:00Z,300,7200,1\n"
+            "supermic,workq,2026-08-19T12:00:00Z,100,7200,1,999\n"
+        )
+        assert main(["queue-wait", "--history", str(csv_path),
+                     "--machine", "supermic", "--queue", "workq",
+                     "--walltime", "7200", "--cores", "1", "--now", NOW]) == 0
+        captured = capsys.readouterr()
+        assert f"{csv_path}: line 3: 1 more cells than the header" in captured.err
+        est = json.loads(captured.out)
+        assert (est["n_samples"], est["mean_wait_s"]) == (1, 300.0)
+
+
+class TestConfigResourceIds:
+    """A key of the config's per-resource maps that names no resource the
+    subcommand reads exits 1, naming the config file, the map and the id:
+    a misspelt id would silently get the default inflation or queue."""
+
+    PREDICT = ["predict", "--profiles", "@profiles.csv", "--clocks", "@clocks.json",
+               "--config", "@config.json"]
+    SELECT = ["select", "--workload", "@workload_64.json", "--pool", "@pool.json",
+              "--config", "@config.json"]
+    MODEL = ["--profiles", "@profiles.csv", "--clocks", "@clocks.json",
+             "--history", "@history.csv", "--now", NOW]
+    QUEUE = {"machine": "bridges", "queue": "RM"}
+
+    @pytest.mark.parametrize("argv,name,rid,value,source", [
+        (PREDICT, "inflation_factors", "osgg", 1.22, "clocks.json"),
+        (PREDICT, "resource_queues", "bridge", QUEUE, "clocks.json"),
+        (SELECT + MODEL, "inflation_factors", "osgg", 1.22, "pool.json"),
+        (SELECT + ["--strategy", "random", "--seed", "1"], "resource_queues", "bridge", QUEUE,
+         "pool.json"),
+    ], ids=["predict-inflation", "predict-queues", "select-model-inflation",
+            "select-random-queues"])
+    def test_unknown_resource_exits_1(self, tmp_path, capsys, argv, name, rid, value, source):
+        def add(target):
+            target[rid] = value
+
+        config, _ = edited_bundled_copy(tmp_path, "config.json", [name], add)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{config}: {name}.{rid}: no resource {rid!r} in {tmp_path / source}"
+                in captured.err), captured.err
+
 
 # --- mutated inputs never crash the CLI -------------------------------------
 

@@ -46,6 +46,12 @@ class TestTypes:
         assert c("cyc", n=["2"]) != c("cyc", n=[2])
         assert c("cyc", n=["x"]) == c("cyc", n=["x"])
 
+    def test_cached_hash_stays_out_of_repr(self):
+        a, b = c("cyc", isa=["x86"], n=[2]), c("cyc", n=[2.0], isa=["x86"])
+        assert a == b and hash(a) == hash(b) and len({a, b, c("cyc", n=[2])}) == 2
+        assert repr(a) == "ConsumableSpec(ctype='cyc', form={'isa': frozenset({'x86'}), " \
+                          "'n': frozenset({2})})"
+
     def test_nonpositive_amount_and_rate_rejected(self):
         with pytest.raises(ValueError):
             Requirement(CYC_A, 0)

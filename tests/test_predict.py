@@ -231,6 +231,12 @@ class TestIngest:
         assert len(profiles) == 1
         assert "line 3" in warnings[0] and "non-finite" in warnings[0]
 
+    def test_long_row_skipped(self):
+        csv_text = self.CSV.replace("md,1000,8.2e9,4.1e9,2.0,2.5,1.64", "md,1000,8.2e9,4.1e9,2.0,2.5,1.64,7")
+        profiles, warnings = load_profiles(io.StringIO(csv_text))
+        assert len(profiles) == 1
+        assert warnings[0] == "line 3: 1 more cells than the header"
+
     def test_missing_columns_rejected(self):
         with pytest.raises(ValueError, match="missing columns"):
             load_profiles(io.StringIO("task_id,cycles\nmd,4e9\n"))

@@ -250,6 +250,14 @@ class TestIngestCsv:
         assert count == 1
         assert len(warnings) == 1 and "line 3" in warnings[0] and "non-finite" in warnings[0]
 
+    @pytest.mark.parametrize("row,extra", [("m,q,2023-11-11T00:00:00Z,100,7200,1,999", 1),
+                                           ("m,q,2023-11-11T00:00:00Z,100,7200,1,,", 2)])
+    def test_long_row_skipped(self, row, extra):
+        csv_text = self.HEADER + "m,q,2023-11-10T00:00:00Z,100,7200,1\n" + row + "\n"
+        count, warnings = QueueWaitStore().ingest_csv(io.StringIO(csv_text))
+        assert count == 1
+        assert warnings == [f"line 3: {extra} more cells than the header"]
+
     def test_empty_file_with_header(self):
         store = QueueWaitStore()
         count, warnings = store.ingest_csv(io.StringIO(self.HEADER))

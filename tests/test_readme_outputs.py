@@ -13,11 +13,11 @@ from conftest import BUNDLED
 PINNED = {
     "plan.json": "b0800714cd57182bb4bbe319924a456905f3648e1503945d7aa578b8013b0564",
     "random_plan.json": "1fe7f1aefa102c862cf9d66b0e0c5445ae2dc9bfd3d9f57a00f5c1b9f44b09dd",
-    "result.json": "dc254037aa0d0941ca01d9fd748739d8c561e2728e03089b26df1f242546a7bd",
-    "trials.csv": "b0cef475034d066a8739404ee65df11d7e26335c56a9972c0a9dc50c40e6d783",
-    "random_result.json": "73c903a38446f31ec6e7b7365d9d5a1a152d04896b6694bd82b1030d05a89635",
-    "random_trials.csv": "b5affb340125d83ca90458bc87b6e03a966803be86864e8f7460a066d2d77c9b",
-    "report.csv": "fbc0de5c979a291c29fe489f4aca189635d17e9e584b41efcd8071f7b07fa8f7",
+    "result.json": "5660189517e756afd878483b2225ec685526275a0cd3301a4172272f63d9cb48",
+    "trials.csv": "75d7eee1715ac65d89efaf97e5949cebd4e0928de49f682c4000c28ac9da8643",
+    "random_result.json": "72b6e949f02c73f9270e7502f3ef33fba1f4d1fc8bd51eb72d6e81952130c151",
+    "random_trials.csv": "70a1ddf72be923d56504182e7e123522b38a4ef2b69215eebb33a70d113c0734",
+    "report.csv": "aff5bceea4ab9cd8179f212e772ca212b43cd9e87d10c8a2974bb24da7cba553",
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,93 @@ class TestDistSpec:
         for d in (const(2.0), DistSpec("normal", mean=1.0, stddev=0.5),
                   DistSpec("empirical", samples=(1.0, 2.0))):
             assert DIST.decode(DIST.encode(d)) == d
+
+
+class TestKeyedDraws:
+    """A draw is the top 52 bits ``k`` of its key's blake2b digest, mapped by
+    ``DistSpec.at``: the normal's inverse CDF at (k + 0.5) / 2**52, truncated
+    at 0, or the empirical sample at index k * n >> 52."""
+
+    N = 40_000
+
+    def draws(self, dist):
+        return [_draw(dist, 11, 0, "r", f"t{i}", "tx") for i in range(self.N)]
+
+    def test_normal_mean_and_stddev_within_four_standard_errors(self):
+        xs = self.draws(DistSpec("normal", mean=1000.0, stddev=50.0))
+        assert abs(statistics.mean(xs) - 1000.0) < 4 * 50.0 / math.sqrt(self.N)
+        assert abs(statistics.stdev(xs) - 50.0) < 4 * 50.0 / math.sqrt(2 * (self.N - 1))
+
+    def test_negative_mean_truncates_to_exact_zero(self):
+        xs = self.draws(DistSpec("normal", mean=-5.0, stddev=10.0))
+        zeros = [x for x in xs if x <= 0.0]
+        assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in zeros)
+        share = statistics.NormalDist().cdf(0.5)  # P(-5 + 10 z <= 0)
+        assert abs(len(zeros) / self.N - share) < 4 * math.sqrt(share * (1 - share) / self.N)
+
+    def test_zero_stddev_gives_the_mean_exactly(self):
+        d = DistSpec("normal", mean=123.456, stddev=0.0)
+        assert {d.at(k) for k in (0, 1, 2**51, 2**52 - 1)} == {123.456}
+        assert _draw(d, 1, 0, "r", "t", "tx") == 123.456
+
+    def test_extreme_bits_give_finite_values(self):
+        d = DistSpec("normal", mean=100.0, stddev=1.0)
+        lo, hi = d.at(0), d.at(2**52 - 1)
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert lo == pytest.approx(100.0 - 8.21, abs=0.01)
+        assert hi == pytest.approx(100.0 + 8.21, abs=0.01)
+
+    def test_empirical_index_is_exact_and_uniform(self):
+        samples = tuple(float(i) for i in range(7))
+        d = DistSpec("empirical", samples=samples)
+        assert (d.at(0), d.at(2**52 - 1)) == (0.0, 6.0)
+        edge = -(-2**52 // 7)  # the first k of index 1
+        assert (d.at(edge - 1), d.at(edge)) == (0.0, 1.0)
+        counts = [0] * len(samples)
+        for x in self.draws(d):
+            counts[int(x)] += 1
+        expected = self.N / len(samples)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        assert min(counts) > 0 and chi2 < 22.46  # chi-square, 6 dof, p = 0.001
+
+    def test_sample_maps_52_random_bits(self):
+        d = DistSpec("normal", mean=10.0, stddev=3.0)
+        assert d.sample(random.Random(5)) == d.at(random.Random(5).getrandbits(52))
+
+
+class TestStreamProperties:
+    BEHAVIORS = {
+        "r": behavior("r", DistSpec("normal", mean=300.0, stddev=100.0),
+                      DistSpec("empirical", samples=(10.0, 50.0, 90.0)), pilot_mode="per_task"),
+        "rA": behavior("rA", const(0.0), const(0.0)),
+        "rB": behavior("rB", DistSpec("normal", mean=0.0, stddev=0.0), const(0.0),
+                       capacity_cores=1),
+    }
+
+    def test_common_random_numbers_across_plans(self):
+        """``t`` on ``r`` sees the same draws whatever else each plan holds."""
+        model = simulate(make_plan({"t": "r", "u": "rA"}), self.BEHAVIORS, trials=30, seed=4)
+        rand = simulate(make_plan({"u": "rB", "v": "rA", "t": "r"}, strategy="random"),
+                        self.BEHAVIORS, trials=30, seed=4)
+        expected = tuple(_draw(self.BEHAVIORS["r"].tq_dist, 4, trial, "r", "t", "tq")
+                         + _draw(self.BEHAVIORS["r"].tx_dist, 4, trial, "r", "t", "tx")
+                         for trial in range(30))
+        assert model.ttc_wkd_s == rand.ttc_wkd_s == expected
+        assert len(set(expected)) > 1
+
+    def test_assignment_order_does_not_matter(self):
+        rng = random.Random(8)
+        behaviors = {
+            **self.BEHAVIORS,
+            "rC": behavior("rC", DistSpec("empirical", samples=(5.0, 500.0)),
+                           DistSpec("normal", mean=40.0, stddev=15.0), capacity_cores=3),
+        }
+        pairs = [(f"t{i}", rng.choice(sorted(behaviors))) for i in range(40)]
+        results = []
+        for _ in range(3):
+            rng.shuffle(pairs)
+            results.append(simulate(make_plan(dict(pairs)), behaviors, trials=10, seed=2))
+        assert results[0] == results[1] == results[2]
 
 
 class TestSimulate:
