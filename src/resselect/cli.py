@@ -79,8 +79,13 @@ def _check_resource_ids(config: Config, config_path: Optional[str], ids, source:
 
 
 def _load_csv(path: str, load):
-    """``load`` the CSV at ``path``; its skipped rows are warnings on stderr."""
-    result, warnings = load(io.StringIO(_read_text(path)))
+    """``load`` the CSV at ``path``; its skipped rows are warnings on stderr,
+    and an error in the file as a whole names it."""
+    text = _read_text(path)
+    try:
+        result, warnings = load(io.StringIO(text))
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     for w in warnings:
         print(f"warning: {path}: {w}", file=sys.stderr)
     return result

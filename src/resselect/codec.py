@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import sys
 from math import isfinite
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional
 
 from .config import Config
 from .match import ViableSet
@@ -23,7 +24,7 @@ from .model import (
 )
 from .plan import Assignment, SelectionPlan, TtcEstimate
 from .predict import GHZ, BaselineProfile, ClockSpec, PoolInventoryEntry, pool_clock_spec
-from .queuewait import QueueWaitEstimate, QueueWaitRecord, SimilarityBuckets, _parse_iso8601
+from .queuewait import QueueWaitEstimate, SimilarityBuckets, _parse_iso8601, checked_row
 from .sim import METRICS, DistSpec, ResourceBehavior, SimulationResult, mean_and_stddev
 
 
@@ -353,43 +354,61 @@ RESULT = Record(
 
 
 class Csv:
-    """A CSV format: its columns and ``build``, which makes a record from a
-    row.  Reading skips the rows with more cells than the header and the rows
-    ``build`` rejects, with line-numbered warnings."""
+    """A CSV format: its columns and ``build``, which makes a value from one
+    row's cells of those columns, in declared order."""
 
     def __init__(self, name: str, build: Optional[Callable], *columns: str):
         self.name, self.build, self.columns = name, build, columns
 
-    def read(self, stream) -> Tuple[list, List[str]]:
-        # a short row reads as empty cells; a long row keeps its extra cells
-        # under the key None, which no header names
-        reader = csv.DictReader(stream, restkey=None, restval="")
-        missing = [c for c in self.columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{self.name} CSV missing columns: {', '.join(missing)}")
-        records, warnings = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if None in row:
-                warnings.append(f"line {lineno}: {len(row[None])} more cells than the header")
-                continue
-            try:
-                records.append(self.build(row))
-            except (ValueError, TypeError) as exc:
-                warnings.append(f"line {lineno}: {exc}")
-        return records, warnings
+    def read(self, stream, warnings: List[str]) -> Iterator:
+        """Stream ``build(*cells)`` for each row of ``stream``.
+
+        The header must name every declared column once; other columns are
+        ignored.  Blank lines are skipped.  A row with more cells than the
+        header, or one that ``build`` rejects, is skipped with a warning
+        appended to ``warnings``, naming the physical line the row starts
+        on; a short row reads its missing cells as empty.  Text that is not
+        CSV raises `ValueError` naming its line."""
+        reader = csv.reader(stream)
+        try:
+            header = next(reader, [])
+            missing = [c for c in self.columns if c not in header]
+            if missing:
+                raise ValueError(f"{self.name} CSV missing columns: {', '.join(missing)}")
+            for c in self.columns:
+                if header.count(c) > 1:
+                    raise ValueError(f"{self.name} CSV repeats column {c!r}")
+            cells = itemgetter(*map(header.index, self.columns))
+            build, width, line = self.build, len(header), reader.line_num
+            for row in reader:
+                start, line = line + 1, reader.line_num
+                if len(row) < width:
+                    if not row:  # a blank line
+                        continue
+                    row += [""] * (width - len(row))
+                elif len(row) > width:
+                    warnings.append(f"line {start}: {len(row) - width} more cells than the header")
+                    continue
+                try:
+                    value = build(*cells(row))
+                except (ValueError, TypeError) as exc:
+                    warnings.append(f"line {start}: {exc}")
+                    continue
+                yield value
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
     def schema(self) -> str:
         return "CSV: " + ",".join(self.columns)
 
 
-PROFILES = Csv("profile", lambda row: BaselineProfile(
-    row["task_id"], int(row["workload_param"]), number(row["instructions"]),
-    number(row["cycles"]), number(row["instr_rate"]), number(row["avg_clock_ghz"]) * GHZ,
-    number(row["tx_s"])),
+PROFILES = Csv("profile", lambda task_id, param, instructions, cycles, rate, ghz, tx_s: (
+    BaselineProfile(task_id, int(param), number(instructions), number(cycles), number(rate),
+                    number(ghz) * GHZ, number(tx_s))),
     "task_id", "workload_param", "instructions", "cycles", "instr_rate", "avg_clock_ghz", "tx_s")
-HISTORY = Csv("history", lambda row: QueueWaitRecord(
-    row["machine"], row["queue"], _parse_iso8601(row["submit_time_iso8601"]),
-    number(row["wait_s"]), number(row["walltime_req_s"]), int(row["cores_req"])),
+HISTORY = Csv("history", lambda machine, queue, submit, wait, walltime, cores: (
+    checked_row(machine, queue, _parse_iso8601(submit), number(wait), number(walltime),
+                int(cores))),
     "machine", "queue", "submit_time_iso8601", "wait_s", "walltime_req_s", "cores_req")
 
 # --- command outputs; `report` writes REPORT and nothing reads it back

@@ -231,7 +231,8 @@ def load_profiles(stream) -> Tuple[List[BaselineProfile], List[str]]:
     skipped and reported as warnings with their line numbers."""
     from .codec import PROFILES
 
-    return PROFILES.read(stream)
+    warnings: List[str] = []
+    return list(PROFILES.read(stream, warnings)), warnings
 
 
 def profiles_by_task(

@@ -14,8 +14,9 @@ import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice
+from operator import attrgetter, gt
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 DEFAULT_WINDOW_S = 7 * 24 * 3600
 
@@ -36,12 +37,23 @@ class QueueWaitRecord:
     cores_req: int
 
     def __post_init__(self):
-        if self.wait_s < 0:
-            raise ValueError("wait_s must be >= 0")
-        if self.walltime_req_s <= 0:
-            raise ValueError("walltime_req_s must be > 0")
-        if self.cores_req < 1:
-            raise ValueError("cores_req must be >= 1")
+        checked_row(*_FIELDS(self))
+
+
+_FIELDS = attrgetter(*QueueWaitRecord.__dataclass_fields__)
+
+
+def checked_row(machine: str, queue: str, submit_time: float, wait_s: float,
+                walltime_req_s: float, cores_req: int) -> tuple:
+    """One history row as a plain tuple in `QueueWaitRecord`'s field order,
+    after the record's value checks."""
+    if wait_s < 0:
+        raise ValueError("wait_s must be >= 0")
+    if walltime_req_s <= 0:
+        raise ValueError("walltime_req_s must be > 0")
+    if cores_req < 1:
+        raise ValueError("cores_req must be >= 1")
+    return machine, queue, submit_time, wait_s, walltime_req_s, cores_req
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,6 @@ class _Rows(NamedTuple):
 
 
 _NO_ROWS = _Rows([], [], [], [])
-_SUBMIT_TIME = attrgetter("submit_time")
 
 
 class QueueWaitStore:
@@ -116,36 +127,58 @@ class QueueWaitStore:
     the whole history.  The columns hold plain numbers, not record objects,
     so a large history adds little to each garbage collection."""
 
-    def __init__(self, records: Sequence[QueueWaitRecord] = ()):
+    def __init__(self, records: Iterable[QueueWaitRecord] = ()):
         self._groups: Dict[Tuple[str, str], _Rows] = {}
-        self._add(records)
+        self._extend(map(_FIELDS, records))
 
     def __len__(self) -> int:
         return sum(len(rows.times) for rows in self._groups.values())
 
-    def _add(self, records: Sequence[QueueWaitRecord]) -> None:
-        by_key: Dict[Tuple[str, str], List[QueueWaitRecord]] = {}
-        for r in records:
-            by_key.setdefault((r.machine, r.queue), []).append(r)
-        for key, group in by_key.items():
-            if key in self._groups:  # a later ingest: the rows held so far go first
-                group = [QueueWaitRecord(*key, *row) for row in zip(*self._groups[key])] + group
-            group.sort(key=_SUBMIT_TIME)
-            self._groups[key] = _Rows(
-                [r.submit_time for r in group],
-                [r.wait_s for r in group],
-                [r.walltime_req_s for r in group],
-                [r.cores_req for r in group],
-            )
+    def _extend(self, rows: Iterable[tuple]) -> int:
+        """Append each (machine, queue, submit time, wait, walltime, cores)
+        row to its group's columns, then re-sort every group it touched on
+        submit time.  The sort is stable and the rows held before go first,
+        so equal times keep their ingest order.  Returns the rows added; if
+        ``rows`` raises, the store is left as it was."""
+        groups = self._groups
+        appends: Dict[Tuple[str, str], tuple] = {}  # group -> its columns' appends
+        before: Dict[Tuple[str, str], int] = {}  # group -> its length before
+        count = 0
+        try:
+            for machine, queue, time, wait, walltime, cores in rows:
+                add = appends.get((machine, queue))
+                if add is None:
+                    group = groups.setdefault((machine, queue), _Rows([], [], [], []))
+                    before[machine, queue] = len(group.times)
+                    add = appends[machine, queue] = tuple(column.append for column in group)
+                add[0](time)
+                add[1](wait)
+                add[2](walltime)
+                add[3](cores)
+                count += 1
+        except BaseException:
+            for key, n in before.items():
+                if n:
+                    for column in groups[key]:
+                        del column[n:]
+                else:
+                    del groups[key]
+            raise
+        for key in appends:
+            times = groups[key].times
+            if any(map(gt, times, islice(times, 1, None))):
+                order = sorted(range(len(times)), key=times.__getitem__)
+                groups[key] = _Rows(*([column[i] for i in order] for column in groups[key]))
+        return count
 
     def ingest_csv(self, stream) -> Tuple[int, List[str]]:
         """Read records from CSV; returns (accepted count, warnings).
-        Malformed rows are skipped with line-numbered warnings."""
+        Malformed rows are skipped with line-numbered warnings.  The rows
+        stream straight into the columns, one at a time."""
         from .codec import HISTORY
 
-        records, warnings = HISTORY.read(stream)
-        self._add(records)
-        return len(records), warnings
+        warnings: List[str] = []
+        return self._extend(HISTORY.read(stream, warnings)), warnings
 
     def estimate_tq(
         self,

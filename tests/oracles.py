@@ -8,7 +8,13 @@ arithmetic.  Keep them dumb.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import csv
+import io
+from typing import Callable, Dict, List, Sequence, Tuple
+
+from resselect.codec import number
+from resselect.predict import GHZ, BaselineProfile
+from resselect.queuewait import QueueWaitRecord, _parse_iso8601
 
 
 def consumable_key(consumable) -> tuple:
@@ -111,6 +117,55 @@ def queue_filter_oracle(records, machine, queue, walltime_s, cores, now, window_
         and bucket(buckets.cores_edges, r.cores_req) == cb
     ]
     return in_window, same_bucket
+
+
+def csv_read_oracle(text: str, build: Callable[[dict], object]):
+    """(values, warnings) of a CSV text read with `csv.DictReader`, one dict
+    per row, the way the reader worked before it streamed: blank lines are
+    skipped, missing cells read as empty, a row with more cells than the
+    header is skipped, and so is a row ``build`` rejects.  A warning names
+    the physical line the row starts on: the line it ends on, less the line
+    breaks inside its cells."""
+    reader = csv.DictReader(io.StringIO(text), restkey=None, restval="")
+    values, warnings = [], []
+    for row in reader:
+        cells = [c for key, value in row.items() for c in (value if key is None else [value])]
+        line = reader.line_num - sum(c.count("\n") for c in cells)
+        if None in row:
+            warnings.append(f"line {line}: {len(row[None])} more cells than the header")
+            continue
+        try:
+            values.append(build(row))
+        except (ValueError, TypeError) as exc:
+            warnings.append(f"line {line}: {exc}")
+    return values, warnings
+
+
+def history_record_oracle(row: dict) -> QueueWaitRecord:
+    return QueueWaitRecord(
+        row["machine"], row["queue"], _parse_iso8601(row["submit_time_iso8601"]),
+        number(row["wait_s"]), number(row["walltime_req_s"]), int(row["cores_req"]))
+
+
+def profile_oracle(row: dict) -> BaselineProfile:
+    return BaselineProfile(
+        row["task_id"], int(row["workload_param"]), number(row["instructions"]),
+        number(row["cycles"]), number(row["instr_rate"]), number(row["avg_clock_ghz"]) * GHZ,
+        number(row["tx_s"]))
+
+
+def history_columns_oracle(records) -> Dict[Tuple[str, str], tuple]:
+    """Per (machine, queue), the records' (times, waits, walltimes, cores)
+    columns, stably sorted on submit time."""
+    groups: Dict[Tuple[str, str], list] = {}
+    for r in records:
+        groups.setdefault((r.machine, r.queue), []).append(r)
+    columns = {}
+    for key, group in groups.items():
+        group = sorted(group, key=lambda r: r.submit_time)
+        columns[key] = ([r.submit_time for r in group], [r.wait_s for r in group],
+                        [r.walltime_req_s for r in group], [r.cores_req for r in group])
+    return columns
 
 
 def timeline_oracle(

@@ -395,6 +395,43 @@ class TestPipeline:
                      "--walltime", "1", "--cores", "1", "--now", NOW]) == 1
         assert "missing columns" in capsys.readouterr().err
 
+    CSV_RUNS = {  # file flag -> (bundled file, the rest of a command reading it)
+        "--history": ("history.csv", ["queue-wait", "--machine", "supermic", "--queue", "workq",
+                                      "--walltime", "7200", "--cores", "1", "--now", NOW]),
+        "--profiles": ("profiles.csv", ["predict", "--clocks", str(BUNDLED / "clocks.json")]),
+    }
+
+    def _run_edited_csv(self, tmp_path, capsys, flag, edit):
+        name, argv = self.CSV_RUNS[flag]
+        path = tmp_path / name
+        lines = (BUNDLED / name).read_text().splitlines(keepends=True)
+        path.write_bytes("".join(edit(lines)).encode())  # raw: no newline translation
+        code = main(argv + [flag, str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        return code, captured.err, path
+
+    @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
+    def test_carriage_return_in_unquoted_cell_exits_1(self, tmp_path, capsys, flag):
+        def edit(lines):
+            lines[2] = lines[2][:2] + "\r" + lines[2][2:]
+            return lines
+
+        code, err, path = self._run_edited_csv(tmp_path, capsys, flag, edit)
+        assert code == 1
+        assert err.startswith(f"error: {path}: line 3: new-line character seen in unquoted field")
+
+    @pytest.mark.parametrize("flag,column", [("--history", "wait_s"), ("--profiles", "tx_s")])
+    def test_repeated_column_exits_1(self, tmp_path, capsys, flag, column):
+        def edit(lines):
+            return [line.rstrip("\r\n") + ("," + column if i == 0 else ",1") + "\n"
+                    for i, line in enumerate(lines)]
+
+        code, err, path = self._run_edited_csv(tmp_path, capsys, flag, edit)
+        kind = "history" if flag == "--history" else "profile"
+        assert code == 1
+        assert err == f"error: {path}: {kind} CSV repeats column {column!r}\n"
+
     def test_bad_history_row_warns_on_stderr(self, tmp_path, capsys):
         csv_path = tmp_path / "hist.csv"
         csv_path.write_text(

@@ -26,6 +26,8 @@ from resselect.predict import (
     sequential_cycles,
 )
 
+from oracles import csv_read_oracle, profile_oracle
+
 # Published base/max clocks of the four target machines, in GHz
 TABLE1 = {
     "bridges": (2.30, 3.30),
@@ -240,6 +242,45 @@ class TestIngest:
     def test_missing_columns_rejected(self):
         with pytest.raises(ValueError, match="missing columns"):
             load_profiles(io.StringIO("task_id,cycles\nmd,4e9\n"))
+
+    @pytest.mark.parametrize("before,accepted,line", [
+        ("\n", 0, 3),
+        ('"m\nd",1000,8e9,4e9,2.0,2.5,1.6\n', 1, 4),
+    ], ids=["blank-line", "multi-line-cell"])
+    def test_warning_names_physical_line(self, before, accepted, line):
+        header, *rows = self.CSV.splitlines(keepends=True)
+        profiles, warnings = load_profiles(io.StringIO(header + before + rows[2]))
+        assert len(profiles) == accepted
+        assert len(warnings) == 1 and warnings[0].startswith(f"line {line}: profile for 'bad'")
+
+    def test_repeated_column_rejected(self):
+        header, *rows = self.CSV.splitlines(keepends=True)
+        csv_text = header.rstrip() + ",cycles\n" + rows[0].rstrip() + ",4e9\n"
+        with pytest.raises(ValueError, match="^profile CSV repeats column 'cycles'$"):
+            load_profiles(io.StringIO(csv_text))
+
+    def test_not_csv_rejected_with_line(self):
+        csv_text = self.CSV.replace("md,1000,8.2e9", "m\rd,1000,8.2e9")
+        with pytest.raises(ValueError, match="^line 3: new-line character seen in unquoted field"):
+            load_profiles(io.StringIO(csv_text))
+
+    def test_matches_reference_reader(self):
+        csv_text = (
+            "note,tx_s,task_id,workload_param,instructions,cycles,instr_rate,avg_clock_ghz\n"
+            "a,1.6,md,1000,8e9,4e9,2.0,2.5\n"
+            "\n"
+            'b,1.64,"m\nd",1000,8.2e9,4.1e9,2.0,2.5\n'
+            "c,1.6,md,1000,9e9,4e9,2.0,2.5\n"  # inconsistent
+            "d,1.6,md,10.5,8e9,4e9,2.0,2.5\n"  # not an integer
+            "e,nan,md,1000,8e9,4e9,2.0,2.5\n"
+            "f,1.6,md,1000,8e9\n"  # short
+            "g,1.6,md,1000,8e9,4e9,2.0,2.5,7\n"  # long
+            "\n"
+            "h,1.7,md,2000,8e9,4e9,2.0,2.5\n"
+        )
+        profiles, warnings = load_profiles(io.StringIO(csv_text))
+        assert (profiles, warnings) == csv_read_oracle(csv_text, profile_oracle)
+        assert len(profiles) == 3 and len(warnings) == 5
 
     def test_profiles_by_task(self):
         profiles, _ = load_profiles(io.StringIO(self.CSV))

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -16,7 +17,12 @@ from resselect.queuewait import (
     _parse_iso8601,
 )
 
-from oracles import queue_filter_oracle
+from oracles import (
+    csv_read_oracle,
+    history_columns_oracle,
+    history_record_oracle,
+    queue_filter_oracle,
+)
 
 NOW = 1_700_000_000.0
 DAY = 86400.0
@@ -34,6 +40,18 @@ class TestRecordsAndBuckets:
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError):
             rec(-1.0)
+
+    @pytest.mark.parametrize("cells,message", [
+        (("-1", "7200", "1"), "wait_s must be >= 0"),
+        (("0", "0", "1"), "walltime_req_s must be > 0"),
+        (("0", "7200", "0"), "cores_req must be >= 1"),
+    ])
+    def test_value_checks_shared_by_records_and_csv(self, cells, message):
+        wait, walltime, cores = cells
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rec(float(wait), walltime=float(walltime), cores=int(cores))
+        csv_text = TestIngestCsv.HEADER + f"m,q,2023-11-10T00:00:00Z,{wait},{walltime},{cores}\n"
+        assert QueueWaitStore().ingest_csv(io.StringIO(csv_text)) == (0, [f"line 2: {message}"])
 
     def test_bucket_edges_must_ascend(self):
         with pytest.raises(ValueError):
@@ -266,3 +284,80 @@ class TestIngestCsv:
     def test_missing_columns_fatal(self):
         with pytest.raises(ValueError, match="missing columns"):
             QueueWaitStore().ingest_csv(io.StringIO("machine,queue\nm,q\n"))
+
+    @pytest.mark.parametrize("before,accepted,line", [
+        ("\n", 0, 3),
+        ('"m\nx",q,2023-11-10T00:00:00Z,100,7200,1\n', 1, 4),
+    ], ids=["blank-line", "multi-line-cell"])
+    def test_warning_names_physical_line(self, before, accepted, line):
+        csv_text = self.HEADER + before + "m,q,2023-11-11T00:00:00Z,-5,7200,1\n"
+        assert QueueWaitStore().ingest_csv(io.StringIO(csv_text)) == (
+            accepted, [f"line {line}: wait_s must be >= 0"])
+
+    def test_repeated_column_fatal(self):
+        csv_text = self.HEADER.rstrip() + ",wait_s\nm,q,2023-11-10T00:00:00Z,100,7200,1,5\n"
+        with pytest.raises(ValueError, match="^history CSV repeats column 'wait_s'$"):
+            QueueWaitStore().ingest_csv(io.StringIO(csv_text))
+
+    def test_extra_columns_ignored_in_any_order(self):
+        csv_text = ("note,cores_req,wait_s,machine,walltime_req_s,queue,submit_time_iso8601,n\n"
+                    "a,1,100,m,7200,q,2023-11-10T00:00:00Z,b\n")
+        store = QueueWaitStore()
+        assert store.ingest_csv(io.StringIO(csv_text)) == (1, [])
+        assert store.estimate_tq("m", "q", 7200.0, 1, now=NOW).mean_wait_s == 100.0
+
+    def test_text_that_is_not_csv_fatal_and_store_unchanged(self):
+        store = store_of(rec(100))
+        held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
+        csv_text = self.HEADER + (
+            "m,q,2023-11-10T00:00:00Z,100,7200,1\n"
+            "n,q,2023-11-10T00:00:00Z,100,7200,1\n"
+            "m\rx,q,2023-11-10T00:00:00Z,100,7200,1\n"
+        )
+        with pytest.raises(ValueError, match="^line 4: new-line character seen in unquoted field"):
+            store.ingest_csv(io.StringIO(csv_text))
+        assert store._groups == held and len(store) == 1
+
+
+class TestIngestEquivalence:
+    """The streaming ingest against `csv.DictReader` + `QueueWaitRecord`."""
+
+    HEADER = ["machine", "queue", "submit_time_iso8601", "wait_s", "walltime_req_s", "cores_req"]
+    CELLS = [  # per column: (valid cells, rejected cells)
+        (["m1", "m2", "m\n3"], []),  # m\n3: a quoted cell over two lines
+        (["q1", "q,2"], []),
+        (["2023-11-10T00:00:00Z", "2023-11-10T00:00:00+00:00", "2023-11-10T00:00:00",  # tied
+          "2023-11-09T12:00:00Z", "2023-11-11T00:00:00-05:00"],
+         ["2023-02-30T00:00:00Z", "x", ""]),
+        (["0", "100", "250.5", "-0"], ["-5", "nan", "inf", "1e400", "", "x"]),
+        (["600", "7200", "1e5"], ["0", "-inf", "nan"]),
+        (["1", "16", " 4"], ["0", "2.5", ""]),
+    ]
+    row = st.tuples(*(  # a cell is drawn from the rejected ones one time in ten
+        st.integers(0, 9).flatmap(
+            lambda i, ok=ok, bad=bad: st.sampled_from(bad if i == 0 and bad else ok))
+        for ok, bad in CELLS)).map(list)
+    any_row = st.one_of(
+        row, row,
+        st.tuples(row, st.integers(0, 5)).map(lambda r: r[0][:r[1]]),  # short, or a blank line
+        st.tuples(row, st.lists(st.sampled_from(["", "9"]), min_size=1, max_size=2)).map(
+            lambda r: r[0] + r[1]),  # long
+    )
+
+    @staticmethod
+    def text(rows) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([TestIngestEquivalence.HEADER, *rows])
+        return buf.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(any_row, max_size=40), min_size=2, max_size=2))
+    def test_columns_counts_and_warnings_match_reference(self, parts):
+        store, records = QueueWaitStore(), []
+        for rows in parts:
+            text = self.text(rows)
+            expected, warnings = csv_read_oracle(text, history_record_oracle)
+            records += expected
+            assert store.ingest_csv(io.StringIO(text)) == (len(expected), warnings)
+        assert store._groups == history_columns_oracle(records)
+        assert len(store) == len(records)
