@@ -34,6 +34,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", exit_code=2) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _read_json(path: str):

@@ -21,11 +21,12 @@ from .config import Config
 from .match import ViableSet
 from .model import (
     Capability, ConsumableSpec, Instruction, Requirement, ResourceSpec, TaskSpec, WorkloadSpec,
+    mean_and_stddev,
 )
 from .plan import Assignment, SelectionPlan, TtcEstimate
 from .predict import GHZ, BaselineProfile, ClockSpec, PoolInventoryEntry, pool_clock_spec
 from .queuewait import QueueWaitEstimate, SimilarityBuckets, _parse_iso8601, checked_row
-from .sim import METRICS, DistSpec, ResourceBehavior, SimulationResult, mean_and_stddev
+from .sim import METRICS, DistSpec, ResourceBehavior, SimulationResult
 
 
 class DecodeError(ValueError):

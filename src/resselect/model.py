@@ -5,13 +5,20 @@ form conditions restricting where it can be consumed.  Tasks demand fixed
 amounts of consumables (requirements); resources offer them at fixed rates
 (capabilities).  All types here are immutable and hashable, and every
 operation is a pure function.
+
+The module also holds `mean_and_stddev`, the one exact summary that every
+reported mean and sample stddev comes from; it imports nothing from the
+package, so every module can use it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
+from itertools import repeat
+from math import frexp, isfinite, isqrt, ldexp
+from operator import mul
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, float, str]
 
@@ -240,6 +247,73 @@ def cost(task: TaskSpec, resource: ResourceSpec) -> float:
 def canonical_dumps(obj) -> str:
     text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
     return text + "\n"
+
+
+# --- summaries: every mean and sample stddev the package reports is exact,
+# rounded once, so it depends neither on the order of the values nor on the
+# Python version.
+
+
+def mean_and_stddev(values: Sequence[float]) -> Tuple[float, Optional[float]]:
+    """The mean and sample stddev (None below two values) of ``values``,
+    each the float nearest the exact result.  Values are read as floats and
+    must be finite.
+
+    Every finite float is an integer times a power of two, so one scale
+    ``2**k``, set by the smallest non-zero magnitude, makes every value an
+    exact integer ``x``.  With ``S = sum(x)`` and ``Q = sum(x*x)``, the mean
+    is ``S / (n * 2**k)`` and the variance ``(n*Q - S*S) / (n*(n-1) * 4**k)``:
+    integer arithmetic up to one final rounding each."""
+    n = len(values)
+    if not n:
+        raise ValueError("no values to summarize")
+    smallest = min(filter(None, values), default=0.0)
+    if smallest < 0:
+        smallest = min(filter(None, map(abs, values)))
+    elif not smallest:
+        return 0.0, (0.0 if n > 1 else None)
+    k = 53 - frexp(smallest)[1]  # smallest * 2**k is a 53-bit integer
+    try:
+        xs = list(map(int, map(mul, values, repeat(ldexp(1.0, k)))))
+    except OverflowError:  # the scale or a scaled value leaves the float range
+        xs, k = _exact_integers(values)
+    total = sum(xs)
+    mean = total / (n << k) if k >= 0 else (total << -k) / n
+    if n < 2:
+        return mean, None
+    return mean, _sqrt_ratio(n * sum(map(mul, xs, xs)) - total * total, n * (n - 1), -k)
+
+
+def _exact_integers(values: Sequence[float]) -> Tuple[List[int], int]:
+    """``(xs, k)`` with ``float(v) == x / 2**k`` exactly for every value:
+    the slow path for scales past the float range (subnormals, or values
+    spread over more than about 970 binades)."""
+    if not all(map(isfinite, values)):
+        raise ValueError("cannot summarize non-finite values")
+    ratios = [float(v).as_integer_ratio() for v in values]  # denominators are powers of two
+    k = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (k + 1 - den.bit_length()) for num, den in ratios], k
+
+
+def _sqrt_ratio(num: int, den: int, exp: int) -> float:
+    """The float nearest ``sqrt(num / den) * 2**exp``, for integers
+    ``num >= 0`` and ``den > 0``.
+
+    The integer square root is taken at a scale ``4**shift`` that leaves it
+    at least 55 bits, and an inexact root gets its last bit set (round to
+    odd).  Two bits past the float's 53 make the one rounding of the final
+    conversion the correct rounding of the exact root."""
+    if not num:
+        return 0.0
+    shift = (num.bit_length() - den.bit_length() - 110) // 2
+    if shift > 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = isqrt(num // den)
+    root |= root * root * den != num
+    exp += shift
+    return float(root << exp) if exp >= 0 else root / (1 << -exp)
 
 
 def resource_from_json(obj: dict) -> ResourceSpec:

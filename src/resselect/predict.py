@@ -11,6 +11,8 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .model import mean_and_stddev
+
 GHZ = 1e9
 
 # Relative slack allowed between `instructions` and `cycles * instr_rate`;
@@ -130,10 +132,9 @@ def predict_sequential_cycles(
     """
     if not profiles:
         raise UnknownTaskError("unknown task: no baseline profiles supplied")
-    values = sorted(sequential_cycles(p) for p in profiles)
-    center = statistics.median(values) if robust else statistics.mean(values)
-    stddev = statistics.stdev(values) if len(values) >= 2 else None
-    return CyclesEstimate(center, stddev, len(values))
+    values = [sequential_cycles(p) for p in profiles]
+    mean, stddev = mean_and_stddev(values)
+    return CyclesEstimate(statistics.median(values) if robust else mean, stddev, len(values))
 
 
 def predict_tx(

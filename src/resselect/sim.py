@@ -20,11 +20,11 @@ import csv
 import hashlib
 import heapq
 import math
-import random
 import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .model import mean_and_stddev
 from .plan import SelectionPlan
 
 
@@ -87,9 +87,6 @@ class DistSpec:
             return max(0.0, self.mean + self.stddev * _Z.inv_cdf((k + 0.5) * _ULP))
         return self.samples[(k * len(self.samples)) >> _BITS]
 
-    def sample(self, rng: random.Random) -> float:
-        return self.at(rng.getrandbits(_BITS))
-
 
 @dataclass(frozen=True)
 class ResourceBehavior:
@@ -125,11 +122,6 @@ class ResourceBehavior:
 METRICS = ("ttc_wkd_s", "tq_wkd_s", "tx_wkd_s")
 
 
-def mean_and_stddev(values) -> Tuple[float, Optional[float]]:
-    """The exact mean and sample stddev (None below two values)."""
-    return statistics.mean(values), statistics.stdev(values) if len(values) >= 2 else None
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Per-trial workload metrics plus their means and sample stddevs."""
@@ -143,7 +135,7 @@ class SimulationResult:
 
     @property
     def mean_ttc_s(self) -> float:
-        return statistics.mean(self.ttc_wkd_s)
+        return mean_and_stddev(self.ttc_wkd_s)[0]
 
     def to_json(self) -> dict:
         from .codec import RESULT

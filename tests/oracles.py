@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Callable, Dict, List, Sequence, Tuple
+import math
+import struct
+from fractions import Fraction
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from resselect.codec import number
 from resselect.predict import GHZ, BaselineProfile
@@ -117,6 +120,39 @@ def queue_filter_oracle(records, machine, queue, walltime_s, cores, now, window_
         and bucket(buckets.cores_edges, r.cores_req) == cb
     ]
     return in_window, same_bucket
+
+
+def exact_mean_stddev_oracle(values: Sequence[float]) -> Tuple[float, Optional[float]]:
+    """(mean, sample stddev or None below two values) of finite floats, each
+    the float nearest the exact value: sums in `Fraction`, then the root
+    found by walking floats from `math.sqrt`'s guess until the exact
+    variance lies between the squares of the midpoints around it (a tie goes
+    to the float with an even last bit).  Independent of `statistics`, so
+    every Python version gives the same answer."""
+    xs = [Fraction(v) for v in values]
+    n = len(xs)
+    mean = sum(xs, Fraction(0)) / n
+    if n < 2:
+        return float(mean), None
+    var = sum(((x - mean) ** 2 for x in xs), Fraction(0)) / (n - 1)
+    if not var:
+        return float(mean), 0.0
+    half = (var.numerator.bit_length() - var.denominator.bit_length()) // 2
+    root = math.ldexp(math.sqrt(float(var / Fraction(4) ** half)), half)
+
+    def odd(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0] & 1
+
+    while True:
+        up, down = math.nextafter(root, math.inf), math.nextafter(root, 0.0)
+        above = ((Fraction(root) + Fraction(up)) / 2) ** 2
+        below = ((Fraction(root) + Fraction(down)) / 2) ** 2
+        if var > above or var == above and odd(root):
+            root = up
+        elif var < below or var == below and odd(root):
+            root = down
+        else:
+            return float(mean), root
 
 
 def csv_read_oracle(text: str, build: Callable[[dict], object]):

@@ -395,6 +395,19 @@ class TestPipeline:
                      "--walltime", "1", "--cores", "1", "--now", NOW]) == 1
         assert "missing columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["queue-wait", "--machine", "m", "--queue", "q", "--walltime", "1", "--cores", "1",
+         "--now", NOW, "--history"],
+        ["aggregate", "--task"],
+    ], ids=["queue-wait", "aggregate"])
+    def test_non_utf8_file_exits_1_naming_it(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"machine,queue\n\xff\n")
+        assert main(argv + [str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert "0xff" in err and "Traceback" not in err
+
     CSV_RUNS = {  # file flag -> (bundled file, the rest of a command reading it)
         "--history": ("history.csv", ["queue-wait", "--machine", "supermic", "--queue", "workq",
                                       "--walltime", "7200", "--cores", "1", "--now", NOW]),

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resselect import (
@@ -18,10 +19,14 @@ from resselect import (
     cost,
 )
 from resselect.codec import RESOURCE, TASK
-from resselect.model import canonical_dumps
+from resselect import model
+from resselect.model import canonical_dumps, mean_and_stddev
 
 from conftest import matching_resource, random_sequenced_task
-from oracles import aggregate_oracle, consumable_key, cost_oracle
+from oracles import aggregate_oracle, consumable_key, cost_oracle, exact_mean_stddev_oracle
+
+MAX = sys.float_info.max
+TINY = 5e-324  # the smallest subnormal
 
 
 def c(name, **form):
@@ -241,3 +246,47 @@ class TestSerialization:
     def test_canonical_dumps_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_dumps({"x": float("nan")})
+
+
+class TestMeanAndStddev:
+    """`mean_and_stddev` equals the exact-arithmetic oracle bit for bit, so
+    the summaries do not depend on the Python version's `statistics`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                              st.floats(1000.0, 1000.001)), min_size=1, max_size=40))
+    @example([TINY])
+    @example([TINY, 3 * TINY, 2.2250738585072014e-308])
+    @example([42.5])
+    @example([1234.5678] * 7)
+    @example([0.1] * 9)
+    @example([0.0, 0.0, 0.0])
+    @example([MAX, MAX])
+    @example([0.0, MAX])
+    @example([MAX, TINY, 1.0])
+    @example([1e-300, 1e300])
+    def test_equals_exact_oracle(self, values):
+        assert mean_and_stddev(values) == exact_mean_stddev_oracle(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=20))
+    @example([0.0, -0.0])
+    @example([-3.0, 1e-300, 2.5e149])
+    def test_mixed_signs_equal_exact_oracle(self, values):
+        assert mean_and_stddev(values) == exact_mean_stddev_oracle(values)
+
+    def test_scales_past_the_float_range_take_the_exact_integer_path(self, monkeypatch):
+        calls = []
+        exact = model._exact_integers
+        monkeypatch.setattr(model, "_exact_integers", lambda v: calls.append(v) or exact(v))
+        cases = ([TINY, 1.0], [1e-310] * 3, [MAX, 1e-300, 7.0])
+        for values in cases:
+            assert mean_and_stddev(values) == exact_mean_stddev_oracle(values)
+        assert calls == list(cases)
+        assert mean_and_stddev([1.0, 3.0]) == (2.0, 1.4142135623730951) and len(calls) == 3
+
+    @pytest.mark.parametrize("values", [[], [float("nan")], [1.0, float("inf")],
+                                        [float("-inf"), 2.0, 3.0]], ids=repr)
+    def test_no_values_or_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError):
+            mean_and_stddev(values)

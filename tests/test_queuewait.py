@@ -19,6 +19,7 @@ from resselect.queuewait import (
 
 from oracles import (
     csv_read_oracle,
+    exact_mean_stddev_oracle,
     history_columns_oracle,
     history_record_oracle,
     queue_filter_oracle,
@@ -52,6 +53,14 @@ class TestRecordsAndBuckets:
             rec(float(wait), walltime=float(walltime), cores=int(cores))
         csv_text = TestIngestCsv.HEADER + f"m,q,2023-11-10T00:00:00Z,{wait},{walltime},{cores}\n"
         assert QueueWaitStore().ingest_csv(io.StringIO(csv_text)) == (0, [f"line 2: {message}"])
+
+    @pytest.mark.parametrize("field,value", [
+        ("wait", math.nan), ("wait", math.inf), ("walltime", math.nan), ("walltime", math.inf),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        name = {"wait": "wait_s", "walltime": "walltime_req_s"}[field]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            rec(**{"wait": 100.0, field: value})
 
     def test_bucket_edges_must_ascend(self):
         with pytest.raises(ValueError):
@@ -102,6 +111,26 @@ class TestEstimate:
         store = store_of(rec(123, age_s=DEFAULT_WINDOW_S))
         est = store.estimate_tq("m", "q", 7200.0, 1, now=NOW)
         assert est.n_samples == 1
+
+    def test_bucket_edges_match_the_filter_oracle(self):
+        # rows on the first and last edges of both edge lists, inside each
+        # outer bucket, and far above the last edge
+        walltimes = [1.0, 899.0, 900.0, 172799.0, 172800.0, 1e12]
+        cores = [1, 2, 4095, 4096, 5000, 10**9]
+        records = [rec(float(i), walltime=w, cores=c)
+                   for i, (w, c) in enumerate((w, c) for w in walltimes for c in cores)]
+        store = QueueWaitStore(records)
+        for walltime in [0.5, 1.0, 899.0, 900.0, 1000.0, 172800.0, 3e5, 1e12]:
+            for n_cores in [1, 3, 2048, 4096, 5000, 10**9]:
+                in_window, same_bucket = queue_filter_oracle(
+                    records, "m", "q", walltime, n_cores, NOW, DEFAULT_WINDOW_S, DEFAULT_BUCKETS)
+                expected = [r.wait_s for r in same_bucket]
+                assert expected  # every query's bucket holds rows
+                est = store.estimate_tq("m", "q", walltime, n_cores, now=NOW)
+                assert not est.fallback_used
+                assert est.n_samples == len(expected)
+                assert (est.mean_wait_s, est.sample_stddev_s) == \
+                    exact_mean_stddev_oracle(expected)
 
     def test_future_records_excluded_at_query(self):
         store = store_of(rec(100, age_s=-3600), rec(200, age_s=DAY))
@@ -217,9 +246,7 @@ class TestIndex:
             waits = [r.wait_s for r in (same_bucket or in_window)]
             assert est.fallback_used == (not same_bucket)
             assert est.n_samples == len(waits)
-            assert est.mean_wait_s == statistics.mean(waits)
-            assert est.sample_stddev_s == (statistics.stdev(waits) if len(waits) >= 2
-                                           else None)
+            assert (est.mean_wait_s, est.sample_stddev_s) == exact_mean_stddev_oracle(waits)
 
 
 class TestQueryValidation:

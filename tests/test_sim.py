@@ -34,17 +34,17 @@ def make_plan(assignments, workload_id="w", strategy="model"):
 
 class TestDistSpec:
     def test_constant(self):
-        assert const(5.0).sample(random.Random(0)) == 5.0
+        assert const(5.0).at(random.Random(0).getrandbits(52)) == 5.0
 
     def test_normal_truncated_at_zero(self):
         d = DistSpec("normal", mean=0.0, stddev=100.0)
         rng = random.Random(0)
-        assert all(d.sample(rng) >= 0.0 for _ in range(200))
+        assert all(d.at(rng.getrandbits(52)) >= 0.0 for _ in range(200))
 
     def test_empirical(self):
         d = DistSpec("empirical", samples=(1.0, 2.0, 3.0))
         rng = random.Random(0)
-        assert all(d.sample(rng) in (1.0, 2.0, 3.0) for _ in range(20))
+        assert all(d.at(rng.getrandbits(52)) in (1.0, 2.0, 3.0) for _ in range(20))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -140,9 +140,10 @@ class TestKeyedDraws:
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert min(counts) > 0 and chi2 < 22.46  # chi-square, 6 dof, p = 0.001
 
-    def test_sample_maps_52_random_bits(self):
+    def test_at_maps_52_random_bits_through_the_inverse_cdf(self):
         d = DistSpec("normal", mean=10.0, stddev=3.0)
-        assert d.sample(random.Random(5)) == d.at(random.Random(5).getrandbits(52))
+        k = random.Random(5).getrandbits(52)
+        assert d.at(k) == max(0.0, 10.0 + 3.0 * statistics.NormalDist().inv_cdf((k + 0.5) / 2**52))
 
 
 class TestStreamProperties:
