@@ -43,6 +43,8 @@ def _read_json(path: str):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:

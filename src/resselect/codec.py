@@ -140,7 +140,15 @@ class Map:
         return out
 
     def encode(self, value) -> dict:
-        return {k: self.value.encode(v) for k, v in value.items()}
+        """Each distinct value object is encoded once: values that many keys
+        share (a plan's assignments) come out as one shared encoding."""
+        encode, memo, out = self.value.encode, {}, {}
+        for key, item in value.items():
+            i = id(item)
+            if i not in memo:
+                memo[i] = encode(item)
+            out[key] = memo[i]
+        return out
 
     def schema(self) -> dict:
         return {"type": "object", "additionalProperties": self.value.schema()}
@@ -310,7 +318,7 @@ def _assignment_view(a: Assignment) -> dict:
 
 def _plan(workload_id, strategy, assignments, resource_requests=None, rng_seed=None):
     return SelectionPlan(workload_id, strategy, {
-        task_id: Assignment(rid, None if tq is None else TtcEstimate(task_id, rid, tq, tx))
+        task_id: Assignment(rid, None if tq is None else TtcEstimate(rid, tq, tx))
         for task_id, (rid, tq, tx) in assignments.items()}, resource_requests or {}, rng_seed)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import repeat
+from json.encoder import encode_basestring
 from math import frexp, isfinite, isqrt, ldexp
 from operator import mul
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
@@ -245,8 +246,68 @@ def cost(task: TaskSpec, resource: ResourceSpec) -> float:
 
 
 def canonical_dumps(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
-    return text + "\n"
+    """``obj`` as canonical JSON text: keys sorted, two-space indents,
+    non-ASCII text kept as is, and a final newline.  The text equals
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+    allow_nan=False) + "\\n"`` byte for byte, and fails as it does: NaN
+    and ±inf raise `ValueError`, as does a container that contains itself,
+    and a value of any other type raises `TypeError`.  Keys must be strings;
+    any other key raises `TypeError`.
+
+    Each distinct dict, list or tuple is written once per indent level it
+    appears at and its text reused, so a value that many keys share (a
+    plan's assignments) costs one rendering, not one per key."""
+    return _dumps(obj, 0, {}, set()) + "\n"
+
+
+def _dumps(value, level: int, memo: Dict[tuple, str], open_ids: set) -> str:
+    """The text of ``value`` at indent ``level``.  ``memo`` maps the
+    (id, level) of every container written so far to its text, and
+    ``open_ids`` holds the ids of the containers being written."""
+    if isinstance(value, float):  # the most frequent scalar; no bool or int is a float
+        if not isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):  # as json: subclasses such as IntEnum write as plain ints
+        return int.__repr__(value)
+    is_list = isinstance(value, (list, tuple))
+    if not is_list and not isinstance(value, dict):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]" if is_list else "{}"
+    memo_key = (id(value), level)
+    text = memo.get(memo_key)
+    if text is not None:
+        return text
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(value))
+    level += 1
+    newline = "\n" + "  " * level
+    if is_list:
+        parts = [_dumps(item, level, memo, open_ids) for item in value]
+        text = "[" + newline + ("," + newline).join(parts) + newline[:-2] + "]"
+    else:
+        # Shared values sit under dict keys (a plan's assignments), so each
+        # value is looked up before the call.  No scalar shares an id with a
+        # container, as the caller holds the whole tree alive.
+        # encode_basestring raises TypeError for a key that is not a string.
+        written = memo.get
+        parts = [encode_basestring(k) + ": " + (
+                     written((id(item), level)) or _dumps(item, level, memo, open_ids))
+                 for k, item in sorted(value.items())]
+        text = "{" + newline + ("," + newline).join(parts) + newline[:-2] + "}"
+    open_ids.discard(id(value))
+    memo[memo_key] = text
+    return text
 
 
 # --- summaries: every mean and sample stddev the package reports is exact,

@@ -5,6 +5,7 @@ per-task time-to-completion estimates and assign each task a resource.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,11 +25,10 @@ from .queuewait import NoQueueHistoryError, QueueWaitEstimate, QueueWaitStore, S
 
 @dataclass(frozen=True)
 class TtcEstimate:
-    """Predicted queue wait, execution time and their sum for one
-    (task, resource) pair.  walltime_s is the walltime the queue-wait query
-    asked for; a plan read back from a file does not carry it."""
+    """Predicted queue wait, execution time and their sum for a task kind on
+    one resource.  walltime_s is the walltime the queue-wait query asked
+    for; a plan read back from a file does not carry it."""
 
-    task_id: str
     resource_id: str
     tq_s: float
     tx_s: float
@@ -41,6 +41,10 @@ class TtcEstimate:
 
 @dataclass(frozen=True)
 class Assignment:
+    """A task's resource and, in a model plan, its estimate there.  Tasks of
+    one kind (`plan_model`) or drawn to one resource (`plan_random`) share
+    one object."""
+
     resource_id: str
     estimate: Optional[TtcEstimate] = None
 
@@ -61,19 +65,24 @@ class SelectionPlan:
     rng_seed: Optional[int] = None
 
     def to_json(self) -> dict:
+        """The plan file's JSON.  Tasks that share an `Assignment` share
+        one dict, so copy an entry before editing it for one task."""
         from .codec import PLAN
 
         return PLAN.encode(self)
 
 
 def _resource_requests(assignments: Dict[str, Assignment], cores_per_task: int) -> Dict[str, dict]:
+    """Tasks that share an `Assignment` object are counted together."""
+    tasks = Counter(map(id, assignments.values()))
     requests: Dict[str, dict] = {}
-    for a in assignments.values():
+    for a in {id(a): a for a in assignments.values()}.values():
+        n = tasks[id(a)]
         entry = requests.setdefault(
             a.resource_id, {"task_count": 0, "cores": 0, "max_walltime_s": None}
         )
-        entry["task_count"] += 1
-        entry["cores"] += cores_per_task
+        entry["task_count"] += n
+        entry["cores"] += n * cores_per_task
         wt = a.estimate and a.estimate.walltime_s  # None for random plans
         if wt is not None:
             prev = entry["max_walltime_s"]
@@ -123,7 +132,7 @@ def task_estimates(
             raise NoQueueHistoryError(
                 f"missing queue inputs for resource {rid!r}: {exc}"
             ) from exc
-        estimates.append(TtcEstimate(task.task_id, rid, tq, tx, walltime))
+        estimates.append(TtcEstimate(rid, tq, tx, walltime))
     return estimates
 
 
@@ -177,25 +186,25 @@ def plan_model(
 
     A task's estimates depend on nothing but its profile id and its viable
     resources, and the affinity is pure, so each distinct (profile id,
-    viable ids) kind is estimated once and its choice is reused, re-stamped
-    with the task id."""
+    viable ids) kind is estimated once and every task of the kind gets the
+    same `Assignment` object."""
     affinity = get_affinity(config.affinity)
     by_task = profiles_by_task(profiles)
     queries = _BucketedQueries(queue_store)
     viable: Dict[tuple, Tuple[str, ...]] = {}
-    chosen_by_kind: Dict[tuple, TtcEstimate] = {}
+    chosen_by_kind: Dict[tuple, Assignment] = {}
     assignments: Dict[str, Assignment] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
         ids = _viable_ids(task, pool, viable)
         kind = (config.profile_id(task.task_id), ids)
-        if kind not in chosen_by_kind:
+        chosen = chosen_by_kind.get(kind)
+        if chosen is None:
             estimates = task_estimates(task, ids, by_task, clocks, queries, config, now)
             payloads = [{"tq_s": e.tq_s, "tx_s": e.tx_s} for e in estimates]
-            chosen = res_select(ids, payloads, affinity)
-            chosen_by_kind[kind] = next(e for e in estimates if e.resource_id == chosen)
-        e = chosen_by_kind[kind]
-        estimate = TtcEstimate(task.task_id, e.resource_id, e.tq_s, e.tx_s, e.walltime_s)
-        assignments[task.task_id] = Assignment(estimate.resource_id, estimate)
+            rid = res_select(ids, payloads, affinity)
+            estimate = next(e for e in estimates if e.resource_id == rid)
+            chosen = chosen_by_kind[kind] = Assignment(rid, estimate)
+        assignments[task.task_id] = chosen
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="model",
@@ -211,12 +220,14 @@ def plan_random(
     cores_per_task: int = 1,
 ) -> SelectionPlan:
     """Assign every task uniformly at random over its viable set using a
-    Mersenne-Twister PRNG seeded with ``seed``; the plan records the seed."""
+    Mersenne-Twister PRNG seeded with ``seed``; the plan records the seed.
+    Tasks drawn to the same resource share one `Assignment` object."""
     rng = random.Random(seed)
     viable: Dict[tuple, Tuple[str, ...]] = {}
+    by_resource = {r.resource_id: Assignment(r.resource_id) for r in pool}
     assignments: Dict[str, Assignment] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
-        assignments[task.task_id] = Assignment(rng.choice(_viable_ids(task, pool, viable)))
+        assignments[task.task_id] = by_resource[rng.choice(_viable_ids(task, pool, viable))]
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="random",

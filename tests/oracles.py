@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import struct
 from fractions import Fraction
@@ -217,3 +218,9 @@ def timeline_oracle(
             merged.append([start, end])
     tx = sum(end - start for start, end in merged)
     return ttc, ttc - tx, tx
+
+
+def canonical_dumps_oracle(obj) -> str:
+    """Canonical JSON text by the standard library's encoder, which writes
+    every occurrence of a shared value anew."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"

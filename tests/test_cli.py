@@ -408,6 +408,22 @@ class TestPipeline:
         assert err.startswith(f"error: {bad}: not UTF-8 text: ")
         assert "0xff" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("via_scenario", [False, True], ids=["task", "scenario-plan"])
+    def test_deeply_nested_json_exits_1_naming_the_file(self, tmp_path, capsys, via_scenario):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        if via_scenario:
+            behaviors = json.loads((BUNDLED / "behaviors.json").read_text())
+            scenario = write(tmp_path / "scenario.json",
+                             {"plan": str(deep), "behaviors": behaviors, "trials": 2, "seed": 1})
+            argv = ["simulate", "--scenario", scenario]
+        else:
+            argv = ["aggregate", "--task", str(deep)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+
     CSV_RUNS = {  # file flag -> (bundled file, the rest of a command reading it)
         "--history": ("history.csv", ["queue-wait", "--machine", "supermic", "--queue", "workq",
                                       "--walltime", "7200", "--cores", "1", "--now", NOW]),

@@ -23,7 +23,9 @@ from resselect import model
 from resselect.model import canonical_dumps, mean_and_stddev
 
 from conftest import matching_resource, random_sequenced_task
-from oracles import aggregate_oracle, consumable_key, cost_oracle, exact_mean_stddev_oracle
+from oracles import (
+    aggregate_oracle, canonical_dumps_oracle, consumable_key, cost_oracle, exact_mean_stddev_oracle,
+)
 
 MAX = sys.float_info.max
 TINY = 5e-324  # the smallest subnormal
@@ -246,6 +248,96 @@ class TestSerialization:
     def test_canonical_dumps_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_dumps({"x": float("nan")})
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, TINY, 2.2250738585072014e-308, 1.7e308, -MAX, 2**53 + 1, -(2**70)]),
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "tab\there\nnew", "naïve — 中文   🙂"]),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(['"k"', "\\", "é", ""])),
+                        children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree in which one container is referenced twice at one depth and
+    again at other depths, next to an unshared tree."""
+    shared = draw(st.one_of(st.lists(JSON_TREES, min_size=1, max_size=3),
+                            st.dictionaries(st.text(), JSON_TREES, min_size=1, max_size=3)))
+    other = draw(JSON_TREES)
+    return {"a": shared, "b": [shared, other, (shared,)], "c": shared, "d": {"e": other}}
+
+
+class TestCanonicalDumps:
+    """`canonical_dumps` writes a shared value once, yet its text equals the
+    standard library's, which writes each occurrence anew."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(JSON_TREES, shared_trees()))
+    @example({})
+    @example([[], {}, ()])
+    @example({"z": -0.0, "a": [TINY, 1.7e308, 10**30, True, None, '"\\\x01é']})
+    def test_equals_json_dumps(self, tree):
+        assert canonical_dumps(tree) == canonical_dumps_oracle(tree)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_raise_value_error(self, value):
+        for tree in (value, [1, {"x": value}], {"k": [value]}):
+            with pytest.raises(ValueError):
+                canonical_dumps_oracle(tree)
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                canonical_dumps(tree)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", 1j, range(3)])
+    def test_unserializable_values_raise_type_error(self, value):
+        for tree in (value, [value], {"k": {"j": value}}):
+            with pytest.raises(TypeError):
+                canonical_dumps_oracle(tree)
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                canonical_dumps(tree)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2), b"k"])
+    def test_non_string_keys_raise_type_error(self, key):
+        with pytest.raises(TypeError):
+            canonical_dumps({key: 1})
+        with pytest.raises(TypeError):
+            canonical_dumps([{"a": {key: "v"}}])
+
+    def test_container_holding_itself_raises_value_error(self):
+        loop = [1]
+        loop.append({"again": loop})
+        for tree in (loop, {"k": loop}):
+            with pytest.raises(ValueError):
+                canonical_dumps_oracle(tree)
+            with pytest.raises(ValueError, match="Circular reference"):
+                canonical_dumps(tree)
+
+    def test_shared_container_is_rendered_once_per_level(self, monkeypatch):
+        marker = float("1.25")  # written each time its container is rendered
+        shared = {"x": marker, "y": ["z"]}
+        tree = {"a": shared, "b": shared, "c": [shared, shared]}
+        marker_levels = []
+        original = model._dumps
+
+        def counting(value, level, memo, open_ids):
+            if value is marker:
+                marker_levels.append(level)
+            return original(value, level, memo, open_ids)
+
+        monkeypatch.setattr(model, "_dumps", counting)
+        assert canonical_dumps(tree) == canonical_dumps_oracle(tree)
+        assert sorted(marker_levels) == [2, 3]  # shared rendered at levels 1 and 2 only
 
 
 class TestMeanAndStddev:

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import json
 import math
 import random
 
@@ -32,7 +33,7 @@ from resselect.plan import Assignment, SelectionPlan, task_estimates
 from resselect.predict import UnknownTaskError, profiles_by_task
 from resselect.queuewait import DEFAULT_BUCKETS, NoQueueHistoryError
 
-from oracles import first_argmax_oracle
+from oracles import canonical_dumps_oracle, first_argmax_oracle
 
 NOW = 1_700_000_000.0
 X86 = ConsumableSpec("x86_cycle", {"isa": frozenset(["x86"])})
@@ -401,3 +402,44 @@ class TestKindDedupe:
             rescan_model_plan(workload, pool, p1_only, clocks, store, config)
         assert str(memo.value) == str(rescan.value)
         assert "'t-001'" in str(memo.value)
+
+
+class TestSharedAssignments:
+    """Tasks of one kind share one `Assignment`, and the sharing shows in no
+    output: the shared encoding writes the same bytes as an unshared one."""
+
+    def test_model_plan_has_one_assignment_per_kind(self):
+        workload, pool, profiles, clocks, store, config = kinds_bag()
+        plan = plan_model(workload, pool, profiles, clocks, store, config, now=NOW)
+        by_kind = {}
+        for task in workload.tasks:
+            kind = (config.profile_id(task.task_id), viable_set(task, pool).resource_ids)
+            by_kind.setdefault(kind, set()).add(id(plan.assignments[task.task_id]))
+        assert len(by_kind) == 4
+        assert all(len(ids) == 1 for ids in by_kind.values())
+        assert len({id(a) for a in plan.assignments.values()}) == 4
+
+        identical = plan_model(make_workload(50), make_pool({"rA": 2.0e9, "rB": 2.5e9}),
+                               make_profiles(), CLOCKS, make_store({"rA": [400.0], "rB": [1e3]}),
+                               base_config(), now=NOW)
+        assert len({id(a) for a in identical.assignments.values()}) == 1
+
+    def test_random_plan_has_one_assignment_per_resource(self):
+        pool = make_pool({"rA": 1e9, "rB": 1e9, "rC": 1e9})
+        plan = plan_random(make_workload(50), pool, seed=3)
+        by_resource = {}
+        for a in plan.assignments.values():
+            by_resource.setdefault(a.resource_id, set()).add(id(a))
+        assert len(by_resource) == 3
+        assert all(len(ids) == 1 for ids in by_resource.values())
+
+    def test_shared_encoding_writes_the_unshared_bytes(self):
+        args = kinds_bag()
+        for plan in (plan_model(*args, now=NOW), plan_random(*args[:2], seed=5)):
+            obj = plan.to_json()
+            entries = list(obj["assignments"].values())
+            assert len({id(e) for e in entries}) < len(entries)  # shared dicts
+            # copy.deepcopy would keep the sharing; a JSON round trip does not
+            unshared = json.loads(json.dumps(obj))
+            assert len({id(e) for e in unshared["assignments"].values()}) == len(entries)
+            assert canonical_dumps(obj) == canonical_dumps_oracle(unshared)
