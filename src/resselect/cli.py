@@ -29,8 +29,10 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The text of ``path``; a UTF-8 byte-order mark, as spreadsheets write
+    one, is dropped."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", exit_code=2) from exc

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import mean_and_stddev
@@ -41,6 +42,8 @@ class BaselineProfile:
     measured_tx_s: float
 
     def __post_init__(self):
+        if not self.task_id:
+            raise ValueError("task_id must be non-empty")
         if self.instructions <= 0 or self.cycles <= 0:
             raise ValueError("instruction and cycle counts must be > 0")
         if self.instr_rate <= 0:
@@ -233,7 +236,7 @@ def load_profiles(stream) -> Tuple[List[BaselineProfile], List[str]]:
     from .codec import PROFILES
 
     warnings: List[str] = []
-    return list(PROFILES.read(stream, warnings)), warnings
+    return list(chain.from_iterable(PROFILES.read(stream, warnings))), warnings
 
 
 def profiles_by_task(

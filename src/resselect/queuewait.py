@@ -14,17 +14,22 @@ power of two to exact integers, whose sum and sum of squares give both
 statistics with one rounding each.  A query therefore costs a few C-level
 passes over its window rows (about 0.1 µs per row on a 2-vCPU host under
 Python 3.11) and keeps nothing between queries.
+
+The history comes in as chunks of columns (`codec.Csv.read`), each checked
+by `checked_columns` in a few C-level passes; the store splits a chunk by
+(machine, queue) and extends each group's columns with its share.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from itertools import islice
-from operator import attrgetter, gt
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from datetime import datetime, timedelta, timezone
+from itertools import islice, repeat
+from operator import attrgetter, gt, itemgetter, sub
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import mean_and_stddev
 
@@ -47,27 +52,35 @@ class QueueWaitRecord:
     cores_req: int
 
     def __post_init__(self):
-        checked_row(*_FIELDS(self))
+        checked_columns(*zip(_FIELDS(self)))  # the record as one-row columns
 
 
 _FIELDS = attrgetter(*QueueWaitRecord.__dataclass_fields__)
 
 
-def checked_row(machine: str, queue: str, submit_time: float, wait_s: float,
-                walltime_req_s: float, cores_req: int) -> tuple:
-    """One history row as a plain tuple in `QueueWaitRecord`'s field order,
-    after the record's value checks."""
-    if wait_s < 0:
+def checked_columns(machines: Sequence[str], queues: Sequence[str], submit_times: Sequence[float],
+                    waits: Sequence[float], walltimes: Sequence[float],
+                    cores: Sequence[int]) -> tuple:
+    """History rows as columns in `QueueWaitRecord`'s field order, after the
+    record's value checks.  It raises `ValueError` exactly when some row
+    fails a check; on one-row columns the message is the row's first
+    failed check.  (With a NaN in a column, ``min`` may miss a negative
+    value, but the finite check then raises.)"""
+    if "" in machines:
+        raise ValueError("machine must be non-empty")
+    if "" in queues:
+        raise ValueError("queue must be non-empty")
+    if min(waits) < 0:
         raise ValueError("wait_s must be >= 0")
-    if walltime_req_s <= 0:
+    if min(walltimes) <= 0:
         raise ValueError("walltime_req_s must be > 0")
-    if cores_req < 1:
+    if min(cores) < 1:
         raise ValueError("cores_req must be >= 1")
-    if not wait_s < math.inf:  # NaN fails too
+    if not all(map(math.isfinite, waits)):
         raise ValueError("wait_s must be finite")
-    if not walltime_req_s < math.inf:
+    if not all(map(math.isfinite, walltimes)):
         raise ValueError("walltime_req_s must be finite")
-    return machine, queue, submit_time, wait_s, walltime_req_s, cores_req
+    return machines, queues, submit_times, waits, walltimes, cores
 
 
 @dataclass(frozen=True)
@@ -119,11 +132,26 @@ class QueueWaitEstimate:
     fallback_used: bool
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def iso_times(texts: Iterable[str]) -> tuple:
+    """UTC epoch seconds of ISO-8601 times; ``Z`` or no offset means UTC.
+    Each is ``(time - epoch).total_seconds()``, which is how
+    `datetime.timestamp` computes an aware time, so the floats are the
+    same."""
+    texts = map(str.replace, texts, repeat("Z"), repeat("+00:00"))
+    times = list(map(datetime.fromisoformat, texts))
+    try:
+        deltas = list(map(sub, times, repeat(_EPOCH)))
+    except TypeError:  # a naive time, which is read as UTC
+        utc = [t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t for t in times]
+        deltas = list(map(sub, utc, repeat(_EPOCH)))
+    return tuple(map(timedelta.total_seconds, deltas))
+
+
 def _parse_iso8601(text: str) -> float:
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    return iso_times((text,))[0]
 
 
 class _Rows(NamedTuple):
@@ -151,33 +179,37 @@ class QueueWaitStore:
 
     def __init__(self, records: Iterable[QueueWaitRecord] = ()):
         self._groups: Dict[Tuple[str, str], _Rows] = {}
-        self._extend(map(_FIELDS, records))
+        columns = tuple(zip(*map(_FIELDS, records)))
+        self._extend([columns] if columns else ())
 
     def __len__(self) -> int:
         return sum(len(rows.times) for rows in self._groups.values())
 
-    def _extend(self, rows: Iterable[tuple]) -> int:
-        """Append each (machine, queue, submit time, wait, walltime, cores)
-        row to its group's columns, then re-sort every group it touched on
-        submit time.  The sort is stable and the rows held before go first,
-        so equal times keep their ingest order.  Returns the rows added; if
-        ``rows`` raises, the store is left as it was."""
+    def _extend(self, chunks: Iterable[tuple]) -> int:
+        """Append each chunk of (machines, queues, submit times, waits,
+        walltimes, cores) columns to its rows' groups, then re-sort every
+        group it touched on submit time.  One pass over a chunk's keys lists
+        each group's rows, and each column's share of them is picked and
+        appended at C level.  The sort is stable and the rows held before go
+        first, so equal times keep their ingest order.  Returns the rows
+        added; if ``chunks`` raises, the store is left as it was."""
         groups = self._groups
-        appends: Dict[Tuple[str, str], tuple] = {}  # group -> its columns' appends
         before: Dict[Tuple[str, str], int] = {}  # group -> its length before
         count = 0
         try:
-            for machine, queue, time, wait, walltime, cores in rows:
-                add = appends.get((machine, queue))
-                if add is None:
-                    group = groups.setdefault((machine, queue), _Rows([], [], [], []))
-                    before[machine, queue] = len(group.times)
-                    add = appends[machine, queue] = tuple(column.append for column in group)
-                add[0](time)
-                add[1](wait)
-                add[2](walltime)
-                add[3](cores)
-                count += 1
+            for machines, queues, *columns in chunks:
+                rows_of: Dict[Tuple[str, str], List[int]] = defaultdict(list)
+                for i, key in enumerate(zip(machines, queues)):
+                    rows_of[key].append(i)
+                for key, rows in rows_of.items():
+                    if key not in before:
+                        before[key] = len(groups.setdefault(key, _Rows([], [], [], [])).times)
+                    # an itemgetter of one index returns the item, not a tuple
+                    pick = itemgetter(*rows) if len(rows) > 1 else (
+                        lambda values, i=rows[0]: (values[i],))
+                    for column, values in zip(groups[key], columns):
+                        column.extend(pick(values))
+                count += len(machines)
         except BaseException:
             for key, n in before.items():
                 if n:
@@ -186,7 +218,7 @@ class QueueWaitStore:
                 else:
                     del groups[key]
             raise
-        for key in appends:
+        for key in before:
             times = groups[key].times
             if any(map(gt, times, islice(times, 1, None))):
                 order = sorted(range(len(times)), key=times.__getitem__)
@@ -196,7 +228,8 @@ class QueueWaitStore:
     def ingest_csv(self, stream) -> Tuple[int, List[str]]:
         """Read records from CSV; returns (accepted count, warnings).
         Malformed rows are skipped with line-numbered warnings.  The rows
-        stream straight into the columns, one at a time."""
+        go into the columns a chunk of columns at a time (`codec.Csv.read`),
+        so no more than one chunk of rows is held."""
         from .codec import HISTORY
 
         warnings: List[str] = []

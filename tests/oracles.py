@@ -16,7 +16,6 @@ import struct
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from resselect.codec import number
 from resselect.predict import GHZ, BaselineProfile
 from resselect.queuewait import QueueWaitRecord, _parse_iso8601
 
@@ -176,6 +175,15 @@ def csv_read_oracle(text: str, build: Callable[[dict], object]):
         except (ValueError, TypeError) as exc:
             warnings.append(f"line {line}: {exc}")
     return values, warnings
+
+
+def number(text: str) -> float:
+    """One cell as a finite number, the way the reader parsed cells one at a
+    time before it read columns."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 def history_record_oracle(row: dict) -> QueueWaitRecord:

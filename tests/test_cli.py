@@ -351,6 +351,22 @@ class TestPipeline:
         assert main(self.args_select(str(out2))) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--history", "--profiles", "--config"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, flag):
+        """Spreadsheets start a UTF-8 export with a byte-order mark; the
+        file must read as it does without one."""
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert main(self.args_select(str(plain))) == 0
+        argv = self.args_select(str(marked))
+        i = argv.index(flag) + 1
+        with open(argv[i], "rb") as fh:
+            text = fh.read()
+        argv[i] = str(tmp_path / "with-bom")
+        with open(argv[i], "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + text)
+        assert main(argv) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+
     def test_random_strategy_requires_seed(self, capsys):
         assert main(["select", "--workload", str(BUNDLED / "workload_64.json"),
                      "--pool", str(BUNDLED / "pool.json"),

@@ -1,5 +1,6 @@
 import io
 import statistics
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from resselect import (
     predict_tx,
     tx_error,
 )
+from resselect import codec
 from resselect.codec import CLOCK
 from resselect.predict import (
     GHZ,
@@ -264,23 +266,37 @@ class TestIngest:
         with pytest.raises(ValueError, match="^line 3: new-line character seen in unquoted field"):
             load_profiles(io.StringIO(csv_text))
 
-    def test_matches_reference_reader(self):
-        csv_text = (
-            "note,tx_s,task_id,workload_param,instructions,cycles,instr_rate,avg_clock_ghz\n"
-            "a,1.6,md,1000,8e9,4e9,2.0,2.5\n"
-            "\n"
-            'b,1.64,"m\nd",1000,8.2e9,4.1e9,2.0,2.5\n'
-            "c,1.6,md,1000,9e9,4e9,2.0,2.5\n"  # inconsistent
-            "d,1.6,md,10.5,8e9,4e9,2.0,2.5\n"  # not an integer
-            "e,nan,md,1000,8e9,4e9,2.0,2.5\n"
-            "f,1.6,md,1000,8e9\n"  # short
-            "g,1.6,md,1000,8e9,4e9,2.0,2.5,7\n"  # long
-            "\n"
-            "h,1.7,md,2000,8e9,4e9,2.0,2.5\n"
-        )
+    def test_empty_task_id_rejected(self):
+        with pytest.raises(ValueError, match="^task_id must be non-empty$"):
+            profile(task_id="")
+        csv_text = self.CSV.replace("md,1000,8.2e9", ",1000,8.2e9")
         profiles, warnings = load_profiles(io.StringIO(csv_text))
-        assert (profiles, warnings) == csv_read_oracle(csv_text, profile_oracle)
+        assert len(profiles) == 1
+        assert warnings[0] == "line 3: task_id must be non-empty" and len(warnings) == 2
+
+    REFERENCE_CSV = (
+        "note,tx_s,task_id,workload_param,instructions,cycles,instr_rate,avg_clock_ghz\n"
+        "a,1.6,md,1000,8e9,4e9,2.0,2.5\n"
+        "\n"
+        'b,1.64,"m\nd",1000,8.2e9,4.1e9,2.0,2.5\n'
+        "c,1.6,md,1000,9e9,4e9,2.0,2.5\n"  # inconsistent
+        "d,1.6,md,10.5,8e9,4e9,2.0,2.5\n"  # not an integer
+        "e,nan,md,1000,8e9,4e9,2.0,2.5\n"
+        "f,1.6,md,1000,8e9\n"  # short
+        "g,1.6,md,1000,8e9,4e9,2.0,2.5,7\n"  # long
+        "\n"
+        "h,1.7,md,2000,8e9,4e9,2.0,2.5\n"
+    )
+
+    def test_matches_reference_reader(self):
+        profiles, warnings = load_profiles(io.StringIO(self.REFERENCE_CSV))
+        assert (profiles, warnings) == csv_read_oracle(self.REFERENCE_CSV, profile_oracle)
         assert len(profiles) == 3 and len(warnings) == 5
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_small_chunks_match_reference_reader(self, chunk):
+        with mock.patch.object(codec, "_CHUNK", chunk):
+            self.test_matches_reference_reader()
 
     def test_profiles_by_task(self):
         profiles, _ = load_profiles(io.StringIO(self.CSV))

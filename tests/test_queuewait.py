@@ -5,16 +5,19 @@ import random
 import statistics
 from datetime import datetime, timezone
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resselect import QueueWaitRecord, QueueWaitStore, SimilarityBuckets
+from resselect import QueueWaitRecord, QueueWaitStore, SimilarityBuckets, codec
 from resselect.queuewait import (
     DEFAULT_BUCKETS,
     DEFAULT_WINDOW_S,
     NoQueueHistoryError,
     _parse_iso8601,
+    checked_columns,
 )
 
 from oracles import (
@@ -61,6 +64,38 @@ class TestRecordsAndBuckets:
         name = {"wait": "wait_s", "walltime": "walltime_req_s"}[field]
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             rec(**{"wait": 100.0, field: value})
+
+    @pytest.mark.parametrize("machine,queue,message", [
+        ("", "q", "machine must be non-empty"), ("m", "", "queue must be non-empty"),
+        ("", "", "machine must be non-empty"),
+    ])
+    def test_empty_key_cells_rejected_by_records_and_csv(self, machine, queue, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rec(100.0, machine=machine, queue=queue)
+        csv_text = TestIngestCsv.HEADER + f"{machine},{queue},2026-08-07T00:00:00Z,1,100,1\n"
+        store = QueueWaitStore()
+        assert store.ingest_csv(io.StringIO(csv_text)) == (0, [f"line 2: {message}"])
+        assert not store._groups
+
+    VALUES = [-math.inf, -1.0, 0.0, 1.0, 7200.0, math.inf, math.nan]
+
+    @given(st.lists(st.tuples(st.sampled_from(["", "m"]), st.sampled_from(["", "q"]),
+                              st.sampled_from(VALUES), st.sampled_from(VALUES),
+                              st.sampled_from([-1, 0, 1, 4])), min_size=1, max_size=6))
+    def test_column_checks_fail_exactly_when_a_row_does(self, rows):
+        """``min`` may step over a negative value after a NaN; the finite
+        check must still reject the chunk, so that its rows are built one by
+        one and the bad one is named."""
+
+        def fails(rows) -> bool:
+            machines, queues, waits, walltimes, cores = zip(*rows)
+            try:
+                checked_columns(machines, queues, (0.0,) * len(rows), waits, walltimes, cores)
+            except ValueError:
+                return True
+            return False
+
+        assert fails(rows) == any(fails([row]) for row in rows)
 
     def test_bucket_edges_must_ascend(self):
         with pytest.raises(ValueError):
@@ -351,8 +386,8 @@ class TestIngestEquivalence:
 
     HEADER = ["machine", "queue", "submit_time_iso8601", "wait_s", "walltime_req_s", "cores_req"]
     CELLS = [  # per column: (valid cells, rejected cells)
-        (["m1", "m2", "m\n3"], []),  # m\n3: a quoted cell over two lines
-        (["q1", "q,2"], []),
+        (["m1", "m2", "m\n3"], [""]),  # m\n3: a quoted cell over two lines
+        (["q1", "q,2"], [""]),
         (["2023-11-10T00:00:00Z", "2023-11-10T00:00:00+00:00", "2023-11-10T00:00:00",  # tied
           "2023-11-09T12:00:00Z", "2023-11-11T00:00:00-05:00"],
          ["2023-02-30T00:00:00Z", "x", ""]),
@@ -377,9 +412,12 @@ class TestIngestEquivalence:
         csv.writer(buf, lineterminator="\n").writerows([TestIngestEquivalence.HEADER, *rows])
         return buf.getvalue()
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.lists(any_row, max_size=40), min_size=2, max_size=2))
-    def test_columns_counts_and_warnings_match_reference(self, parts):
+    # rows read at a time: the reader's own chunk size and smaller ones, so
+    # that short files still cross chunk boundaries
+    SMALL_CHUNKS = [1, 2, 7]
+    CHUNKS = [*SMALL_CHUNKS, codec._CHUNK]
+
+    def check_against_reference(self, parts):
         store, records = QueueWaitStore(), []
         for rows in parts:
             text = self.text(rows)
@@ -388,3 +426,66 @@ class TestIngestEquivalence:
             assert store.ingest_csv(io.StringIO(text)) == (len(expected), warnings)
         assert store._groups == history_columns_oracle(records)
         assert len(store) == len(records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(any_row, max_size=40), min_size=2, max_size=2))
+    def test_columns_counts_and_warnings_match_reference(self, parts):
+        self.check_against_reference(parts)
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.lists(st.lists(any_row, max_size=40), min_size=2, max_size=2))
+    def test_small_chunks_match_reference(self, chunk, parts):
+        with mock.patch.object(codec, "_CHUNK", chunk):
+            self.check_against_reference(parts)
+
+    @pytest.mark.parametrize("chunk,block", [(7, 2), (30, 4)])
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.lists(any_row, max_size=40), min_size=2, max_size=2))
+    def test_blocks_of_a_failing_chunk_match_reference(self, chunk, block, parts):
+        with mock.patch.object(codec, "_CHUNK", chunk), mock.patch.object(codec, "_BLOCK", block):
+            self.check_against_reference(parts)
+
+    GOOD = ["m1", "q1", "2023-11-10T00:00:00Z", "100", "7200", "1"]
+    EDGE_ROWS = {
+        "bad": ["m1", "q1", "2023-11-10T00:00:00Z", "-5", "7200", "1"],
+        "blank": [],
+        "short": ["m1", "q1"],
+        "long": [*GOOD, "9"],
+        "multi-line": ["m\n3", "q1", "2023-11-09T12:00:00Z", "250.5", "600", "16"],
+        "multi-line-bad": ["m\n3", "q1", "2023-11-09T12:00:00Z", "250.5", "600", "0"],
+    }
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("edge", EDGE_ROWS)
+    def test_first_and_last_row_of_a_chunk(self, chunk, edge):
+        rows = [[*self.GOOD[:3], str(i), *self.GOOD[4:]] for i in range(3 * chunk)]
+        for i in (0, chunk - 1, chunk, 3 * chunk - 1):
+            rows[i] = self.EDGE_ROWS[edge]
+        text = self.text(rows)
+        expected, warnings = csv_read_oracle(text, history_record_oracle)
+        store = QueueWaitStore()
+        with mock.patch.object(codec, "_CHUNK", chunk):
+            assert store.ingest_csv(io.StringIO(text)) == (len(expected), warnings)
+        assert store._groups == history_columns_oracle(expected)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_text_that_is_not_csv_in_a_later_chunk_leaves_the_store_unchanged(self, chunk):
+        store = store_of(rec(100, machine="m1", queue="q1"))
+        held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
+        rows = [[f"m{i % 3}", "q1", *self.GOOD[2:]] for i in range(2 * chunk + 1)]
+        text = self.text(rows) + "m\rx,q1,2023-11-10T00:00:00Z,100,7200,1\n"
+        with mock.patch.object(codec, "_CHUNK", chunk):
+            with pytest.raises(ValueError, match=f"^line {2 * chunk + 3}: new-line character"):
+                store.ingest_csv(io.StringIO(text))
+        assert store._groups == held and len(store) == 1
+
+    def test_file_stream_counts_a_carriage_return_in_a_quoted_cell_as_a_line(self, tmp_path):
+        """Read with ``newline=""``, a file's lines also end at a lone
+        ``\r``, so the warning names the line the stream counts, one more
+        than the ``\n`` in the cells show."""
+        path = tmp_path / "history.csv"
+        path.write_bytes(self.text([]).encode() + b'"m\rx",q1,2023-11-10T00:00:00Z,100,7200,1\n'
+                         b"m1,q1,2023-11-10T00:00:00Z,-5,7200,1\n")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert QueueWaitStore().ingest_csv(fh) == (1, ["line 4: wait_s must be >= 0"])
