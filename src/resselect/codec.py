@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import sys
-from itertools import chain, islice, repeat
-from math import isfinite
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, count, islice, repeat
+from math import isfinite, nan
+from operator import attrgetter, itemgetter, mul, not_
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .config import Config
@@ -26,7 +26,9 @@ from .model import (
 )
 from .plan import Assignment, SelectionPlan, TtcEstimate
 from .predict import GHZ, BaselineProfile, ClockSpec, PoolInventoryEntry, pool_clock_spec
-from .queuewait import QueueWaitEstimate, SimilarityBuckets, checked_columns, iso_times
+from .queuewait import (
+    QueueWaitEstimate, SimilarityBuckets, checked_columns, iso_times, one_row, parsed,
+)
 from .sim import METRICS, DistSpec, ResourceBehavior, SimulationResult
 
 
@@ -49,18 +51,18 @@ def _expected(what: str, value) -> DecodeError:
     return DecodeError(f"expected {what}, got {got.get(type(value), 'number')}")
 
 
-def numbers(texts: Sequence[str]) -> tuple:
-    """Parse finite numbers from CSV or command-line text; the error names
-    the first text that is not one."""
-    values = tuple(map(float, texts))
+def numbers(bad: Dict[int, Optional[str]], texts: Sequence[str]) -> list:
+    """Finite numbers parsed from CSV or command-line text; a text that is
+    not one is noted in ``bad`` (see `queuewait.parsed`)."""
+    values = parsed(bad, nan, float, texts)
     if not all(map(isfinite, values)):
-        text = next(t for t, v in zip(texts, values) if not isfinite(v))
-        raise ValueError(f"non-finite number {text!r}")
+        for i in compress(count(), map(not_, map(isfinite, values))):
+            bad.setdefault(i, f"non-finite number {texts[i]!r}")
     return values
 
 
 def number(text: str) -> float:
-    return numbers((text,))[0]
+    return one_row(numbers, text)[0]
 
 
 # --- kinds: each decodes parsed JSON and describes itself as a JSON schema;
@@ -374,34 +376,30 @@ RESULT = Record(
 # chunk's columns are handed on.  Chunks of 4096 rows set off 112 gen-0 and
 # 10 gen-1 collections per 100k history rows, and read them 9 % slower.
 _CHUNK = 512
-# A chunk that does not build whole is built in blocks of this many rows,
-# and a block that does not build is built row by row: only the blocks that
-# hold a bad row pay the row-by-row cost.
-_BLOCK = 16
 
 
 class Csv:
-    """A CSV format: its columns and ``build``, which makes the values of a
-    chunk of rows from those columns' cells, one sequence per column in
-    declared order.  ``build`` raises `ValueError` or `TypeError` when any
-    row is bad; on one-row columns its message is that row's."""
+    """A CSV format: its columns and ``build``.  ``build(bad, *columns)``
+    takes the cells of a chunk's rows, one sequence per declared column in
+    order, and returns a tuple of value columns with one entry per row; it
+    notes each row it rejects in ``bad`` by index, with the message of the
+    first check the row fails (the column checks of `queuewait`)."""
 
     def __init__(self, name: str, build: Optional[Callable], *columns: str):
         self.name, self.build, self.columns = name, build, columns
 
-    def read(self, stream, warnings: List[str]) -> Iterator:
-        """Stream ``build(*columns)`` for each chunk of up to `_CHUNK` rows
-        of ``stream``.
+    def read(self, stream, warnings: List[str]) -> Iterator[tuple]:
+        """Stream the value columns of the accepted rows of each chunk of up
+        to `_CHUNK` rows of ``stream``.
 
         The header must name every declared column once; other columns are
         ignored.  Blank lines are skipped.  A row with more cells than the
         header, or one that ``build`` rejects, is skipped with a warning
         appended to ``warnings``, naming the physical line the row starts
-        on; a short row reads its missing cells as empty.  Such a row is
-        found by building its chunk again in blocks of `_BLOCK` rows, and a
-        failing block row by row, with the same ``build`` on one-row
-        columns; each good block and row then comes out on its own.  Text
-        that is not CSV raises `ValueError` naming its line."""
+        on; a short row reads its missing cells as empty.  A chunk is built
+        whole however many of its rows are bad, and its bad rows are then
+        dropped from its columns.  Text that is not CSV raises `ValueError`
+        naming its line."""
         reader = csv.reader(stream)
         try:
             header = next(reader, [])
@@ -418,56 +416,33 @@ class Csv:
             ends: List[int] = []
             noted = map(itemgetter(0), zip(
                 reader, map(ends.append, map(attrgetter("line_num"), repeat(reader)))))
-
-            def columns(rows: list) -> list:
-                """The declared columns of rows that are all ``width`` wide.
-                (``zip(*rows)`` would hold an iterator per row, each one
-                counting toward gen 0.)"""
-                cells = list(chain.from_iterable(rows))
-                return [cells[i::width] for i in indices]
-
-            def whole(rows: list, parts: list) -> bool:
-                """Append the values of ``rows`` built together, if they build."""
-                if set(map(len, rows)) != {width}:
-                    return False
-                try:
-                    parts.append(build(*columns(rows)))
-                except (ValueError, TypeError):
-                    return False
-                return True
-
-            def built(chunk: list, line: int) -> list:
-                """The values of a chunk's good parts; ``line`` is the line
-                before the chunk."""
-                parts: list = []
-                if whole(chunk, parts):
-                    return parts
-                for first in range(0, len(chunk), _BLOCK):
-                    if whole(chunk[first:first + _BLOCK], parts):
-                        continue
-                    for i in range(first, min(first + _BLOCK, len(chunk))):
-                        row, start = chunk[i], (ends[i - 1] if i else line) + 1
+            line = reader.line_num  # the line before the chunk
+            for chunk in iter(lambda: list(islice(noted, _CHUNK)), []):
+                bad: Dict[int, Optional[str]] = {}  # row -> its warning; None for none
+                if set(map(len, chunk)) != {width}:  # fit every row to the header
+                    for i, row in enumerate(chunk):
                         if len(row) < width:
                             if not row:  # a blank line
-                                continue
+                                bad[i] = None
                             row += [""] * (width - len(row))
                         elif len(row) > width:
-                            warnings.append(
-                                f"line {start}: {len(row) - width} more cells than the header")
-                            continue
-                        try:
-                            parts.append(build(*columns([row])))
-                        except (ValueError, TypeError) as exc:
-                            warnings.append(f"line {start}: {exc}")
-                return parts
-
-            line = reader.line_num
-            for chunk in iter(lambda: list(islice(noted, _CHUNK)), []):
-                parts = built(chunk, line)
+                            bad[i] = f"{len(row) - width} more cells than the header"
+                            del row[width:]
+                # the declared columns; ``zip(*chunk)`` would hold an
+                # iterator per row, each one counting toward gen 0
+                cells = list(chain.from_iterable(chunk))
+                columns = build(bad, *(cells[i::width] for i in indices))
+                if bad:
+                    keep = [True] * len(chunk)
+                    for i in bad:
+                        keep[i] = False
+                    columns = tuple(list(compress(c, keep)) for c in columns)
+                    warnings.extend(f"line {(ends[i - 1] if i else line) + 1}: {bad[i]}"
+                                    for i in sorted(bad) if bad[i] is not None)
                 line = ends[-1]
                 ends.clear()
-                del chunk  # see _CHUNK
-                yield from parts
+                del chunk, cells  # see _CHUNK
+                yield columns
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
@@ -475,16 +450,18 @@ class Csv:
         return "CSV: " + ",".join(self.columns)
 
 
-def _profiles(task_id, param, instructions, cycles, rate, ghz, tx_s) -> list:
-    param = tuple(map(int, param))  # parsed in column order, as the checks run
-    instructions, cycles, rate, ghz, tx_s = map(numbers, (instructions, cycles, rate, ghz, tx_s))
-    return list(map(BaselineProfile, task_id, param, instructions, cycles, rate,
-                    map(GHZ.__mul__, ghz), tx_s))
+def _profiles(bad, task_id, param, instructions, cycles, rate, ghz, tx_s) -> tuple:
+    param = parsed(bad, 0, int, param)  # parsed in column order, as the checks run
+    instructions, cycles, rate, ghz, tx_s = (
+        numbers(bad, texts) for texts in (instructions, cycles, rate, ghz, tx_s))
+    profiles = parsed(bad, None, BaselineProfile, task_id, param, instructions, cycles, rate,
+                      map(mul, ghz, repeat(GHZ)), tx_s)
+    return (profiles,)
 
 
-def _history(machine, queue, submit, wait, walltime, cores) -> tuple:
-    return checked_columns(machine, queue, iso_times(submit), numbers(wait), numbers(walltime),
-                           tuple(map(int, cores)))
+def _history(bad, machine, queue, submit, wait, walltime, cores) -> tuple:
+    return checked_columns(bad, machine, queue, iso_times(bad, submit), numbers(bad, wait),
+                           numbers(bad, walltime), parsed(bad, 0, int, cores))
 
 
 PROFILES = Csv("profile", _profiles, "task_id", "workload_param", "instructions", "cycles",

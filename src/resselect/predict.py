@@ -236,7 +236,8 @@ def load_profiles(stream) -> Tuple[List[BaselineProfile], List[str]]:
     from .codec import PROFILES
 
     warnings: List[str] = []
-    return list(chain.from_iterable(PROFILES.read(stream, warnings))), warnings
+    chunks = PROFILES.read(stream, warnings)
+    return list(chain.from_iterable(profiles for profiles, in chunks)), warnings
 
 
 def profiles_by_task(

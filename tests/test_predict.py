@@ -1,3 +1,4 @@
+import csv
 import io
 import statistics
 from unittest import mock
@@ -297,6 +298,19 @@ class TestIngest:
     def test_small_chunks_match_reference_reader(self, chunk):
         with mock.patch.object(codec, "_CHUNK", chunk):
             self.test_matches_reference_reader()
+
+    CELLS = ["md", "", "1000", "10.5", "8e9", "4e9", "9e9", "2.0", "2.5", "1.6", "0", "-1",
+             "nan", "inf", "x"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(CELLS), min_size=7, max_size=7), max_size=12))
+    def test_random_rows_match_reference_reader(self, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([
+            ["task_id", "workload_param", "instructions", "cycles", "instr_rate",
+             "avg_clock_ghz", "tx_s"], *rows])
+        text = buf.getvalue()
+        assert load_profiles(io.StringIO(text)) == csv_read_oracle(text, profile_oracle)
 
     def test_profiles_by_task(self):
         profiles, _ = load_profiles(io.StringIO(self.CSV))

@@ -82,20 +82,18 @@ class TestRecordsAndBuckets:
     @given(st.lists(st.tuples(st.sampled_from(["", "m"]), st.sampled_from(["", "q"]),
                               st.sampled_from(VALUES), st.sampled_from(VALUES),
                               st.sampled_from([-1, 0, 1, 4])), min_size=1, max_size=6))
-    def test_column_checks_fail_exactly_when_a_row_does(self, rows):
-        """``min`` may step over a negative value after a NaN; the finite
-        check must still reject the chunk, so that its rows are built one by
-        one and the bad one is named."""
+    def test_column_checks_note_each_row_as_it_fails_alone(self, rows):
+        """``min`` may step over a negative value after a NaN; every bad row
+        must still be noted, with the message it gets on its own."""
 
-        def fails(rows) -> bool:
+        def noted(rows) -> dict:
             machines, queues, waits, walltimes, cores = zip(*rows)
-            try:
-                checked_columns(machines, queues, (0.0,) * len(rows), waits, walltimes, cores)
-            except ValueError:
-                return True
-            return False
+            bad = {}
+            checked_columns(bad, machines, queues, (0.0,) * len(rows), waits, walltimes, cores)
+            return bad
 
-        assert fails(rows) == any(fails([row]) for row in rows)
+        alone = [noted([row]) for row in rows]
+        assert noted(rows) == {i: bad[0] for i, bad in enumerate(alone) if bad}
 
     def test_bucket_edges_must_ascend(self):
         with pytest.raises(ValueError):
@@ -437,13 +435,6 @@ class TestIngestEquivalence:
     @given(parts=st.lists(st.lists(any_row, max_size=40), min_size=2, max_size=2))
     def test_small_chunks_match_reference(self, chunk, parts):
         with mock.patch.object(codec, "_CHUNK", chunk):
-            self.check_against_reference(parts)
-
-    @pytest.mark.parametrize("chunk,block", [(7, 2), (30, 4)])
-    @settings(max_examples=100, deadline=None)
-    @given(parts=st.lists(st.lists(any_row, max_size=40), min_size=2, max_size=2))
-    def test_blocks_of_a_failing_chunk_match_reference(self, chunk, block, parts):
-        with mock.patch.object(codec, "_CHUNK", chunk), mock.patch.object(codec, "_BLOCK", block):
             self.check_against_reference(parts)
 
     GOOD = ["m1", "q1", "2023-11-10T00:00:00Z", "100", "7200", "1"]
