@@ -28,23 +28,23 @@ NOW = 1_787_270_400.0  # 2026-08-20T00:00:00Z, just after the bundled history
 
 
 def load_inputs():
-    pool = [resource_from_json(r) for r in json.load(open(BUNDLED / "pool.json"))]
+    pool = [resource_from_json(r) for r in json.loads((BUNDLED / "pool.json").read_text())]
     with open(BUNDLED / "profiles.csv") as fh:
         profiles, _ = load_profiles(fh)
-    clocks = load_clocks(json.load(open(BUNDLED / "clocks.json")))
+    clocks = load_clocks(json.loads((BUNDLED / "clocks.json").read_text()))
     store = QueueWaitStore()
     with open(BUNDLED / "history.csv") as fh:
         store.ingest_csv(fh)
-    config = Config.from_json(json.load(open(BUNDLED / "config.json")))
+    config = Config.from_json(json.loads((BUNDLED / "config.json").read_text()))
     behaviors = {
         b["resource_id"]: ResourceBehavior.from_json(b)
-        for b in json.load(open(BUNDLED / "behaviors.json"))
+        for b in json.loads((BUNDLED / "behaviors.json").read_text())
     }
     return pool, profiles, clocks, store, config, behaviors
 
 
 def make_workload(n):
-    base = json.load(open(BUNDLED / "workload_64.json"))
+    base = json.loads((BUNDLED / "workload_64.json").read_text())
     template = base["tasks"][0]["requirements"]
     return workload_from_json(
         {

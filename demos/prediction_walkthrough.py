@@ -29,8 +29,8 @@ def main():
     print(f"predicted sequential cycles: {est.mean:.4g} "
           f"(stddev {est.stddev:.3g}, n={est.n_samples})")
 
-    clocks = load_clocks(json.load(open(BUNDLED / "clocks.json")))
-    config = json.load(open(BUNDLED / "config.json"))
+    clocks = load_clocks(json.loads((BUNDLED / "clocks.json").read_text()))
+    config = json.loads((BUNDLED / "config.json").read_text())
     inflations = config.get("inflation_factors", {})
 
     print()

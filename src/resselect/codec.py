@@ -12,6 +12,7 @@ the key path here.
 from __future__ import annotations
 
 import csv
+import marshal
 import sys
 from itertools import chain, compress, count, islice, repeat
 from math import isfinite, nan
@@ -274,7 +275,49 @@ TASK = Record(
             "instructions": opt(Arr(Arr(REQUIREMENT)))},
     lambda t: {**vars(t), "instructions": t.instructions and [
         i.requirements for i in t.instructions]})
-WORKLOAD = Record(WorkloadSpec, {"workload_id": STR, "tasks": Arr(TASK)})
+
+
+class Tasks(Arr):
+    """A workload's task array, in which tasks with the same body (every key
+    but ``task_id``) share one decoded body.  A body is keyed on its
+    ``marshal`` bytes, which are exact: they tell ``1``, ``1.0`` and
+    ``true`` apart, and ``-0.0`` from ``0.0``.  Format version 2 writes no
+    back-references, so the bytes do not depend on which objects the body
+    shares.  The first task with a body, and every task without a non-empty
+    string ``task_id`` or with a value marshal cannot write, is decoded in
+    full, so errors and their paths are those of `Arr`; a body that fails
+    is never kept."""
+
+    def decode(self, value) -> tuple:
+        if type(value) is not list:
+            raise _expected("array", value)
+        decode, bodies, out = self.item.decode, {}, []
+        for i, item in enumerate(value):
+            key = None
+            if type(item) is dict:
+                body = dict(item)
+                task_id = body.pop("task_id", None)
+                if type(task_id) is str and task_id:
+                    try:  # a quarter of the cost of repr(body)
+                        key = marshal.dumps(body, 2)
+                    except ValueError:  # not a JSON value
+                        pass
+                    first = bodies.get(key)
+                    if first is not None:
+                        out.append(first.with_id(task_id))
+                        continue
+            try:
+                task = decode(item)
+            except DecodeError as exc:
+                exc.path.append(i)
+                raise
+            if key is not None:
+                bodies[key] = task
+            out.append(task)
+        return tuple(out)
+
+
+WORKLOAD = Record(WorkloadSpec, {"workload_id": STR, "tasks": Tasks(TASK)})
 RESOURCE = Record(ResourceSpec, {"resource_id": STR, "capabilities": Arr(CAPABILITY)})
 POOL = Arr(RESOURCE, unique="resource_id")
 VIABLE_SET = Record(ViableSet, {"task_id": STR, "viable": Field(Arr(STR), attr="resource_ids")})
@@ -282,13 +325,12 @@ VIABLE_SET = Record(ViableSet, {"task_id": STR, "viable": Field(Arr(STR), attr="
 # --- clocks (in GHz on disk) and configuration
 
 
-def _ghz(key: str, optional: bool = False) -> Field:
-    return Field(NUM, optional, key.replace("_ghz", "_hz"), GHZ)
+def _ghz(key: str) -> Field:
+    return Field(NUM, attr=key.replace("_ghz", "_hz"), scale=GHZ)
 
 
 _PLAIN_CLOCK = Record(ClockSpec, {
-    "resource_id": STR, "base_ghz": _ghz("base_ghz"), "max_ghz": _ghz("max_ghz"),
-    "avg_ghz": _ghz("avg_ghz", True), "avg_stddev_ghz": _ghz("avg_stddev_ghz", True)})
+    "resource_id": STR, "base_ghz": _ghz("base_ghz"), "max_ghz": _ghz("max_ghz")})
 # a pool described by its CPU inventory gets the node-weighted average clock
 _POOL_CLOCK = Record(
     lambda resource_id, inventory: pool_clock_spec(inventory, resource_id),

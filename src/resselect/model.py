@@ -164,6 +164,18 @@ class TaskSpec:
                 self, "requirements", _merge_requirements(self.requirements)
             )
 
+    def with_id(self, task_id: str) -> TaskSpec:
+        """This task under ``task_id``, sharing its body objects: the body
+        is already checked and merged, so it is not checked or merged again
+        (``dataclasses.replace`` would merge it again)."""
+        if not task_id:
+            raise ValueError("task_id must be non-empty")
+        task = object.__new__(type(self))
+        fields = task.__dict__  # frozen: fill the fields as __init__ would
+        fields.update(vars(self))
+        fields["task_id"] = task_id
+        return task
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:

@@ -61,19 +61,15 @@ class BaselineProfile:
 
 @dataclass(frozen=True)
 class ClockSpec:
-    """Base/maximum (and optionally measured-average) clock of a resource."""
+    """Base and maximum clock of a resource."""
 
     resource_id: str
     base_hz: float
     max_hz: float
-    avg_hz: Optional[float] = None
-    avg_stddev_hz: Optional[float] = None
 
     def __post_init__(self):
         if not 0 < self.base_hz <= self.max_hz:
             raise ValueError("need 0 < base_hz <= max_hz")
-        if self.avg_hz is not None and self.avg_hz <= 0:
-            raise ValueError("avg_hz must be > 0 when present")
 
 
 @dataclass(frozen=True)

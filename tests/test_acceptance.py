@@ -35,6 +35,7 @@ from resselect.codec import RESULT
 
 from conftest import (
     BUNDLED,
+    bundled_json,
     matching_resource,
     random_capability,
     random_requirement,
@@ -214,25 +215,25 @@ def test_criterion_6_queue_wait_oracle_and_boundaries():
 
 
 def _bundled_inputs():
-    pool = [resource_from_json(r) for r in json.load(open(BUNDLED / "pool.json"))]
+    pool = [resource_from_json(r) for r in bundled_json("pool.json")]
     with open(BUNDLED / "profiles.csv") as fh:
         profiles, warnings = load_profiles(fh)
     assert not warnings
-    clocks = load_clocks(json.load(open(BUNDLED / "clocks.json")))
+    clocks = load_clocks(bundled_json("clocks.json"))
     store = QueueWaitStore()
     with open(BUNDLED / "history.csv") as fh:
         store.ingest_csv(fh)
-    config = Config.from_json(json.load(open(BUNDLED / "config.json")))
+    config = Config.from_json(bundled_json("config.json"))
     behaviors = {
         b["resource_id"]: ResourceBehavior.from_json(b)
-        for b in json.load(open(BUNDLED / "behaviors.json"))
+        for b in bundled_json("behaviors.json")
     }
     now = 1_787_270_400.0  # 2026-08-20T00:00:00Z
     return pool, profiles, clocks, store, config, behaviors, now
 
 
 def _workload_of(n):
-    base = json.load(open(BUNDLED / "workload_64.json"))
+    base = bundled_json("workload_64.json")
     template = base["tasks"][0]["requirements"]
     return workload_from_json(
         {

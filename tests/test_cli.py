@@ -167,7 +167,7 @@ MUTATIONS = [
     ("pool.json", "del", [2, "capabilities", 0], "rate"),
     ("clocks.json", "add", [0], "turbo_ghz"),
     ("clocks.json", math.nan, [1], "base_ghz"),
-    ("clocks.json", -math.inf, [2], "avg_ghz"),
+    ("clocks.json", -math.inf, [2], "base_ghz"),
     ("clocks.json", "del", [3], "max_ghz"),
     ("config.json", "add", [], "frequency_choise"),
     ("config.json", "add", ["resource_queues", "bridges"], "queu"),
@@ -489,6 +489,23 @@ class TestPipeline:
                      "--walltime", "7200", "--cores", "1", "--now", NOW]) == 0
         err = capsys.readouterr().err
         assert "line 3" in err
+
+    def test_carriage_return_in_a_quoted_cell_counts_as_a_line(self, tmp_path, capsys):
+        """The warning names the line that a file stream opened with
+        ``newline=""`` names for the same row (see test_queuewait), and the
+        quoted cell keeps its ``\\r``."""
+        csv_path = tmp_path / "hist.csv"
+        csv_path.write_bytes(
+            b"machine,queue,submit_time_iso8601,wait_s,walltime_req_s,cores_req\n"
+            b'"m\rx",q,2026-08-19T00:00:00Z,100,7200,1\n'
+            b"m,q,2026-08-19T00:00:00Z,-5,7200,1\n"
+        )
+        assert main(["queue-wait", "--history", str(csv_path),
+                     "--machine", "m\rx", "--queue", "q",
+                     "--walltime", "7200", "--cores", "1", "--now", NOW]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {csv_path}: line 4: wait_s must be >= 0\n"
+        assert json.loads(captured.out)["n_samples"] == 1
 
     def test_history_row_with_extra_cells_skipped(self, tmp_path, capsys):
         csv_path = tmp_path / "hist.csv"

@@ -27,7 +27,7 @@ from resselect import (
     viable_set,
 )
 from resselect.match import EmptyViableSetError
-from resselect.codec import PLAN
+from resselect.codec import PLAN, WORKLOAD
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan, task_estimates
 from resselect.predict import UnknownTaskError, profiles_by_task
@@ -402,6 +402,21 @@ class TestKindDedupe:
             rescan_model_plan(workload, pool, p1_only, clocks, store, config)
         assert str(memo.value) == str(rescan.value)
         assert "'t-001'" in str(memo.value)
+
+
+def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatch):
+    """Decoded tasks of one body share its requirements tuple, so the
+    planners' lookup by requirement set finds it by identity."""
+    body = {"requirements": [{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": 1e13}]}
+    workload = WORKLOAD.decode(
+        {"workload_id": "w", "tasks": [{"task_id": f"t-{i:04d}", **body} for i in range(64)]})
+    assert workload == make_workload(64)
+    pool = make_pool({"rA": 2.0e9, "rB": 2.5e9})
+    compared = [counted(monkeypatch, cls, "__eq__") for cls in (Requirement, ConsumableSpec)]
+    plan_model(workload, pool, make_profiles(), CLOCKS,
+               make_store({"rA": [400.0], "rB": [1000.0]}), base_config(), now=NOW)
+    plan_random(workload, pool, seed=3)
+    assert compared == [[], []]
 
 
 class TestSharedAssignments:
