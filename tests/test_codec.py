@@ -86,11 +86,12 @@ BAD_BODIES = [
     {"requirements": [_req()], "priority": 1},  # unknown key
 ]
 MISSING = object()
+BAD_IDS = ["", 1, None, True, MISSING, "t0"]  # "t0" repeats the first task's id
 
 
 class Text(str):
     """Not a JSON string: decoding rejects it, and marshal cannot write it."""
-BAD_IDS = ["", 1, None, True, MISSING, "t0"]  # "t0" repeats the first task's id
+
 
 # the task array as `Arr` decodes it: every task on its own
 PER_TASK = Record(WorkloadSpec, {"workload_id": STR, "tasks": Arr(TASK)})
