@@ -8,7 +8,6 @@ stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -87,21 +86,17 @@ def _check_resource_ids(config: Config, config_path: Optional[str], ids, source:
 
 def _load_csv(path: str, load):
     """``load`` the CSV at ``path``; its skipped rows are warnings on stderr,
-    and an error in the file as a whole names it.  Lines end where a file
-    stream opened with ``newline=""`` ends them, so warnings name the lines
-    that reading the file directly names: a lone ``\\r`` in a quoted cell
-    ends a line.  One outside a quoted cell, which such a stream would read
-    as the end of a row, is rejected as text that is not CSV."""
-    text = _read_text(path)
+    and an error in the file as a whole names it.  ``load`` reads the file
+    stream as `QueueWaitStore.ingest_csv` reads one opened with
+    ``newline=""``: a lone ``\\r`` ends a line, as ``\\n`` and ``\\r\\n`` do,
+    and a UTF-8 byte-order mark is dropped."""
     try:
-        if text.count("\r") != text.count("\r\n"):  # rare: check where each lone \r stands
-            reader = csv.reader(io.StringIO(text))  # lines end at \n only
-            try:
-                for _ in reader:
-                    pass
-            except csv.Error as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from exc
-        result, warnings = load(io.StringIO(text, newline=""))
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            result, warnings = load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", exit_code=2) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     for w in warnings:

@@ -170,11 +170,18 @@ class TaskSpec:
         (``dataclasses.replace`` would merge it again)."""
         if not task_id:
             raise ValueError("task_id must be non-empty")
-        task = object.__new__(type(self))
-        fields = task.__dict__  # frozen: fill the fields as __init__ would
-        fields.update(vars(self))
-        fields["task_id"] = task_id
-        return task
+        return _built(type(self), task_id, self.instructions, self.requirements)
+
+
+def _built(cls, task_id: str, instructions, requirements) -> TaskSpec:
+    """A ``cls`` task of a body that is already checked and merged:
+    ``__post_init__`` does not run."""
+    task = object.__new__(cls)
+    fields = task.__dict__  # frozen: fill the fields as __init__ would
+    fields["task_id"] = task_id
+    fields["instructions"] = instructions
+    fields["requirements"] = requirements
+    return task
 
 
 @dataclass(frozen=True)
@@ -211,17 +218,18 @@ class ResourceSpec:
 def aggregate(task: TaskSpec) -> TaskSpec:
     """Collapse a task's instruction sequence into per-consumable totals.
 
-    Idempotent: an already-aggregated task is returned canonicalized.
-    Ordering of instructions never affects the result.
+    Idempotent: a task given as requirements is returned as is, as its
+    requirements were merged when it was made.  Ordering of instructions
+    never affects the result.
     """
     if task.requirements is not None:
-        return TaskSpec(task.task_id, requirements=task.requirements)
+        return task
     if not task.instructions:
         raise EmptyTaskError("empty task")
     reqs = []
     for ins in task.instructions:
         reqs.extend(ins.requirements)
-    return TaskSpec(task.task_id, requirements=_merge_requirements(reqs))
+    return _built(TaskSpec, task.task_id, None, _merge_requirements(reqs))
 
 
 def cost(task: TaskSpec, resource: ResourceSpec) -> float:

@@ -155,16 +155,23 @@ class _BucketedQueries:
         return self._memo[key]
 
 
-def _viable_ids(
-    task: TaskSpec, pool: Sequence[ResourceSpec], memo: Dict[tuple, Tuple[str, ...]]
-) -> Tuple[str, ...]:
+def _viable_ids(task: TaskSpec, pool: Sequence[ResourceSpec], memo: dict) -> Tuple[str, ...]:
     """The task's viable resource ids.  Matching reads nothing of a task but
-    its aggregated requirements, so ``memo`` matches each distinct set once."""
-    if task.requirements is None and pool:  # an empty pool reports no viable set, not the task
-        task = aggregate(task)
-    ids = memo.get(task.requirements)
-    if ids is None:
-        ids = memo[task.requirements] = viable_set(task, pool).resource_ids
+    its aggregated requirements.  ``memo`` holds the ids under the ``id`` of
+    each body object seen (its ``requirements`` or ``instructions``), next
+    to the body, which keeps the id valid, and under each distinct
+    aggregated requirement set: a shared body is aggregated and looked up
+    once, and equal bodies in different objects are matched once."""
+    body = task.instructions if task.requirements is None else task.requirements
+    seen = memo.get(id(body))
+    if seen is None:
+        if task.requirements is None and pool:  # an empty pool reports no viable set, not the task
+            task = aggregate(task)
+        ids = memo.get(task.requirements)
+        if ids is None:
+            ids = memo[task.requirements] = viable_set(task, pool).resource_ids
+        seen = memo[id(body)] = (body, ids)
+    ids = seen[1]
     if not ids:
         raise EmptyViableSetError(
             f"empty viable set: task {task.task_id!r} cannot run on any pool resource"
@@ -191,7 +198,7 @@ def plan_model(
     affinity = get_affinity(config.affinity)
     by_task = profiles_by_task(profiles)
     queries = _BucketedQueries(queue_store)
-    viable: Dict[tuple, Tuple[str, ...]] = {}
+    viable: dict = {}
     chosen_by_kind: Dict[tuple, Assignment] = {}
     assignments: Dict[str, Assignment] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
@@ -223,7 +230,7 @@ def plan_random(
     Mersenne-Twister PRNG seeded with ``seed``; the plan records the seed.
     Tasks drawn to the same resource share one `Assignment` object."""
     rng = random.Random(seed)
-    viable: Dict[tuple, Tuple[str, ...]] = {}
+    viable: dict = {}
     by_resource = {r.resource_id: Assignment(r.resource_id) for r in pool}
     assignments: Dict[str, Assignment] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):

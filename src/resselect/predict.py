@@ -7,7 +7,6 @@ then divides by a target clock frequency to get an execution-time estimate.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -123,17 +122,15 @@ def sequential_cycles(profile: BaselineProfile) -> float:
     return profile.cycles * profile.instr_rate
 
 
-def predict_sequential_cycles(
-    profiles: Sequence[BaselineProfile], robust: bool = False
-) -> CyclesEstimate:
+def predict_sequential_cycles(profiles: Sequence[BaselineProfile]) -> CyclesEstimate:
     """Aggregate repeat profiles of one (task, workload_param) into a single
-    sequential-cycle prediction: mean +/- sample stddev (median with robust=True).
+    sequential-cycle prediction: mean +/- sample stddev.
     """
     if not profiles:
         raise UnknownTaskError("unknown task: no baseline profiles supplied")
     values = [sequential_cycles(p) for p in profiles]
     mean, stddev = mean_and_stddev(values)
-    return CyclesEstimate(statistics.median(values) if robust else mean, stddev, len(values))
+    return CyclesEstimate(mean, stddev, len(values))
 
 
 def predict_tx(

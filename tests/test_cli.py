@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resselect.cli import main
+from resselect.predict import load_profiles
+from resselect.queuewait import QueueWaitStore
 from resselect.sim import SimulationResult
 
 from conftest import BUNDLED
@@ -446,25 +448,57 @@ class TestPipeline:
         "--profiles": ("profiles.csv", ["predict", "--clocks", str(BUNDLED / "clocks.json")]),
     }
 
-    def _run_edited_csv(self, tmp_path, capsys, flag, edit):
+    def _edited_csv(self, tmp_path, flag, edit):
+        """The command of ``CSV_RUNS[flag]`` on a copy of its file with
+        ``edit`` applied to the lines, and the copy's path."""
         name, argv = self.CSV_RUNS[flag]
         path = tmp_path / name
         lines = (BUNDLED / name).read_text().splitlines(keepends=True)
         path.write_bytes("".join(edit(lines)).encode())  # raw: no newline translation
-        code = main(argv + [flag, str(path)])
+        return argv + [flag, str(path)], path
+
+    def _run_edited_csv(self, tmp_path, capsys, flag, edit):
+        argv, path = self._edited_csv(tmp_path, flag, edit)
+        code = main(argv)
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         return code, captured.err, path
 
     @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
-    def test_carriage_return_in_unquoted_cell_exits_1(self, tmp_path, capsys, flag):
-        def edit(lines):
-            lines[2] = lines[2][:2] + "\r" + lines[2][2:]
-            return lines
+    def test_carriage_return_in_unquoted_cell_ends_the_row(self, tmp_path, capsys, flag):
+        """A lone ``\\r`` ends a line wherever it stands, as ``\\n`` does and
+        as in a file stream opened with ``newline=""``: the CLI reads the
+        row cut in two as reading such a stream does, and skips its head."""
+        runs = {}
+        for name, end in (("cr", "\r"), ("lf", "\n")):
+            def edit(lines):
+                lines[2] = lines[2][:2] + end + lines[2][2:]
+                return lines
 
-        code, err, path = self._run_edited_csv(tmp_path, capsys, flag, edit)
-        assert code == 1
-        assert err.startswith(f"error: {path}: line 3: new-line character seen in unquoted field")
+            (tmp_path / name).mkdir()
+            argv, path = self._edited_csv(tmp_path / name, flag, edit)
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            runs[name] = captured.out, captured.err.replace(str(path), "FILE")
+        load = QueueWaitStore().ingest_csv if flag == "--history" else load_profiles
+        with open(tmp_path / "cr" / path.name, encoding="utf-8", newline="") as fh:
+            _, warnings = load(fh)
+        assert len(warnings) == 1 and warnings[0].startswith("line 3: ")
+        assert runs["cr"] == runs["lf"] == (runs["lf"][0], f"warning: FILE: {warnings[0]}\n")
+
+    @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
+    def test_file_that_stops_being_utf8_partway_exits_1_naming_it(self, tmp_path, capsys, flag):
+        """The file is read as a stream; bytes that are not UTF-8 past the
+        first chunks of text and of rows still fail the whole file."""
+        argv, path = self._edited_csv(tmp_path, flag, lambda lines: lines[:1] + lines[1:] * 200)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        assert path.stat().st_size > 3 * 8192
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text: ")
+        assert "0xff" in captured.err and "warning" not in captured.err
 
     @pytest.mark.parametrize("flag,column", [("--history", "wait_s"), ("--profiles", "tx_s")])
     def test_repeated_column_exits_1(self, tmp_path, capsys, flag, column):

@@ -99,6 +99,25 @@ class TestAggregate:
         assert len(agg.requirements) == 1
         assert agg.requirements[0].amount == 7
 
+    def test_merges_once_and_builds_what_the_constructor_builds(self, monkeypatch):
+        """An instruction stream is merged once; the result equals, prints
+        and encodes as the task constructed from its requirements, which is
+        itself returned as is."""
+        task = TaskSpec("t", instructions=(
+            Instruction((Requirement(CYC_B, 3),)),
+            Instruction((Requirement(CYC_B, 2), Requirement(CYC_A, 1))),
+        ))
+        merge, merges = model._merge_requirements, []
+        monkeypatch.setattr(model, "_merge_requirements",
+                            lambda reqs: merges.append(reqs) or merge(reqs))
+        agg = aggregate(task)
+        assert len(merges) == 1
+        monkeypatch.undo()
+        built = TaskSpec("t", requirements=agg.requirements)
+        assert agg == built and repr(agg) == repr(built)
+        assert canonical_dumps(TASK.encode(agg)) == canonical_dumps(TASK.encode(built))
+        assert aggregate(built) is built
+
     def test_empty_task_errors(self):
         task = TaskSpec.__new__(TaskSpec)
         object.__setattr__(task, "task_id", "t")

@@ -331,6 +331,21 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
     return SelectionPlan(workload.workload_id, "model", assignments, requests)
 
 
+def unshared(workload):
+    """``workload`` with every task's body rebuilt as objects of its own,
+    equal to the original ones."""
+    return WorkloadSpec(workload.workload_id, tuple(
+        TaskSpec(t.task_id, requirements=t.requirements) if t.instructions is None else
+        TaskSpec(t.task_id, instructions=[Instruction(i.requirements) for i in t.instructions])
+        for t in workload.tasks))
+
+
+def body_objects(workload):
+    """The distinct body objects of ``workload``'s instruction-stream tasks."""
+    return {id(t.instructions): t.instructions for t in workload.tasks
+            if t.instructions is not None}
+
+
 def counted(monkeypatch, owner, name):
     """Replace ``owner.name`` with a wrapper that records each call's bound
     arguments in the returned list."""
@@ -393,6 +408,45 @@ class TestKindDedupe:
         plan_random(workload, args[1], seed=3)
         assert len(matched) == 3
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+    def test_each_body_object_is_aggregated_once(self, monkeypatch, shared):
+        """A body object is aggregated once per plan call however many tasks
+        hold it, and equal bodies in objects of their own are still matched
+        once per requirement set."""
+        args = kinds_bag()
+        workload = args[0] if shared else unshared(args[0])
+        bodies = body_objects(workload)
+        assert len(bodies) == (1 if shared else 3)
+        aggregated = counted(monkeypatch, plan_module, "aggregate")
+        matched = counted(monkeypatch, plan_module, "viable_set")
+        plan_model(workload, *args[1:], now=NOW)
+        assert sorted(id(c["task"].instructions) for c in aggregated) == sorted(bodies)
+        assert len(matched) == 3
+
+        aggregated.clear()
+        matched.clear()
+        plan_random(workload, args[1], seed=3)
+        assert sorted(id(c["task"].instructions) for c in aggregated) == sorted(bodies)
+        assert len(matched) == 3
+
+    def test_shared_and_unshared_bodies_plan_the_same(self):
+        args = kinds_bag()
+        workload, pool = args[:2]
+        copy = unshared(workload)
+        assert copy == workload
+        assert not ({id(t.requirements or t.instructions) for t in workload.tasks}
+                    & {id(t.requirements or t.instructions) for t in copy.tasks})
+        expected = canonical_dumps(PLAN.encode(rescan_model_plan(*args)))
+        rng = random.Random(7)
+        drawn = {t.task_id: rng.choice(viable_set(t, pool).resource_ids)
+                 for t in sorted(workload.tasks, key=lambda t: t.task_id)}
+        for bag in (workload, copy):
+            assert canonical_dumps(PLAN.encode(plan_model(bag, *args[1:], now=NOW))) == expected
+            plan = plan_random(bag, pool, seed=7)
+            assert {t: a.resource_id for t, a in plan.assignments.items()} == drawn
+        assert (canonical_dumps(PLAN.encode(plan_random(workload, pool, seed=7)))
+                == canonical_dumps(PLAN.encode(plan_random(copy, pool, seed=7))))
+
     def test_errors_name_the_first_task_of_a_kind(self):
         workload, pool, profiles, clocks, store, config = kinds_bag()
         p1_only = [p for p in profiles if p.task_id == "p1"]
@@ -417,6 +471,27 @@ def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatc
                make_store({"rA": [400.0], "rB": [1000.0]}), base_config(), now=NOW)
     plan_random(workload, pool, seed=3)
     assert compared == [[], []]
+
+
+def test_decoded_instruction_bag_aggregates_each_body_once(monkeypatch):
+    """Decoded tasks of one instruction body share its tuple, so each
+    planner aggregates each distinct body once and looks its requirement
+    set up once, without comparing requirements."""
+    bodies = [{"instructions": [[{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": a}],
+                                [{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": a}]]}
+              for a in (1e12, 2e12, 3e12, 4e12)]
+    workload = WORKLOAD.decode({"workload_id": "w", "tasks": [
+        {"task_id": f"t-{i:04d}", **bodies[i % 4]} for i in range(64)]})
+    assert len(body_objects(workload)) == 4
+    args = (workload, make_pool({"rA": 2.0e9, "rB": 2.5e9}), make_profiles(), CLOCKS,
+            make_store({"rA": [400.0], "rB": [1000.0]}), base_config())
+    aggregated = counted(monkeypatch, plan_module, "aggregate")
+    compared = counted(monkeypatch, Requirement, "__eq__")
+    plan = plan_model(*args, now=NOW)
+    plan_random(workload, args[1], seed=3)
+    assert len(aggregated) == 8
+    assert compared == []
+    assert plan == rescan_model_plan(*args)
 
 
 class TestSharedAssignments:

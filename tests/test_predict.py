@@ -81,11 +81,6 @@ class TestSequentialCycles:
         assert est.stddev == pytest.approx(statistics.stdev(values), rel=1e-12)
         assert est.n_samples == 3
 
-    def test_median_flag(self):
-        profiles = [profile(cycles=v) for v in (1e9, 1.1e9, 5e9)]
-        est = predict_sequential_cycles(profiles, robust=True)
-        assert est.mean == 1.1e9 * 2.0
-
     def test_no_profiles_is_unknown_task(self):
         with pytest.raises(UnknownTaskError, match="unknown task"):
             predict_sequential_cycles([])
