@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import marshal
 import sys
-from itertools import chain, compress, count, islice, repeat
+from functools import reduce
+from itertools import compress, count, islice, repeat
 from math import isfinite, nan
-from operator import attrgetter, itemgetter, mul, not_
+from operator import attrgetter, iadd, itemgetter, mul, not_
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .config import Config
@@ -441,10 +442,13 @@ class Csv:
         on; a short row reads its missing cells as empty.  A chunk is built
         whole however many of its rows are bad, and its bad rows are then
         dropped from its columns.  Text that is not CSV raises `ValueError`
-        naming its line."""
+        naming its line, and so does a NUL character, which the csv module
+        of Python 3.10 rejects and later ones read as part of a cell."""
         reader = csv.reader(stream)
         try:
             header = next(reader, [])
+            if "\0" in "".join(header):
+                raise _nul_error([header], [reader.line_num], 0)
             missing = [c for c in self.columns if c not in header]
             if missing:
                 raise ValueError(f"{self.name} CSV missing columns: {', '.join(missing)}")
@@ -460,6 +464,13 @@ class Csv:
                 reader, map(ends.append, map(attrgetter("line_num"), repeat(reader)))))
             line = reader.line_num  # the line before the chunk
             for chunk in iter(lambda: list(islice(noted, _CHUNK)), []):
+                # the chunk's cells, by one C-level extend per row; ``zip(*chunk)``
+                # would hold an iterator per row, each one counting toward gen
+                # 0.  A NUL is sought in their joined text, a string, which the
+                # collector does not track.
+                cells = reduce(iadd, chunk, [])
+                if "\0" in "".join(cells):
+                    raise _nul_error(chunk, ends, line)
                 bad: Dict[int, Optional[str]] = {}  # row -> its warning; None for none
                 if set(map(len, chunk)) != {width}:  # fit every row to the header
                     for i, row in enumerate(chunk):
@@ -470,9 +481,8 @@ class Csv:
                         elif len(row) > width:
                             bad[i] = f"{len(row) - width} more cells than the header"
                             del row[width:]
-                # the declared columns; ``zip(*chunk)`` would hold an
-                # iterator per row, each one counting toward gen 0
-                cells = list(chain.from_iterable(chunk))
+                    cells = reduce(iadd, chunk, [])
+                # the declared columns
                 columns = build(bad, *(cells[i::width] for i in indices))
                 if bad:
                     keep = [True] * len(chunk)
@@ -490,6 +500,22 @@ class Csv:
 
     def schema(self) -> str:
         return "CSV: " + ",".join(self.columns)
+
+
+def _nul_error(rows: List[List[str]], ends: List[int], line: int) -> ValueError:
+    """The error of the first NUL in ``rows``, which end on the lines
+    ``ends`` after ``line``, naming the line it stands on as the csv module
+    of Python 3.10 does.  A row's line breaks are in its quoted cells: a
+    ``\\n``, a ``\\r\\n`` or a lone ``\\r``, as a stream opened with
+    ``newline=""`` reads them."""
+    for row, end in zip(rows, ends):
+        text = ",".join(row)
+        if "\0" in text:
+            break
+        line = end
+    head = text[:text.index("\0")]
+    breaks = head.count("\n") + head.count("\r") - head.count("\r\n")
+    return ValueError(f"line {min(line + 1 + breaks, end)}: line contains NUL")
 
 
 def _profiles(bad, task_id, param, instructions, cycles, rate, ghz, tx_s) -> tuple:

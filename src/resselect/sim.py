@@ -9,9 +9,14 @@ the first start plus any zero-running-task gaps).
 
 Each sample is keyed by (seed, trial, resource, task) and counter-based:
 the top 52 bits of a blake2b digest of the key are the draw, mapped by
-``DistSpec.at`` through the normal's inverse CDF or to an empirical index.
-Results therefore do not depend on iteration order, and two plans that put
-a task on the same resource see the same draws for it.
+``DistSpec.at_each`` through the normal's inverse CDF or to an empirical
+index.  Results therefore do not depend on iteration order, and two plans
+that put a task on the same resource see the same draws for it.
+
+A pilot's draws are taken a list at a time, in two loops with no call of a
+Python function per key: the hash loop copies the hash of the pilot's
+``seed|trial|resource|`` head, updates it with each task's tail and keeps the
+digest's top bits, and the sample loop maps those integers to samples.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import heapq
 import math
 import statistics
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .model import mean_and_stddev
@@ -36,9 +42,10 @@ _DIST_FIELDS = {
 }
 
 
-# a draw is the top _BITS bits of its key's digest, read as a uniform in
-# units of _ULP
+# a draw is the top _BITS bits of its key's 8-byte digest, read as a uniform
+# in units of _ULP
 _BITS = 52
+_SHIFT = 64 - _BITS
 _ULP = 2.0 ** -_BITS
 _Z = statistics.NormalDist()
 
@@ -77,15 +84,24 @@ class DistSpec:
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{self.kind} distribution needs a finite {f}")
 
-    def at(self, k: int) -> float:
-        """The sample at the 52-bit integer ``k``: the normal's inverse CDF at
-        the uniform ``(k + 0.5) / 2**52``, strictly inside (0, 1), truncated
-        at 0; or the empirical sample at the exact index ``k * n >> 52``."""
+    def at_each(self, ks: List[int]) -> List[float]:
+        """The sample at each 52-bit integer ``k`` of ``ks``: the normal's
+        inverse CDF at the uniform ``(k + 0.5) / 2**52``, strictly inside
+        (0, 1), truncated at 0; or the empirical sample at the exact index
+        ``k * n >> 52``.  ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for
+        bit, -0.0 included, without a call per sample."""
         if self.kind == "constant":
-            return self.value
+            return [self.value] * len(ks)
         if self.kind == "normal":
-            return max(0.0, self.mean + self.stddev * _Z.inv_cdf((k + 0.5) * _ULP))
-        return self.samples[(k * len(self.samples)) >> _BITS]
+            mean, stddev, inv_cdf = self.mean, self.stddev, _Z.inv_cdf
+            xs = [mean + stddev * inv_cdf((k + 0.5) * _ULP) for k in ks]
+            return [x if x > 0.0 else 0.0 for x in xs]
+        samples, n = self.samples, len(self.samples)
+        return [samples[k * n >> _BITS] for k in ks]
+
+    def at(self, k: int) -> float:
+        """The sample at the 52-bit integer ``k``, by ``at_each``."""
+        return self.at_each([k])[0]
 
 
 @dataclass(frozen=True)
@@ -149,11 +165,6 @@ class SimulationResult:
             writer.writerow([i, *map(repr, row)])
 
 
-def _top_bits(h) -> int:
-    """The top ``_BITS`` bits of a hash's 8-byte digest."""
-    return int.from_bytes(h.digest(), "big") >> (64 - _BITS)
-
-
 def _draw(dist: DistSpec, seed: int, *key) -> float:
     """The sample of ``dist`` keyed by (seed, trial, resource, task), with
     the token hashed in one piece: what ``simulate`` draws, hashing the
@@ -161,21 +172,23 @@ def _draw(dist: DistSpec, seed: int, *key) -> float:
     if dist.kind == "constant":
         return dist.value
     token = "|".join(str(p) for p in (seed, *key))
-    return dist.at(_top_bits(hashlib.blake2b(token.encode(), digest_size=8)))
+    digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
+    return dist.at(int.from_bytes(digest, "big") >> _SHIFT)
 
 
 def _draws(dist: DistSpec, prefix, suffixes: List[bytes]) -> List[float]:
     """``_draw``'s samples of ``dist`` for the keys ``prefix`` (a hash of the
-    token's head) then each of ``suffixes``: the head is hashed once."""
+    token's head) then each of ``suffixes``: the head is hashed once, and
+    each tail's bits are kept before any is mapped to a sample."""
     if dist.kind == "constant":
         return [dist.value] * len(suffixes)
-    at, copy = dist.at, prefix.copy
-    samples = []
+    copy, from_bytes = prefix.copy, int.from_bytes
+    ks = []
     for suffix in suffixes:
         h = copy()
         h.update(suffix)
-        samples.append(at(_top_bits(h)))
-    return samples
+        ks.append(from_bytes(h.digest(), "big") >> _SHIFT)
+    return dist.at_each(ks)
 
 
 def _union_length(intervals: List[Tuple[float, float]]) -> float:
@@ -229,7 +242,7 @@ def simulate(
             durations = _draws(beh.tx_dist, prefix, tx_keys[rid])
             if beh.pilot_mode == "per_task":
                 starts = _draws(beh.tq_dist, prefix, tq_keys[rid])
-                intervals.extend((s, s + d) for s, d in zip(starts, durations))
+                intervals.extend(zip(starts, map(add, starts, durations)))
                 continue
             # Each task starts at activation or when an earlier task frees its
             # core, so with durations >= 0 the pilot is busy from activation to
@@ -244,7 +257,7 @@ def simulate(
             for dur in durations[capacity:]:  # the next task takes the core freed first
                 heapq.heapreplace(busy_ends, busy_ends[0] + dur)
             intervals.append((activation, max(busy_ends)))
-        ttc = max(end for _, end in intervals)
+        ttc = max(map(itemgetter(1), intervals))
         if not math.isfinite(ttc):
             raise ValueError(f"trial {trial}: waits plus durations overflow to a TTC of {ttc!r}")
         tx = _union_length(intervals)

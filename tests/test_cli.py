@@ -500,6 +500,18 @@ class TestPipeline:
         assert captured.err.startswith(f"error: {path}: not UTF-8 text: ")
         assert "0xff" in captured.err and "warning" not in captured.err
 
+    @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
+    def test_nul_character_exits_1_naming_its_line(self, tmp_path, capsys, flag):
+        """The csv module of Python 3.10 rejects a NUL and later ones read
+        it as a character; the CLI exits 1 naming the line on every one."""
+        def edit(lines):
+            lines[2] = lines[2][:1] + "\0" + lines[2][1:]
+            return lines
+
+        code, err, path = self._run_edited_csv(tmp_path, capsys, flag, edit)
+        assert code == 1
+        assert err == f"error: {path}: line 3: line contains NUL\n"
+
     @pytest.mark.parametrize("flag,column", [("--history", "wait_s"), ("--profiles", "tx_s")])
     def test_repeated_column_exits_1(self, tmp_path, capsys, flag, column):
         def edit(lines):

@@ -262,6 +262,17 @@ class TestIngest:
         with pytest.raises(ValueError, match="^line 3: new-line character seen in unquoted field"):
             load_profiles(io.StringIO(csv_text))
 
+    @pytest.mark.parametrize("before,after,line", [
+        ("md,1000,8.2e9", "m\0d,1000,8.2e9", 3),
+        ("task_id", "task\0_id", 1),
+        ("8.2e9,4.1e9,2.0,2.5,1.64", "8.2e9,4.1e9,2.0,2.5,1.64,\0", 3),  # past the header's cells
+    ], ids=["cell", "header", "long-row"])
+    def test_nul_rejected_with_line(self, before, after, line):
+        """Rejected with the message and line of Python 3.10's csv module,
+        whose later versions read a NUL as a character."""
+        with pytest.raises(ValueError, match=f"^line {line}: line contains NUL$"):
+            load_profiles(io.StringIO(self.CSV.replace(before, after, 1)))
+
     def test_empty_task_id_rejected(self):
         with pytest.raises(ValueError, match="^task_id must be non-empty$"):
             profile(task_id="")

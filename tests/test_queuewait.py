@@ -378,6 +378,31 @@ class TestIngestCsv:
             store.ingest_csv(io.StringIO(csv_text))
         assert store._groups == held and len(store) == 1
 
+    @pytest.mark.parametrize("text,line", [
+        ("m\0,q,2023-11-10T00:00:00Z,100,7200,1\n", 3),
+        ("m,q,2023-11-10T00:00:00Z,100,7200,1,\0\n", 3),  # in a cell past the header's
+        ("m,\0\n", 3),  # in a short row
+        ('"m\nx\r\ny",q,2023-11-10T00:00:00Z,1\0,7200,1\n', 5),  # after a cell's line breaks
+        ('"m\0x\ny",q,2023-11-10T00:00:00Z,1,7200,1\n', 3),
+        ('"m\r\nx\0\ny",q,2023-11-10T00:00:00Z,1,7200,1\n', 4),
+    ], ids=["cell", "long-row", "short-row", "multi-line-cell", "multi-line-cell-head",
+            "multi-line-cell-middle"])
+    @pytest.mark.parametrize("newline", ["", None])
+    def test_nul_fatal_naming_its_line_and_store_unchanged(self, text, line, newline):
+        """The csv module of Python 3.10 rejects a NUL with this message and
+        line, and later ones read it as a character: every one rejects it."""
+        store = store_of(rec(100))
+        held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
+        csv_text = self.HEADER + "n,q,2023-11-10T00:00:00Z,100,7200,1\n" + text
+        with pytest.raises(ValueError, match=f"^line {line}: line contains NUL$"):
+            store.ingest_csv(io.StringIO(csv_text, newline=newline))
+        assert store._groups == held and len(store) == 1
+
+    def test_nul_in_header_fatal(self):
+        csv_text = self.HEADER.replace("queue", "qu\0eue") + "m,q,2023-11-10T00:00:00Z,100,7200,1\n"
+        with pytest.raises(ValueError, match="^line 1: line contains NUL$"):
+            QueueWaitStore().ingest_csv(io.StringIO(csv_text))
+
 
 class TestIngestEquivalence:
     """The streaming ingest against `csv.DictReader` + `QueueWaitRecord`."""
@@ -468,6 +493,17 @@ class TestIngestEquivalence:
         text = self.text(rows) + "m\rx,q1,2023-11-10T00:00:00Z,100,7200,1\n"
         with mock.patch.object(codec, "_CHUNK", chunk):
             with pytest.raises(ValueError, match=f"^line {2 * chunk + 3}: new-line character"):
+                store.ingest_csv(io.StringIO(text))
+        assert store._groups == held and len(store) == 1
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_nul_in_a_later_chunk_leaves_the_store_unchanged(self, chunk):
+        store = store_of(rec(100, machine="m1", queue="q1"))
+        held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
+        rows = [[f"m{i % 3}", "q1", *self.GOOD[2:]] for i in range(2 * chunk + 1)]
+        text = self.text(rows) + "m1,q1,2023-11-10T00:00:00Z,100,7200,\0\n" + self.text(rows)
+        with mock.patch.object(codec, "_CHUNK", chunk):
+            with pytest.raises(ValueError, match=f"^line {2 * chunk + 3}: line contains NUL$"):
                 store.ingest_csv(io.StringIO(text))
         assert store._groups == held and len(store) == 1
 

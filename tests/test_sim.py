@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from resselect import DistSpec, ResourceBehavior, SimulationResult, compare, sim
 from resselect.codec import DIST, RESULT
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan
-from resselect.sim import _draw
+from resselect.sim import _draw, _draws
 
 from oracles import timeline_oracle
 
@@ -95,8 +97,8 @@ class TestDistSpec:
 
 class TestKeyedDraws:
     """A draw is the top 52 bits ``k`` of its key's blake2b digest, mapped by
-    ``DistSpec.at``: the normal's inverse CDF at (k + 0.5) / 2**52, truncated
-    at 0, or the empirical sample at index k * n >> 52."""
+    ``DistSpec.at_each``: the normal's inverse CDF at (k + 0.5) / 2**52,
+    truncated at 0, or the empirical sample at index k * n >> 52."""
 
     N = 40_000
 
@@ -117,22 +119,22 @@ class TestKeyedDraws:
 
     def test_zero_stddev_gives_the_mean_exactly(self):
         d = DistSpec("normal", mean=123.456, stddev=0.0)
-        assert {d.at(k) for k in (0, 1, 2**51, 2**52 - 1)} == {123.456}
+        assert d.at_each([0, 1, 2**51, 2**52 - 1]) == [123.456] * 4
         assert _draw(d, 1, 0, "r", "t", "tx") == 123.456
 
     def test_extreme_bits_give_finite_values(self):
         d = DistSpec("normal", mean=100.0, stddev=1.0)
-        lo, hi = d.at(0), d.at(2**52 - 1)
+        lo, hi = d.at_each([0, 2**52 - 1])
         assert math.isfinite(lo) and math.isfinite(hi)
         assert lo == pytest.approx(100.0 - 8.21, abs=0.01)
         assert hi == pytest.approx(100.0 + 8.21, abs=0.01)
+        assert (d.at(0), d.at(2**52 - 1)) == (lo, hi)
 
     def test_empirical_index_is_exact_and_uniform(self):
         samples = tuple(float(i) for i in range(7))
         d = DistSpec("empirical", samples=samples)
-        assert (d.at(0), d.at(2**52 - 1)) == (0.0, 6.0)
         edge = -(-2**52 // 7)  # the first k of index 1
-        assert (d.at(edge - 1), d.at(edge)) == (0.0, 1.0)
+        assert d.at_each([0, edge - 1, edge, 2**52 - 1]) == [0.0, 0.0, 1.0, 6.0]
         counts = [0] * len(samples)
         for x in self.draws(d):
             counts[int(x)] += 1
@@ -140,10 +142,67 @@ class TestKeyedDraws:
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert min(counts) > 0 and chi2 < 22.46  # chi-square, 6 dof, p = 0.001
 
+    def test_every_empirical_bucket_edge(self):
+        """Index i starts at the least k with k * n >= i * 2**52."""
+        for n in (1, 2, 3, 16, 20):
+            d = DistSpec("empirical", samples=tuple(float(i) for i in range(n)))
+            edges = [-(-i * 2**52 // n) for i in range(1, n)]
+            ks = [0, *(k for e in edges for k in (e - 1, e)), 2**52 - 1]
+            expected = [0.0, *(x for i in range(1, n) for x in (i - 1.0, float(i))), n - 1.0]
+            assert d.at_each(ks) == expected
+
     def test_at_maps_52_random_bits_through_the_inverse_cdf(self):
-        d = DistSpec("normal", mean=10.0, stddev=3.0)
-        k = random.Random(5).getrandbits(52)
-        assert d.at(k) == max(0.0, 10.0 + 3.0 * statistics.NormalDist().inv_cdf((k + 0.5) / 2**52))
+        """Bit for bit, by ``float.hex``: a truncated draw is +0.0 and an
+        overflowing one inf."""
+        rng = random.Random(5)
+        ks = [rng.getrandbits(52) for _ in range(64)] + [0, 2**51, 2**52 - 1]
+        z = statistics.NormalDist().inv_cdf
+        for mean, stddev in [(10.0, 3.0), (-5.0, 10.0), (-0.0, 0.0), (-0.0, 1.0), (1e308, 1e308)]:
+            d = DistSpec("normal", mean=mean, stddev=stddev)
+            expected = [max(0.0, mean + stddev * z((k + 0.5) / 2**52)) for k in ks]
+            assert list(map(float.hex, d.at_each(ks))) == list(map(float.hex, expected))
+            assert list(map(float.hex, map(d.at, ks))) == list(map(float.hex, expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dist=st.one_of(
+        st.builds(const, st.floats(0.0, 1e6)),
+        st.builds(lambda mean, stddev: DistSpec("normal", mean=mean, stddev=stddev),
+                  st.one_of(st.just(-0.0), st.floats(-1e4, 0.0), st.floats(allow_nan=False,
+                                                                           allow_infinity=False)),
+                  st.one_of(st.just(0.0), st.floats(0.0, 1e4),
+                            st.floats(0.0, allow_nan=False, allow_infinity=False))),
+        st.builds(lambda xs: DistSpec("empirical", samples=xs),
+                  st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20))),
+        seed=st.integers(0, 2**32), trial=st.integers(0, 200),
+        n=st.one_of(st.just(0), st.just(1), st.integers(2, 64)))
+    def test_draws_match_the_draw_of_each_key(self, dist, seed, trial, n):
+        """``simulate``'s draws, a pilot's keys at a time with its head hashed
+        once, are ``_draw``'s of each key bit for bit: -0.0, a truncated 0.0
+        and an overflow to inf included."""
+        prefix = hashlib.blake2b(f"{seed}|{trial}|r|".encode(), digest_size=8)
+        tasks = [f"t{i}" for i in range(n)]
+        got = _draws(dist, prefix, [f"{t}|tx".encode() for t in tasks])
+        expected = [_draw(dist, seed, trial, "r", t, "tx") for t in tasks]
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("dist", [DistSpec("normal", mean=5.0, stddev=2.0),
+                                      DistSpec("empirical", samples=(1.0, 2.0, 3.0))],
+                             ids=["normal", "empirical"])
+    def test_draws_call_no_python_function_per_key(self, dist):
+        """Only the normal's inverse CDF, in `statistics`, is called per key."""
+        def calls(n):
+            seen = []
+            prefix = hashlib.blake2b(b"1|0|r|", digest_size=8)
+            suffixes = [f"t{i}|tx".encode() for i in range(n)]
+            sys.setprofile(lambda frame, event, arg: event == "call" and seen.append(
+                frame.f_code.co_filename))
+            try:
+                _draws(dist, prefix, suffixes)
+            finally:
+                sys.setprofile(None)
+            return [f for f in seen if f != statistics.__file__]
+
+        assert calls(1) == calls(100)
 
 
 class TestStreamProperties:
