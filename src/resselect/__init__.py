@@ -10,7 +10,9 @@ random selection.
 from .config import Config
 from .match import (
     EmptyViableSetError,
+    NotSatisfiableError,
     ViableSet,
+    cost,
     register_affinity,
     res_select,
     satisfy_req,
@@ -22,13 +24,11 @@ from .model import (
     ConsumableSpec,
     EmptyTaskError,
     Instruction,
-    NotSatisfiableError,
     Requirement,
     ResourceSpec,
     TaskSpec,
     WorkloadSpec,
     aggregate,
-    cost,
 )
 from .plan import SelectionPlan, TtcEstimate, plan_model, plan_random
 from .predict import (

@@ -28,12 +28,14 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _read_text(path: str) -> str:
-    """The text of ``path``; a UTF-8 byte-order mark, as spreadsheets write
-    one, is dropped."""
+def _read(path: str, read):
+    """``read`` the file at ``path`` as a text stream.  The stream drops a
+    UTF-8 byte-order mark, as spreadsheets write one, and is opened with
+    ``newline=""``, as `QueueWaitStore.ingest_csv` reads one: a lone ``\\r``
+    ends a line, as ``\\n`` and ``\\r\\n`` do."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            return fh.read()
+            return read(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", exit_code=2) from exc
     except UnicodeDecodeError as exc:
@@ -42,7 +44,7 @@ def _read_text(path: str) -> str:
 
 def _read_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        return _read(path, json.load)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
@@ -85,18 +87,10 @@ def _check_resource_ids(config: Config, config_path: Optional[str], ids, source:
 
 
 def _load_csv(path: str, load):
-    """``load`` the CSV at ``path``; its skipped rows are warnings on stderr,
-    and an error in the file as a whole names it.  ``load`` reads the file
-    stream as `QueueWaitStore.ingest_csv` reads one opened with
-    ``newline=""``: a lone ``\\r`` ends a line, as ``\\n`` and ``\\r\\n`` do,
-    and a UTF-8 byte-order mark is dropped."""
+    """``load`` the CSV at ``path`` (see `_read`); its skipped rows are
+    warnings on stderr, and an error in the file as a whole names it."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            result, warnings = load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", exit_code=2) from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
+        result, warnings = _read(path, load)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     for w in warnings:
@@ -217,12 +211,11 @@ def _cmd_report(args) -> None:
     rep = compare(model_result, random_result)
     lines = [",".join(codec.REPORT.columns)]
     for metric, entry in sorted(rep["metrics"].items()):
-        lines.append(
-            f"model,{metric},{entry['model_mean']!r},{entry['model_sample_stddev']!r}"
-        )
-        lines.append(
-            f"random,{metric},{entry['random_mean']!r},{entry['random_sample_stddev']!r}"
-        )
+        for group in ("model", "random"):
+            # a missing stddev (one trial) is an empty cell
+            stddev = entry[f"{group}_sample_stddev"]
+            lines.append(f"{group},{metric},{entry[f'{group}_mean']!r},"
+                         f"{'' if stddev is None else repr(stddev)}")
     lines.append(f"comparison,ttc_reduction_pct,{rep['ttc_reduction_pct']!r},")
     _emit("\n".join(lines) + "\n", args.out)
 

@@ -18,6 +18,7 @@ from functools import reduce
 from itertools import compress, count, islice, repeat
 from math import isfinite, nan
 from operator import attrgetter, iadd, itemgetter, mul, not_
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .config import Config
@@ -284,16 +285,16 @@ class Tasks(Arr):
     ``marshal`` bytes, which are exact: they tell ``1``, ``1.0`` and
     ``true`` apart, and ``-0.0`` from ``0.0``.  Format version 2 writes no
     back-references, so the bytes do not depend on which objects the body
-    shares.  The first task with a body, and every task without a non-empty
-    string ``task_id`` or with a value marshal cannot write, is decoded in
-    full, so errors and their paths are those of `Arr`; a body that fails
-    is never kept."""
+    shares.  Each call passes `Arr.decode` an item decoder with a fresh
+    memo of bodies.  The first task with a body, and every task without a
+    non-empty string ``task_id`` or with a value marshal cannot write, is
+    decoded in full, so errors and their paths are those of `Arr`; a body
+    that fails is never kept."""
 
     def decode(self, value) -> tuple:
-        if type(value) is not list:
-            raise _expected("array", value)
-        decode, bodies, out = self.item.decode, {}, []
-        for i, item in enumerate(value):
+        decode, bodies = self.item.decode, {}
+
+        def task(item):
             key = None
             if type(item) is dict:
                 body = dict(item)
@@ -305,17 +306,13 @@ class Tasks(Arr):
                         pass
                     first = bodies.get(key)
                     if first is not None:
-                        out.append(first.with_id(task_id))
-                        continue
-            try:
-                task = decode(item)
-            except DecodeError as exc:
-                exc.path.append(i)
-                raise
+                        return first.with_id(task_id)
+            decoded = decode(item)
             if key is not None:
-                bodies[key] = task
-            out.append(task)
-        return tuple(out)
+                bodies[key] = decoded
+            return decoded
+
+        return Arr(SimpleNamespace(decode=task)).decode(value)
 
 
 WORKLOAD = Record(WorkloadSpec, {"workload_id": STR, "tasks": Tasks(TASK)})

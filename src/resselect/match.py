@@ -1,4 +1,5 @@
-"""Matchmaking: requirement/capability satisfaction, viable sets, selection.
+"""Matchmaking: requirement/capability satisfaction, execution cost, viable
+sets, selection.
 
 ClassAd-style exact matching adapted to consumables.  Value comparison in
 form conditions is exact (no numeric tolerance).
@@ -8,13 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .model import Capability, Requirement, ResourceSpec, TaskSpec, aggregate
 
 
 class EmptyViableSetError(ValueError):
     """Raised when selecting from an empty viable set."""
+
+
+class NotSatisfiableError(ValueError):
+    """Raised when costing a task on a resource that cannot run it."""
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,32 @@ def _satisfies(requirements: Sequence[Requirement], resource: ResourceSpec) -> b
 
 def satisfy_task(task: TaskSpec, resource: ResourceSpec) -> bool:
     """True iff every requirement of the task is matched by some capability."""
-    if task.requirements is None:
-        task = aggregate(task)
-    return _satisfies(task.requirements, resource)
+    return _satisfies(aggregate(task).requirements, resource)
+
+
+def cost(task: TaskSpec, resource: ResourceSpec) -> float:
+    """Total cost of running ``task`` on ``resource``: sum of amount/rate
+    over matched (requirement, capability) pairs.
+
+    Matching uses the full per-requirement satisfaction predicate, so a
+    capability with a superset form can supply a requirement.  When several
+    capabilities match one requirement, the one with the highest rate is
+    charged (never more than one, to avoid double-charging).
+    """
+    total = 0.0
+    for req in aggregate(task).requirements:
+        best_rate = None
+        for cap in resource.capabilities:
+            if satisfy_req(req, cap) and (best_rate is None or cap.rate > best_rate):
+                best_rate = cap.rate
+        if best_rate is None:
+            raise NotSatisfiableError(
+                "task not satisfiable by resource: no capability matches "
+                f"requirement for consumable {req.consumable.ctype!r} "
+                f"(form {dict(req.consumable.form)!r})"
+            )
+        total += req.amount / best_rate
+    return total
 
 
 def viable_set(task: TaskSpec, pool: Sequence[ResourceSpec]) -> ViableSet:
@@ -116,7 +144,3 @@ def get_affinity(name: str) -> Callable:
         return _AFFINITIES[name]
     except KeyError:
         raise ValueError(f"unknown affinity function {name!r}") from None
-
-
-def list_affinities() -> List[str]:
-    return sorted(_AFFINITIES)

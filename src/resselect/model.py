@@ -1,4 +1,4 @@
-"""Consumable algebra: tasks, resources, aggregation, and execution cost.
+"""Consumable algebra: tasks, resources and aggregation.
 
 A consumable is a typed unit of work (e.g. an x86 CPU cycle) with optional
 form conditions restricting where it can be consumed.  Tasks demand fixed
@@ -26,10 +26,6 @@ Scalar = Union[int, float, str]
 
 class EmptyTaskError(ValueError):
     """Raised when aggregating a task with no instructions."""
-
-
-class NotSatisfiableError(ValueError):
-    """Raised when costing a task on a resource that cannot run it."""
 
 
 def _check_scalar(value: Scalar) -> None:
@@ -230,35 +226,6 @@ def aggregate(task: TaskSpec) -> TaskSpec:
     for ins in task.instructions:
         reqs.extend(ins.requirements)
     return _built(TaskSpec, task.task_id, None, _merge_requirements(reqs))
-
-
-def cost(task: TaskSpec, resource: ResourceSpec) -> float:
-    """Total cost of running ``task`` on ``resource``: sum of amount/rate
-    over matched (requirement, capability) pairs.
-
-    Matching uses the full per-requirement satisfaction predicate, so a
-    capability with a superset form can supply a requirement.  When several
-    capabilities match one requirement, the one with the highest rate is
-    charged (never more than one, to avoid double-charging).
-    """
-    from .match import satisfy_req
-
-    if task.requirements is None:
-        task = aggregate(task)
-    total = 0.0
-    for req in task.requirements:
-        best_rate = None
-        for cap in resource.capabilities:
-            if satisfy_req(req, cap) and (best_rate is None or cap.rate > best_rate):
-                best_rate = cap.rate
-        if best_rate is None:
-            raise NotSatisfiableError(
-                "task not satisfiable by resource: no capability matches "
-                f"requirement for consumable {req.consumable.ctype!r} "
-                f"(form {dict(req.consumable.form)!r})"
-            )
-        total += req.amount / best_rate
-    return total
 
 
 # --- JSON: the file formats live in resselect.codec; canonical output is

@@ -7,7 +7,7 @@ then divides by a target clock frequency to get an execution-time estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -112,8 +112,8 @@ class DiagnosticReport:
     instr_rate_act: float
     epsilon_pct: float
     cycle_overprediction_pct: float
-    tx_error_base_pct: Optional[float] = None
-    tx_error_max_pct: Optional[float] = None
+    tx_error_base_pct: Optional[float]
+    tx_error_max_pct: Optional[float]
 
 
 def sequential_cycles(profile: BaselineProfile) -> float:
@@ -124,10 +124,17 @@ def sequential_cycles(profile: BaselineProfile) -> float:
 
 def predict_sequential_cycles(profiles: Sequence[BaselineProfile]) -> CyclesEstimate:
     """Aggregate repeat profiles of one (task, workload_param) into a single
-    sequential-cycle prediction: mean +/- sample stddev.
+    sequential-cycle prediction: mean +/- sample stddev.  Profiles of more
+    than one workload_param raise `ProfileConsistencyError`: they measure
+    different work.
     """
     if not profiles:
         raise UnknownTaskError("unknown task: no baseline profiles supplied")
+    params = sorted({p.workload_param for p in profiles})
+    if len(params) > 1:
+        raise ProfileConsistencyError(
+            f"profiles for {profiles[0].task_id!r} mix workload_param values "
+            f"{', '.join(map(str, params))}: one task id takes one workload_param")
     values = [sequential_cycles(p) for p in profiles]
     mean, stddev = mean_and_stddev(values)
     return CyclesEstimate(mean, stddev, len(values))
@@ -189,27 +196,17 @@ def diagnose(
         raise ValueError("diagnose inputs must be > 0")
     p2a = pred_cycles / target_cycles
     epsilon = abs(p2a - target_instr_rate) / p2a * 100.0
-    report = DiagnosticReport(
+    base_error, max_error = (
+        None if tx_actual_s is None or predicted_s is None else tx_error(predicted_s, tx_actual_s)
+        for predicted_s in (tx_pred_base_s, tx_pred_max_s))
+    return DiagnosticReport(
         p2a_cy=p2a,
         instr_rate_act=target_instr_rate,
         epsilon_pct=epsilon,
         cycle_overprediction_pct=(p2a - 1.0) * 100.0,
+        tx_error_base_pct=base_error,
+        tx_error_max_pct=max_error,
     )
-    if tx_actual_s is not None:
-        report = replace(
-            report,
-            tx_error_base_pct=(
-                tx_error(tx_pred_base_s, tx_actual_s)
-                if tx_pred_base_s is not None
-                else None
-            ),
-            tx_error_max_pct=(
-                tx_error(tx_pred_max_s, tx_actual_s)
-                if tx_pred_max_s is not None
-                else None
-            ),
-        )
-    return report
 
 
 def tx_error(predicted_s: float, actual_s: float) -> float:

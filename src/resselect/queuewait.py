@@ -17,7 +17,8 @@ Python 3.11) and keeps nothing between queries.
 
 The history comes in as chunks of columns (`codec.Csv.read`), each checked
 by `checked_columns` in a few C-level passes; the store splits a chunk by
-(machine, queue) and extends each group's columns with its share.
+(machine, queue), gathers each group's share apart from the held rows, and
+adds what it gathered once the stream is spent.
 """
 
 from __future__ import annotations
@@ -219,46 +220,40 @@ class QueueWaitStore:
         return sum(len(rows.times) for rows in self._groups.values())
 
     def _extend(self, chunks: Iterable[tuple]) -> int:
-        """Append each chunk of (machines, queues, submit times, waits,
+        """Add each chunk of (machines, queues, submit times, waits,
         walltimes, cores) columns to its rows' groups, then re-sort every
         group it touched on submit time.  One pass over a chunk's keys lists
-        each group's rows, and each column's share of them is picked and
-        appended at C level.  The sort is stable and the rows held before go
-        first, so equal times keep their ingest order.  Returns the rows
-        added; if ``chunks`` raises, the store is left as it was."""
-        groups = self._groups
-        before: Dict[Tuple[str, str], int] = {}  # group -> its length before
+        each group's rows, and each column's share of them is picked at C
+        level into columns gathered apart from the store, which they join
+        only once ``chunks`` is spent: if it raises, the store is left as it
+        was.  The sort is stable and the rows held before go first, so equal
+        times keep their ingest order.  Returns the rows added."""
+        gathered: Dict[Tuple[str, str], _Rows] = defaultdict(lambda: _Rows([], [], [], []))
         count = 0
-        try:
-            for machines, queues, *columns in chunks:
-                rows_of: Dict[Tuple[str, str], List[int]] = defaultdict(list)
-                for i, key in enumerate(zip(machines, queues)):
-                    rows_of[key].append(i)
-                for key, rows in rows_of.items():
-                    if key not in before:
-                        before[key] = len(groups.setdefault(key, _Rows([], [], [], [])).times)
-                    # an itemgetter picks a group's rows about twice as fast as
-                    # map(values.__getitem__, rows) (47 vs 88 µs per 512-row
-                    # chunk of 4 groups, 88 vs 158 µs with 48 groups), but of
-                    # one index it returns the item, not a tuple
-                    pick = itemgetter(*rows) if len(rows) > 1 else (
-                        lambda values, i=rows[0]: (values[i],))
-                    for column, values in zip(groups[key], columns):
-                        column.extend(pick(values))
-                count += len(machines)
-        except BaseException:
-            for key, n in before.items():
-                if n:
-                    for column in groups[key]:
-                        del column[n:]
-                else:
-                    del groups[key]
-            raise
-        for key in before:
-            times = groups[key].times
+        for machines, queues, *columns in chunks:
+            rows_of: Dict[Tuple[str, str], List[int]] = defaultdict(list)
+            for i, key in enumerate(zip(machines, queues)):
+                rows_of[key].append(i)
+            for key, rows in rows_of.items():
+                # an itemgetter picks a group's rows about twice as fast as
+                # map(values.__getitem__, rows) (47 vs 88 µs per 512-row
+                # chunk of 4 groups, 88 vs 158 µs with 48 groups), but of
+                # one index it returns the item, not a tuple
+                pick = itemgetter(*rows) if len(rows) > 1 else (
+                    lambda values, i=rows[0]: (values[i],))
+                for column, values in zip(gathered[key], columns):
+                    column.extend(pick(values))
+            count += len(machines)
+        groups = self._groups
+        for key, new in gathered.items():
+            rows = groups.setdefault(key, new)  # a new group adopts its gathered columns
+            if rows is not new:
+                for column, values in zip(rows, new):
+                    column.extend(values)
+            times = rows.times
             if any(map(gt, times, islice(times, 1, None))):
                 order = sorted(range(len(times)), key=times.__getitem__)
-                groups[key] = _Rows(*([column[i] for i in order] for column in groups[key]))
+                groups[key] = _Rows(*([column[i] for i in order] for column in rows))
         return count
 
     def ingest_csv(self, stream) -> Tuple[int, List[str]]:

@@ -347,6 +347,49 @@ class TestPipeline:
         assert report.startswith("group,metric,mean")
         assert "ttc_reduction_pct" in report
 
+    def test_one_trial_report_leaves_each_stddev_cell_empty(self, tmp_path, capsys):
+        """One trial has no sample stddev: its cell is empty, as the
+        comparison row's missing cell is, not the text ``None``."""
+        behaviors = json.loads((BUNDLED / "behaviors.json").read_text())
+        plans = {"model": self.args_select(str(tmp_path / "model_plan.json")),
+                 "random": ["select", "--workload", str(BUNDLED / "workload_64.json"),
+                            "--pool", str(BUNDLED / "pool.json"), "--strategy", "random",
+                            "--seed", "5", "--out", str(tmp_path / "random_plan.json")]}
+        for strategy, argv in plans.items():
+            assert main(argv) == 0
+            scenario = write(tmp_path / f"{strategy}_scenario.json",
+                             {"plan": argv[-1], "behaviors": behaviors, "trials": 1, "seed": 2})
+            assert main(["simulate", "--scenario", scenario,
+                         "--out", str(tmp_path / f"{strategy}.json")]) == 0
+        assert main(["report", "--model", str(tmp_path / "model.json"),
+                     "--random", str(tmp_path / "random.json")]) == 0
+        report = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(report)))
+        assert rows[0] == ["group", "metric", "mean", "sample_stddev"]
+        assert [row[0] for row in rows[1:]] == ["model", "random"] * 3 + ["comparison"]
+        assert all(len(row) == 4 and row[3] == "" for row in rows[1:])
+        assert "None" not in report
+        assert report.splitlines()[1].startswith("model,tq_wkd_s,")
+
+    def test_mixed_workload_params_exit_1_naming_task_and_values(self, tmp_path, capsys):
+        """Profiles of one task id at two workload sizes measure different
+        work; ``predict`` and ``select`` refuse to average them."""
+        rows = list(csv.reader(io.StringIO((BUNDLED / "profiles.csv").read_text())))
+        rows[2][1] = "200000"  # the second md-100k profile
+        profiles = tmp_path / "profiles.csv"
+        with open(profiles, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        select = self.args_select(str(tmp_path / "plan.json"))
+        select[select.index("--profiles") + 1] = str(profiles)
+        predict = ["predict", "--profiles", str(profiles), "--clocks", str(BUNDLED / "clocks.json")]
+        for argv in (predict, select):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: profiles for 'md-100k' mix workload_param values "
+                                    "100000, 200000: one task id takes one workload_param\n")
+        assert not (tmp_path / "plan.json").exists()
+
     def test_byte_identical_output_for_identical_inputs(self, tmp_path):
         out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
         assert main(self.args_select(str(out1))) == 0

@@ -85,6 +85,13 @@ class TestSequentialCycles:
         with pytest.raises(UnknownTaskError, match="unknown task"):
             predict_sequential_cycles([])
 
+    def test_mixed_workload_params_rejected_naming_task_and_values(self):
+        profiles = [profile(task_id="md", param=200000), profile(task_id="md", param=100000),
+                    profile(task_id="md", param=200000)]
+        with pytest.raises(ProfileConsistencyError,
+                           match=r"^profiles for 'md' mix workload_param values 100000, 200000"):
+            predict_sequential_cycles(profiles)
+
 
 class TestPredictTx:
     def test_bridges_base_division(self):

@@ -485,27 +485,48 @@ class TestIngestEquivalence:
             assert store.ingest_csv(io.StringIO(text)) == (len(expected), warnings)
         assert store._groups == history_columns_oracle(expected)
 
+    # rows before, at and after the time of the row held in the tests below
+    # (2023-11-13T22:13:20Z), out of order, in its group and in others
+    LATER_ROWS = [["m1", "q1", "2023-11-14T00:00:00Z", "300", "7200", "1"],
+                  ["m2", "q1", "2023-11-12T00:00:00Z", "50", "600", "4"],
+                  ["m1", "q1", "2023-11-13T00:00:00Z", "200", "7200", "1"],
+                  ["m1", "q1", "2023-11-13T22:13:20Z", "400", "900", "2"],
+                  ["m0", "q1", "2023-11-15T00:00:00Z", "10", "7200", "1"],
+                  ["m1", "q1", "2023-11-12T00:00:00Z", "500", "7200", "1"]]
+
+    def check_later_ingest(self, store, held):
+        """After a failed ingest, a good stream extends the held group and
+        adds new ones as if the failed stream had never been read."""
+        text = self.text(self.LATER_ROWS)
+        expected, warnings = csv_read_oracle(text, history_record_oracle)
+        assert store.ingest_csv(io.StringIO(text)) == (len(expected), warnings)
+        assert store._groups == history_columns_oracle([held, *expected])
+
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_text_that_is_not_csv_in_a_later_chunk_leaves_the_store_unchanged(self, chunk):
-        store = store_of(rec(100, machine="m1", queue="q1"))
+        record = rec(100, machine="m1", queue="q1")
+        store = store_of(record)
         held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
         rows = [[f"m{i % 3}", "q1", *self.GOOD[2:]] for i in range(2 * chunk + 1)]
         text = self.text(rows) + "m\rx,q1,2023-11-10T00:00:00Z,100,7200,1\n"
         with mock.patch.object(codec, "_CHUNK", chunk):
             with pytest.raises(ValueError, match=f"^line {2 * chunk + 3}: new-line character"):
                 store.ingest_csv(io.StringIO(text))
-        assert store._groups == held and len(store) == 1
+            assert store._groups == held and len(store) == 1
+            self.check_later_ingest(store, record)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_nul_in_a_later_chunk_leaves_the_store_unchanged(self, chunk):
-        store = store_of(rec(100, machine="m1", queue="q1"))
+        record = rec(100, machine="m1", queue="q1")
+        store = store_of(record)
         held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
         rows = [[f"m{i % 3}", "q1", *self.GOOD[2:]] for i in range(2 * chunk + 1)]
         text = self.text(rows) + "m1,q1,2023-11-10T00:00:00Z,100,7200,\0\n" + self.text(rows)
         with mock.patch.object(codec, "_CHUNK", chunk):
             with pytest.raises(ValueError, match=f"^line {2 * chunk + 3}: line contains NUL$"):
                 store.ingest_csv(io.StringIO(text))
-        assert store._groups == held and len(store) == 1
+            assert store._groups == held and len(store) == 1
+            self.check_later_ingest(store, record)
 
     def test_file_stream_counts_a_carriage_return_in_a_quoted_cell_as_a_line(self, tmp_path):
         """Read with ``newline=""``, a file's lines also end at a lone
