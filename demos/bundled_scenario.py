@@ -67,8 +67,8 @@ def main():
     chosen = {a.resource_id for a in model_plan.assignments.values()}
     some_task = next(iter(model_plan.assignments.values()))
     print(f"model strategy places all {n_tasks} tasks on: {sorted(chosen)}")
-    print(f"  predicted per-task ttc: {some_task.estimate.ttc_s:.1f}s "
-          f"(tq {some_task.estimate.tq_s:.1f}s + tx {some_task.estimate.tx_s:.1f}s)")
+    print(f"  predicted per-task ttc: {some_task.ttc_s:.1f}s "
+          f"(tq {some_task.tq_s:.1f}s + tx {some_task.tx_s:.1f}s)")
 
     random_plan = plan_random(workload, pool, seed=n_tasks)
     spread = {}

@@ -30,7 +30,7 @@ from .model import (
     WorkloadSpec,
     aggregate,
 )
-from .plan import SelectionPlan, TtcEstimate, plan_model, plan_random
+from .plan import SelectionPlan, plan_model, plan_random
 from .predict import (
     BaselineProfile,
     ClockSpec,
@@ -75,7 +75,6 @@ __all__ = [
     "SimilarityBuckets",
     "SimulationResult",
     "TaskSpec",
-    "TtcEstimate",
     "ViableSet",
     "WorkloadSpec",
     "aggregate",

@@ -27,7 +27,7 @@ from .model import (
     Capability, ConsumableSpec, Instruction, Requirement, ResourceSpec, TaskSpec, WorkloadSpec,
     mean_and_stddev,
 )
-from .plan import Assignment, SelectionPlan, TtcEstimate
+from .plan import Assignment, SelectionPlan
 from .predict import GHZ, BaselineProfile, ClockSpec, PoolInventoryEntry, pool_clock_spec
 from .queuewait import (
     QueueWaitEstimate, SimilarityBuckets, checked_columns, iso_times, one_row, parsed,
@@ -349,33 +349,22 @@ CONFIG = Record(Config, {
     "cores_per_task": opt(INT), "profile_overrides": opt(Map(STR)),
     "default_profile": opt(STR)})
 
-# --- plans: ttc_s is written for readers and ignored on reading
+# --- plans: ttc_s is written for readers; on reading it must be tq_s + tx_s
 
 
-def _assignment(resource_id, tq_s=None, tx_s=None, ttc_s=None):
-    if (tq_s is None) != (tx_s is None):
-        raise ValueError("tq_s and tx_s must be given together")
-    return resource_id, tq_s, tx_s
+def _assignment(ttc_s=None, **attrs) -> Assignment:
+    a = Assignment(**attrs)
+    if ttc_s is not None and ttc_s != a.ttc_s:
+        raise ValueError("ttc_s needs tq_s and tx_s" if a.ttc_s is None
+                         else f"ttc_s {ttc_s!r} is not tq_s + tx_s = {a.ttc_s!r}")
+    return a
 
 
-def _assignment_view(a: Assignment) -> dict:
-    e = a.estimate
-    if e is None:
-        return {"resource_id": a.resource_id}
-    return {"resource_id": a.resource_id, "tq_s": e.tq_s, "tx_s": e.tx_s, "ttc_s": e.ttc_s}
-
-
-def _plan(workload_id, strategy, assignments, resource_requests=None, rng_seed=None):
-    return SelectionPlan(workload_id, strategy, {
-        task_id: Assignment(rid, None if tq is None else TtcEstimate(rid, tq, tx))
-        for task_id, (rid, tq, tx) in assignments.items()}, resource_requests or {}, rng_seed)
-
-
-PLAN = Record(_plan, {
+PLAN = Record(SelectionPlan, {
     "workload_id": STR, "strategy": STR,
     "assignments": Map(Record(_assignment, {
         "resource_id": STR, "tq_s": opt(NUM), "tx_s": opt(NUM), "ttc_s": opt(NUM)},
-        _assignment_view)),
+        lambda a: {**vars(a), "ttc_s": a.ttc_s})),
     "resource_requests": opt(Map(Record(dict, {
         "task_count": INT, "cores": INT, "max_walltime_s": NUM_OR_NULL}, dict))),
     "rng_seed": opt(INT)})

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Config
@@ -24,29 +24,26 @@ from .queuewait import NoQueueHistoryError, QueueWaitEstimate, QueueWaitStore, S
 
 
 @dataclass(frozen=True)
-class TtcEstimate:
-    """Predicted queue wait, execution time and their sum for a task kind on
-    one resource.  walltime_s is the walltime the queue-wait query asked
-    for; a plan read back from a file does not carry it."""
+class Assignment:
+    """A task's resource and, in a model plan, the predicted queue wait and
+    execution time there.  walltime_s is the walltime the queue-wait query
+    asked for; a plan read back from a file does not carry it.  Tasks of one
+    kind (`plan_model`) or drawn to one resource (`plan_random`) share one
+    object."""
 
     resource_id: str
-    tq_s: float
-    tx_s: float
+    tq_s: Optional[float] = None
+    tx_s: Optional[float] = None
     walltime_s: Optional[float] = None
 
+    def __post_init__(self):
+        if (self.tq_s is None) != (self.tx_s is None):
+            raise ValueError("tq_s and tx_s must be given together")
+
     @property
-    def ttc_s(self) -> float:
-        return self.tq_s + self.tx_s
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A task's resource and, in a model plan, its estimate there.  Tasks of
-    one kind (`plan_model`) or drawn to one resource (`plan_random`) share
-    one object."""
-
-    resource_id: str
-    estimate: Optional[TtcEstimate] = None
+    def ttc_s(self) -> Optional[float]:
+        """tq_s + tx_s, or None for an entry without an estimate."""
+        return None if self.tq_s is None else self.tq_s + self.tx_s
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ class SelectionPlan:
     workload_id: str
     strategy: str  # "model" | "random"
     assignments: Dict[str, Assignment]
-    resource_requests: Dict[str, dict]
+    resource_requests: Dict[str, dict] = field(default_factory=dict)
     rng_seed: Optional[int] = None
 
     def to_json(self) -> dict:
@@ -83,7 +80,7 @@ def _resource_requests(assignments: Dict[str, Assignment], cores_per_task: int) 
         )
         entry["task_count"] += n
         entry["cores"] += n * cores_per_task
-        wt = a.estimate and a.estimate.walltime_s  # None for random plans
+        wt = a.walltime_s  # None for random plans
         if wt is not None:
             prev = entry["max_walltime_s"]
             entry["max_walltime_s"] = wt if prev is None else max(prev, wt)
@@ -98,8 +95,9 @@ def task_estimates(
     queue_store: QueueWaitStore,
     config: Config,
     now: float,
-) -> List[TtcEstimate]:
-    """Per-viable-resource TTC estimates for one task."""
+) -> List[Assignment]:
+    """One candidate `Assignment`, with its estimate, per viable resource of
+    the task."""
     profile_id = config.profile_id(task.task_id)
     task_profiles = profiles.get(profile_id)
     if not task_profiles:
@@ -132,7 +130,7 @@ def task_estimates(
             raise NoQueueHistoryError(
                 f"missing queue inputs for resource {rid!r}: {exc}"
             ) from exc
-        estimates.append(TtcEstimate(rid, tq, tx, walltime))
+        estimates.append(Assignment(rid, tq, tx, walltime))
     return estimates
 
 
@@ -209,8 +207,7 @@ def plan_model(
             estimates = task_estimates(task, ids, by_task, clocks, queries, config, now)
             payloads = [{"tq_s": e.tq_s, "tx_s": e.tx_s} for e in estimates]
             rid = res_select(ids, payloads, affinity)
-            estimate = next(e for e in estimates if e.resource_id == rid)
-            chosen = chosen_by_kind[kind] = Assignment(rid, estimate)
+            chosen = chosen_by_kind[kind] = next(e for e in estimates if e.resource_id == rid)
         assignments[task.task_id] = chosen
     return SelectionPlan(
         workload_id=workload.workload_id,

@@ -149,6 +149,14 @@ class SimulationResult:
     tq_wkd_s: Tuple[float, ...]
     tx_wkd_s: Tuple[float, ...]
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        for m in METRICS:
+            n = len(getattr(self, m))
+            if n != self.trials:
+                raise ValueError(f"{m} holds {n} values, not trials = {self.trials}")
+
     @property
     def mean_ttc_s(self) -> float:
         return mean_and_stddev(self.ttc_wkd_s)[0]
@@ -213,8 +221,6 @@ def simulate(
 ) -> SimulationResult:
     """Run ``trials`` independent executions of the plan and collect
     TTC / queue-time / execution-time metrics per trial."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not plan.assignments:
         raise ValueError("zero-task plan: nothing to simulate")
     tasks_by_res: Dict[str, List[str]] = {}
@@ -282,8 +288,6 @@ def compare(model_result: SimulationResult, random_result: SimulationResult) -> 
             "mismatched workloads: "
             f"{model_result.workload_id!r} vs {random_result.workload_id!r}"
         )
-    if random_result.mean_ttc_s == 0:
-        raise ValueError("random strategy has a mean TTC of 0: no reduction to report")
     metrics = {}
     for metric in METRICS:
         m_mean, m_stddev = mean_and_stddev(getattr(model_result, metric))
@@ -291,5 +295,7 @@ def compare(model_result: SimulationResult, random_result: SimulationResult) -> 
         metrics[metric] = {"model_mean": m_mean, "random_mean": r_mean, "delta": r_mean - m_mean,
                            "model_sample_stddev": m_stddev, "random_sample_stddev": r_stddev}
     ttc = metrics["ttc_wkd_s"]
+    if ttc["random_mean"] == 0:
+        raise ValueError("random strategy has a mean TTC of 0: no reduction to report")
     return {"workload_id": model_result.workload_id,
             "ttc_reduction_pct": ttc["delta"] / ttc["random_mean"] * 100.0, "metrics": metrics}

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one pass/fail
 line per criterion (run with -s to see them)."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -29,8 +30,10 @@ from resselect import (
 )
 from resselect.config import Config
 from resselect.model import canonical_dumps, resource_from_json, workload_from_json
+from resselect.plan import Assignment, SelectionPlan
 from resselect.predict import GHZ, load_clocks, load_profiles, sequential_cycles
 from resselect.queuewait import DEFAULT_BUCKETS, DEFAULT_WINDOW_S, NoQueueHistoryError
+from resselect.sim import DistSpec
 from resselect.codec import RESULT
 
 from conftest import (
@@ -265,20 +268,17 @@ def test_criterion_7_selection_optimality_by_exhaustive_rescan():
         ttc_by_resource[rid] = tq + tx
     best = min(ttc_by_resource.values())
     for task_id, a in plan.assignments.items():
-        assert a.estimate.ttc_s == pytest.approx(ttc_by_resource[a.resource_id], rel=1e-12)
+        assert a.ttc_s == pytest.approx(ttc_by_resource[a.resource_id], rel=1e-12)
         assert all(
-            a.estimate.ttc_s <= ttc + 1e-9 for ttc in ttc_by_resource.values()
+            a.ttc_s <= ttc + 1e-9 for ttc in ttc_by_resource.values()
         ), task_id
-        assert a.estimate.ttc_s == pytest.approx(best, rel=1e-12)
+        assert a.ttc_s == pytest.approx(best, rel=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(7, started, f"{len(plan.assignments)} tasks x {len(pool)} resources")
 
 
 def test_criterion_8_simulator_closed_form():
-    from resselect.plan import Assignment, SelectionPlan
-    from resselect.sim import DistSpec
-
     started = time.perf_counter()
     plan = SelectionPlan(
         workload_id="w",
@@ -326,6 +326,49 @@ def test_criterion_9_model_beats_random_on_bundled_calibration():
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     report(9, started, f"reductions % by size: {reductions}")
+
+
+# PAPER.md's measured error of the execution-time model: it overpredicts tx by
+# 157-171 % on the XSEDE machines and by 18-31 % on OSG
+TX_ERROR_BOX = {"bridges": (1.57, 1.71), "comet": (1.57, 1.71), "supermic": (1.57, 1.71),
+                "osg": (0.18, 0.31)}
+
+
+def _tx_over(behavior, divisor):
+    """``behavior`` with every execution time divided by ``divisor``."""
+    d = behavior.tx_dist
+    value, mean, stddev = (None if v is None else v / divisor for v in (d.value, d.mean, d.stddev))
+    samples = d.samples and tuple(x / divisor for x in d.samples)
+    return dataclasses.replace(behavior, tx_dist=DistSpec(d.kind, value, mean, stddev, samples))
+
+
+def test_criterion_9_holds_across_the_papers_tx_error_box():
+    """Criterion 9 where the planner overpredicts tx as the paper measured:
+    at each of the error box's 16 corners, every resource runs its tasks in
+    its bundled tx over (1 + error).  The model still beats random by 50-90 %,
+    and its choice, supermic, is the best single resource in hindsight."""
+    started = time.perf_counter()
+    pool, profiles, clocks, store, config, behaviors, now = _bundled_inputs()
+    workload = workload_from_json(bundled_json("workload_64.json"))
+    model_plan = plan_model(workload, pool, profiles, clocks, store, config, now)
+    random_plan = plan_random(workload, pool, seed=64)
+    assert {a.resource_id for a in model_plan.assignments.values()} == {"supermic"}
+    singles = {rid: SelectionPlan(workload.workload_id, "model",
+                                  dict.fromkeys(model_plan.assignments, Assignment(rid)))
+               for rid in TX_ERROR_BOX}
+    reductions = []
+    for errors in itertools.product(*TX_ERROR_BOX.values()):
+        corner = {rid: _tx_over(behaviors[rid], 1.0 + e) for rid, e in zip(TX_ERROR_BOX, errors)}
+        model_result, random_result = (simulate(plan, corner, trials=200, seed=42)
+                                       for plan in (model_plan, random_plan))
+        reduction = compare(model_result, random_result)["ttc_reduction_pct"]
+        assert 50.0 <= reduction <= 90.0, (errors, reduction)
+        mean_ttc = {rid: simulate(plan, corner, trials=200, seed=42).mean_ttc_s
+                    for rid, plan in singles.items()}
+        assert min(mean_ttc, key=mean_ttc.get) == "supermic", (errors, mean_ttc)
+        reductions.append(reduction)
+    report("9 (tx error box)", started,
+           f"{len(reductions)} corners, reductions {min(reductions):.1f}-{max(reductions):.1f} %")
 
 
 def test_criterion_10_determinism_byte_identical_results():

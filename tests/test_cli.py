@@ -390,6 +390,43 @@ class TestPipeline:
                                     "100000, 200000: one task id takes one workload_param\n")
         assert not (tmp_path / "plan.json").exists()
 
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda a: a.update(ttc_s=1.0), "ttc_s 1.0 is not tq_s + tx_s = 4171.428571428572"),
+        (lambda a: a.pop("tx_s"), "tq_s and tx_s must be given together"),
+        (lambda a: [a.pop("tq_s"), a.pop("tx_s")], "ttc_s needs tq_s and tx_s"),
+    ], ids=["ttc-not-tq-plus-tx", "tq-without-tx", "ttc-without-times"])
+    def test_bad_plan_entry_exits_1_naming_file_and_entry(self, tmp_path, capsys, edit, reason):
+        """An entry of the bundled model plan whose times do not add up, or
+        that gives one without the other, is rejected by ``simulate``."""
+        plan_path = tmp_path / "plan.json"
+        assert main(self.args_select(str(plan_path))) == 0
+        plan = json.loads(plan_path.read_text())
+        for entry in plan["assignments"].values():
+            edit(entry)
+        write(plan_path, plan)
+        scenario = json.loads((BUNDLED / "scenario.json").read_text())
+        scenario = write(tmp_path / "scenario.json", {**scenario, "plan": str(plan_path)})
+        assert main(["simulate", "--scenario", scenario]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {plan_path}: assignments.md-100k-0000: {reason}\n"
+
+    @pytest.mark.parametrize("trials,kept,reason", [
+        (5, 1, "ttc_wkd_s holds 1 values, not trials = 5"),
+        (1, 2, "ttc_wkd_s holds 2 values, not trials = 1"),
+        (0, 0, "trials must be >= 1"),
+    ])
+    def test_result_whose_trials_miscount_its_values_exits_1(self, tmp_path, capsys, trials,
+                                                             kept, reason):
+        model = {**RESULTS[0], "trials": trials,
+                 "per_trial": {m: v[:kept] for m, v in RESULTS[0]["per_trial"].items()}}
+        model_path = write(tmp_path / "model.json", model)
+        random_path = write(tmp_path / "random.json", RESULTS[1])
+        assert main(["report", "--model", model_path, "--random", random_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {model_path}: {reason}\n"
+
     def test_byte_identical_output_for_identical_inputs(self, tmp_path):
         out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
         assert main(self.args_select(str(out1))) == 0

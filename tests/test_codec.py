@@ -54,7 +54,24 @@ class TestRoundTrip:
     def test_plan_estimate_needs_both_times(self):
         plan = {"workload_id": "w", "strategy": "model",
                 "assignments": {"t": {"resource_id": "r", "tq_s": 1.0}}}
-        assert "tq_s and tx_s" in decode_error(PLAN, plan)
+        assert decode_error(PLAN, plan) == "assignments.t: tq_s and tx_s must be given together"
+
+    @pytest.mark.parametrize("times,reason", [
+        ({"tq_s": 1.0, "tx_s": 2.0, "ttc_s": 3.5}, "ttc_s 3.5 is not tq_s + tx_s = 3.0"),
+        ({"tq_s": 0.1, "tx_s": 0.2, "ttc_s": 0.3},
+         "ttc_s 0.3 is not tq_s + tx_s = 0.30000000000000004"),
+        ({"ttc_s": 3.0}, "ttc_s needs tq_s and tx_s"),
+    ])
+    def test_plan_ttc_must_be_tq_plus_tx(self, times, reason):
+        plan = {"workload_id": "w", "strategy": "model",
+                "assignments": {"t": {"resource_id": "r", **times}}}
+        assert decode_error(PLAN, plan) == f"assignments.t: {reason}"
+
+    @pytest.mark.parametrize("ttc", [{}, {"ttc_s": 0.30000000000000004}])
+    def test_plan_ttc_is_optional_and_exact(self, ttc):
+        plan = {"workload_id": "w", "strategy": "model",
+                "assignments": {"t": {"resource_id": "r", "tq_s": 0.1, "tx_s": 0.2, **ttc}}}
+        assert PLAN.decode(plan).assignments["t"].ttc_s == 0.30000000000000004
 
 
 # --- a workload's tasks: each distinct body is decoded once

@@ -93,7 +93,7 @@ class TestPlanModel:
             now=NOW,
         )
         assert all(a.resource_id == "rB" for a in plan.assignments.values())
-        est = plan.assignments["t-0000"].estimate
+        est = plan.assignments["t-0000"]
         assert est.ttc_s == est.tq_s + est.tx_s == 5000.0
 
     def test_dominating_resource_takes_all_tasks(self):
@@ -164,8 +164,8 @@ class TestPlanModel:
         ttcs = {"rA": 500.0 + 1e13 / 2.0e9, "rB": 1000.0 + 1e13 / 2.5e9}
         best = min(ttcs.values())
         for a in plan.assignments.values():
-            assert a.estimate.ttc_s == pytest.approx(best)
-            assert all(a.estimate.ttc_s <= ttcs[rid] for rid in ttcs)
+            assert a.ttc_s == pytest.approx(best)
+            assert all(a.ttc_s <= ttcs[rid] for rid in ttcs)
 
     def test_decreasing_transform_of_ttc_gives_same_assignment(self):
         register_affinity("inv_ttc_cubed", lambda p: -((p["tq_s"] + p["tx_s"]) ** 3))
@@ -196,7 +196,7 @@ class TestPlanModel:
             make_workload(1), make_pool({"rA": 2.0e9}), make_profiles(), CLOCKS,
             make_store({"rA": [100.0]}), base_config(frequency_choice="max"), now=NOW,
         )
-        assert plan.assignments["t-0000"].estimate.tx_s == pytest.approx(1e13 / 3.0e9)
+        assert plan.assignments["t-0000"].tx_s == pytest.approx(1e13 / 3.0e9)
 
 
 class TestPlanRandom:
@@ -256,13 +256,20 @@ class TestPlanSerialization:
         for task_id, a in plan.assignments.items():
             b = again.assignments[task_id]
             assert b.resource_id == a.resource_id
-            assert b.estimate.ttc_s == a.estimate.ttc_s
+            assert b.ttc_s == a.ttc_s
+
+    @pytest.mark.parametrize("times", [{"tq_s": 1.0}, {"tx_s": 1.0}])
+    def test_estimate_needs_both_times(self, times):
+        with pytest.raises(ValueError, match="^tq_s and tx_s must be given together$"):
+            Assignment("r", **times)
+        assert Assignment("r").ttc_s is None
+        assert Assignment("r", 1.0, 2.5).ttc_s == 3.5
 
     def test_random_plan_round_trip_keeps_seed(self):
         plan = plan_random(make_workload(3), make_pool({"rA": 1e9}), seed=5)
         again = PLAN.decode(plan.to_json())
         assert again.rng_seed == 5
-        assert again.assignments["t-0000"].estimate is None
+        assert again.assignments["t-0000"].ttc_s is None
 
 
 # --- per-kind dedupe: a bag with repeated kinds, planned against a per-task rescan
@@ -322,7 +329,7 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
         ids = viable_set(task, pool).resource_ids
         estimates = task_estimates(task, ids, by_task, clocks, store, config, NOW)
         best = estimates[first_argmax_oracle([-e.ttc_s for e in estimates])]
-        assignments[task.task_id] = Assignment(best.resource_id, best)
+        assignments[task.task_id] = best
         entry = requests.setdefault(
             best.resource_id, {"task_count": 0, "cores": 0, "max_walltime_s": None})
         entry["task_count"] += 1

@@ -307,6 +307,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="missing behavior"):
             simulate(plan, {}, trials=1, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_1_error(self, trials):
+        behaviors = {"r": behavior("r", DistSpec("constant", value=1.0),
+                                   DistSpec("constant", value=1.0))}
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            simulate(make_plan({"t1": "r"}), behaviors, trials=trials, seed=0)
+
     def test_zero_task_plan_errors(self):
         plan = make_plan({})
         with pytest.raises(ValueError, match="zero-task plan"):
@@ -420,10 +427,24 @@ class TestCompare:
             compare(m, r)
 
     def test_mismatched_workloads_rejected(self):
-        m = self.make_result("w1", "model", [1.0])
-        r = self.make_result("w2", "random", [1.0])
+        # checked before the random mean TTC, which is 0 here
+        m = self.make_result("w1", "model", [0.0])
+        r = self.make_result("w2", "random", [0.0])
         with pytest.raises(ValueError, match="mismatched workloads"):
             compare(m, r)
+
+    @pytest.mark.parametrize("trials,n,reason", [
+        (0, 0, "trials must be >= 1"),
+        (5, 1, "ttc_wkd_s holds 1 values, not trials = 5"),
+        (1, 2, "ttc_wkd_s holds 2 values, not trials = 1"),
+    ])
+    def test_trials_counts_the_values(self, trials, n, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            SimulationResult("w", "model", trials, (1.0,) * n, (0.0,) * n, (1.0,) * n)
+
+    def test_trials_counts_each_metric(self):
+        with pytest.raises(ValueError, match="^tq_wkd_s holds 3 values, not trials = 2$"):
+            SimulationResult("w", "model", 2, (1.0, 1.0), (0.0,) * 3, (1.0, 1.0))
 
     def test_result_json_round_trip(self):
         m = self.make_result("w", "model", [1.0, 2.0, 3.0])
