@@ -27,24 +27,28 @@ BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "bundled"
 NOW = 1_787_270_400.0  # 2026-08-20T00:00:00Z, just after the bundled history
 
 
+def read_json(name):
+    return json.loads((BUNDLED / name).read_text(encoding="utf-8"))
+
+
 def load_inputs():
-    pool = [resource_from_json(r) for r in json.loads((BUNDLED / "pool.json").read_text())]
-    with open(BUNDLED / "profiles.csv") as fh:
+    pool = [resource_from_json(r) for r in read_json("pool.json")]
+    with open(BUNDLED / "profiles.csv", encoding="utf-8", newline="") as fh:
         profiles, _ = load_profiles(fh)
-    clocks = load_clocks(json.loads((BUNDLED / "clocks.json").read_text()))
+    clocks = load_clocks(read_json("clocks.json"))
     store = QueueWaitStore()
-    with open(BUNDLED / "history.csv") as fh:
+    with open(BUNDLED / "history.csv", encoding="utf-8", newline="") as fh:
         store.ingest_csv(fh)
-    config = Config.from_json(json.loads((BUNDLED / "config.json").read_text()))
+    config = Config.from_json(read_json("config.json"))
     behaviors = {
         b["resource_id"]: ResourceBehavior.from_json(b)
-        for b in json.loads((BUNDLED / "behaviors.json").read_text())
+        for b in read_json("behaviors.json")
     }
     return pool, profiles, clocks, store, config, behaviors
 
 
 def make_workload(n):
-    base = json.loads((BUNDLED / "workload_64.json").read_text())
+    base = read_json("workload_64.json")
     template = base["tasks"][0]["requirements"]
     return workload_from_json(
         {

@@ -19,7 +19,7 @@ BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "bundled"
 
 
 def main():
-    with open(BUNDLED / "profiles.csv") as fh:
+    with open(BUNDLED / "profiles.csv", encoding="utf-8", newline="") as fh:
         profiles, warnings = load_profiles(fh)
     for w in warnings:
         print("warning:", w)
@@ -29,8 +29,8 @@ def main():
     print(f"predicted sequential cycles: {est.mean:.4g} "
           f"(stddev {est.stddev:.3g}, n={est.n_samples})")
 
-    clocks = load_clocks(json.loads((BUNDLED / "clocks.json").read_text()))
-    config = json.loads((BUNDLED / "config.json").read_text())
+    clocks = load_clocks(json.loads((BUNDLED / "clocks.json").read_text(encoding="utf-8")))
+    config = json.loads((BUNDLED / "config.json").read_text(encoding="utf-8"))
     inflations = config.get("inflation_factors", {})
 
     print()

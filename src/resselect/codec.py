@@ -1,6 +1,8 @@
 """The on-disk JSON formats, declared once: one `Record` per record type
-gives its keys, whether each is required, its JSON kind and the attribute it
-fills, plus the few renames and GHz scalings the files use.  Decoding,
+gives its keys, whether each is required and its JSON kind.  A record's keys
+are the keyword arguments of its build and the keys of its view, so a file
+key that differs from the attribute it fills (``type``, ``viable``, the
+clocks in GHz) is mapped in that record's build and view.  Decoding,
 encoding and the ``--schema`` output all read these declarations.
 
 Decoding is strict: an unknown key, a missing key, a wrong JSON type or a
@@ -179,37 +181,24 @@ class OneOf:
         return {"oneOf": [k.schema() for k in self.kinds]}
 
 
-class Field:
-    """A record key that is optional, fills an attribute of another name, or
-    whose file units are ``scale`` times larger than the attribute's (only
-    input files have such keys, so encoding does not scale back)."""
+class opt:
+    """An optional record key of ``kind``: it may be missing on reading, and
+    a value of None is not written."""
 
-    def __init__(self, kind, optional=False, attr: Optional[str] = None, scale=None):
-        self.kind, self.optional, self.attr, self.scale = kind, optional, attr, scale
-
-
-def opt(kind) -> Field:
-    return Field(kind, optional=True)
-
-
-def _scaled(decode: Callable, scale: float) -> Callable:
-    return lambda value: decode(value) * scale
+    def __init__(self, kind):
+        self.kind = kind
 
 
 class Record:
-    """A JSON object with a fixed set of keys, each a kind or a `Field`.
-    ``build`` makes the value from the decoded attributes; ``view`` maps a
-    value back to its attributes for encoding."""
+    """A JSON object with a fixed set of keys, each a kind or an `opt` kind.
+    ``build`` makes the value from the decoded keys, passed as keyword
+    arguments; ``view`` maps a value to a dict holding the keys to encode."""
 
-    def __init__(self, build: Callable, fields: Dict[str, object], view: Callable = vars):
-        self.build, self.view, self.fields = build, view, {}
-        self._decoders = {}  # key -> (decode, attr), all the decoding loop needs
-        for key, f in fields.items():
-            f = f if isinstance(f, Field) else Field(f)
-            f = self.fields[key] = Field(f.kind, f.optional, f.attr or key, f.scale)
-            decode = _scaled(f.kind.decode, f.scale) if f.scale else f.kind.decode
-            self._decoders[key] = (decode, f.attr)
-        self._required = [k for k, f in self.fields.items() if not f.optional]
+    def __init__(self, build: Callable, keys: Dict[str, object], view: Callable = vars):
+        self.build, self.view = build, view
+        self.kinds = {k: kind.kind if isinstance(kind, opt) else kind for k, kind in keys.items()}
+        self._decoders = {k: kind.decode for k, kind in self.kinds.items()}
+        self._required = [k for k, kind in keys.items() if not isinstance(kind, opt)]
         self._required_keys = frozenset(self._required)
 
     def decode(self, value):
@@ -218,10 +207,10 @@ class Record:
         decoders, attrs = self._decoders, {}
         try:
             for key, item in value.items():
-                entry = decoders.get(key)
-                if entry is None:
+                decode = decoders.get(key)
+                if decode is None:
                     raise DecodeError(f"unknown key (expected one of: {', '.join(decoders)})")
-                attrs[entry[1]] = entry[0](item)
+                attrs[key] = decode(item)
         except DecodeError as exc:
             exc.path.append(key)
             raise
@@ -235,15 +224,15 @@ class Record:
 
     def encode(self, obj) -> dict:
         attrs, out = self.view(obj), {}
-        for key, f in self.fields.items():
-            value = attrs.get(f.attr)
-            if value is not None or not f.optional:
-                out[key] = value if type(f.kind) is Scalar else f.kind.encode(value)
+        for key, kind in self.kinds.items():
+            value = attrs.get(key)
+            if value is not None or key in self._required_keys:
+                out[key] = value if type(kind) is Scalar else kind.encode(value)
         return out
 
     def schema(self) -> dict:
         return {"type": "object", "additionalProperties": False, "required": self._required,
-                "properties": {k: f.kind.schema() for k, f in self.fields.items()}}
+                "properties": {k: kind.schema() for k, kind in self.kinds.items()}}
 
 
 STR, INT, NUM, BOOL = map(Scalar, ("string", "integer", "number", "boolean"))
@@ -256,10 +245,9 @@ def _consumable_record(cls, key: str) -> Record:
     """Requirements and capabilities carry their consumable's type and form
     inline, next to their ``key`` (amount or rate)."""
     return Record(
-        lambda ctype, form=None, **amount: cls(ConsumableSpec(ctype, form or {}), **amount),
-        {"type": Field(STR, attr="ctype"), "form": opt(Map(Arr(Scalar("number", "string")))),
-         key: NUM},
-        lambda x: {**vars(x), "ctype": x.consumable.ctype, "form": x.consumable.sorted_form()})
+        lambda type, form=None, **amount: cls(ConsumableSpec(type, form or {}), **amount),
+        {"type": STR, "form": opt(Map(Arr(Scalar("number", "string")))), key: NUM},
+        lambda x: {**vars(x), "type": x.consumable.ctype, "form": x.consumable.sorted_form()})
 
 
 REQUIREMENT = _consumable_record(Requirement, "amount")
@@ -318,23 +306,26 @@ class Tasks(Arr):
 WORKLOAD = Record(WorkloadSpec, {"workload_id": STR, "tasks": Tasks(TASK)})
 RESOURCE = Record(ResourceSpec, {"resource_id": STR, "capabilities": Arr(CAPABILITY)})
 POOL = Arr(RESOURCE, unique="resource_id")
-VIABLE_SET = Record(ViableSet, {"task_id": STR, "viable": Field(Arr(STR), attr="resource_ids")})
+VIABLE_SET = Record(lambda task_id, viable: ViableSet(task_id, resource_ids=viable),
+                    {"task_id": STR, "viable": Arr(STR)},
+                    lambda v: {"task_id": v.task_id, "viable": v.resource_ids})
 
 # --- clocks (in GHz on disk) and configuration
 
 
-def _ghz(key: str) -> Field:
-    return Field(NUM, attr=key.replace("_ghz", "_hz"), scale=GHZ)
+def _in_hz(cls) -> Callable:
+    """A build of ``cls`` from its clocks in GHz.  Only input files give
+    clocks, so nothing encodes these records."""
+    return lambda base_ghz, max_ghz, **keys: cls(**keys, base_hz=base_ghz * GHZ,
+                                                 max_hz=max_ghz * GHZ)
 
 
-_PLAIN_CLOCK = Record(ClockSpec, {
-    "resource_id": STR, "base_ghz": _ghz("base_ghz"), "max_ghz": _ghz("max_ghz")})
+_PLAIN_CLOCK = Record(_in_hz(ClockSpec), {"resource_id": STR, "base_ghz": NUM, "max_ghz": NUM})
 # a pool described by its CPU inventory gets the node-weighted average clock
 _POOL_CLOCK = Record(
     lambda resource_id, inventory: pool_clock_spec(inventory, resource_id),
-    {"resource_id": STR, "inventory": Arr(Record(PoolInventoryEntry, {
-        "cpu_model": STR, "node_count": INT, "base_ghz": _ghz("base_ghz"),
-        "max_ghz": _ghz("max_ghz")}))})
+    {"resource_id": STR, "inventory": Arr(Record(_in_hz(PoolInventoryEntry), {
+        "cpu_model": STR, "node_count": INT, "base_ghz": NUM, "max_ghz": NUM}))})
 CLOCK = OneOf(
     lambda v: _POOL_CLOCK if isinstance(v, dict) and "inventory" in v else _PLAIN_CLOCK,
     _PLAIN_CLOCK, _POOL_CLOCK)

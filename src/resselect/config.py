@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -32,12 +33,12 @@ class Config:
     default_profile: Optional[str] = None
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.inflation_factors.values()):
-            raise ValueError("inflation factors must be > 0")
-        if self.walltime_safety_factor <= 0:
-            raise ValueError("walltime_safety_factor must be > 0")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be > 0")
+        if not all(0 < v < math.inf for v in self.inflation_factors.values()):
+            raise ValueError("inflation factors must be finite and > 0")
+        if not 0 < self.walltime_safety_factor < math.inf:
+            raise ValueError("walltime_safety_factor must be finite and > 0")
+        if not 0 < self.window_s < math.inf:
+            raise ValueError("window_s must be finite and > 0")
         if self.frequency_choice not in ("base", "max"):
             raise ValueError("frequency_choice must be 'base' or 'max'")
         if self.cores_per_task < 1:

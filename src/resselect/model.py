@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring
-from math import frexp, isfinite, isqrt, ldexp
+from math import frexp, inf, isfinite, isqrt, ldexp
 from operator import mul
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -98,8 +98,8 @@ class Requirement:
     def __post_init__(self):
         if isinstance(self.amount, bool) or not isinstance(self.amount, (int, float)):
             raise TypeError("amount must be a number")
-        if not self.amount > 0:
-            raise ValueError("requirement amount must be > 0")
+        if not 0 < self.amount < inf:
+            raise ValueError("requirement amount must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class Capability:
     def __post_init__(self):
         if isinstance(self.rate, bool) or not isinstance(self.rate, (int, float)):
             raise TypeError("rate must be a number")
-        if not self.rate > 0:
-            raise ValueError("capability rate must be > 0")
+        if not 0 < self.rate < inf:
+            raise ValueError("capability rate must be finite and > 0")
 
 
 def _merge_requirements(reqs) -> Tuple[Requirement, ...]:

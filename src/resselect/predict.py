@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import mean_and_stddev
@@ -43,12 +44,12 @@ class BaselineProfile:
     def __post_init__(self):
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
-        if self.instructions <= 0 or self.cycles <= 0:
-            raise ValueError("instruction and cycle counts must be > 0")
-        if self.instr_rate <= 0:
-            raise ValueError("instr_rate must be > 0")
-        if self.avg_clock_hz <= 0 or self.measured_tx_s <= 0:
-            raise ValueError("avg_clock_hz and measured_tx_s must be > 0")
+        if not (0 < self.instructions < inf and 0 < self.cycles < inf):
+            raise ValueError("instruction and cycle counts must be finite and > 0")
+        if not 0 < self.instr_rate < inf:
+            raise ValueError("instr_rate must be finite and > 0")
+        if not (0 < self.avg_clock_hz < inf and 0 < self.measured_tx_s < inf):
+            raise ValueError("avg_clock_hz and measured_tx_s must be finite and > 0")
         rel = abs(self.instructions - self.cycles * self.instr_rate) / self.instructions
         if rel > PROFILE_CONSISTENCY_TOL:
             raise ProfileConsistencyError(
@@ -67,8 +68,8 @@ class ClockSpec:
     max_hz: float
 
     def __post_init__(self):
-        if not 0 < self.base_hz <= self.max_hz:
-            raise ValueError("need 0 < base_hz <= max_hz")
+        if not 0 < self.base_hz <= self.max_hz < inf:
+            raise ValueError("need 0 < base_hz <= max_hz < inf")
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ class PoolInventoryEntry:
     def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
-        if not 0 < self.base_hz <= self.max_hz:
-            raise ValueError("need 0 < base_hz <= max_hz")
+        if not 0 < self.base_hz <= self.max_hz < inf:
+            raise ValueError("need 0 < base_hz <= max_hz < inf")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,8 @@ class QueueWaitRecord:
 
     def __post_init__(self):
         one_row(checked_columns, *_FIELDS(self))
+        if not math.isfinite(self.submit_time):  # `iso_times` yields only finite times
+            raise ValueError("submit_time must be finite")
 
 
 _FIELDS = attrgetter(*QueueWaitRecord.__dataclass_fields__)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -73,6 +74,12 @@ class TestAggregate:
         bad.write_text("{nope")
         assert main(["aggregate", "--task", str(bad)]) == 1
 
+    def test_out_into_a_directory_is_io_error(self, task_file, tmp_path, capsys):
+        assert main(["aggregate", "--task", task_file, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
 
 class TestMatch:
     def test_viable_output(self, task_file, pool_file, capsys):
@@ -124,6 +131,21 @@ class TestSchemas:
         schema = json.loads(capsys.readouterr().out)
         assert "input" in schema and "output" in schema
 
+    PINNED = {  # sha256 of each subcommand's --schema output: the formats are the contract
+        "aggregate": "dcd061321811dcfda577a78cc85bb1f86d0377dbbf4f68c1f67ac69e591b8b78",
+        "match": "16122f877a60409fdb6f15913a5fac85ca90987a54a4ba9f191a623b327dadad",
+        "predict": "301f8e24e3d8ac3e8aeb2e6de02be03b5423cf3b694039213149ea6b20fc3b72",
+        "queue-wait": "43bd25decc87cbbb57e519b95e58accebc79245dc43277f3f51907825ad1e1ec",
+        "select": "9dc11d5e7c730814f56bb3810b8a7806bc36f572bf5e85596ab2d5efc944f7eb",
+        "simulate": "58a37f117851e3aef6064e822c2562a70920fd3893f0e9dcb1e12116c9c1a9f1",
+        "report": "20abe1442166f0bec3a18f171006c7fd13069abaffaecfedb5aace9debb0403b",
+    }
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_schema_output_is_pinned(self, cmd, capsys):
+        assert main([cmd, "--schema"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.PINNED[cmd]
+
     @pytest.mark.parametrize("cmd", COMMANDS)
     def test_schema_names_every_key_the_bundled_files_use(self, cmd, capsys):
         assert main([cmd, "--schema"]) == 0
@@ -144,8 +166,10 @@ class TestSchemas:
 
 
 # The subcommand that reads each bundled file ("@name" is the file's copy).
-# Each mutation is (file, op, path, key): add an unknown key, set a key to NaN/Infinity, or
-# delete a required key; stderr must name the file and ``key``.
+# Each mutation is (file, op, path, key) on the object at ``path``: add an unknown ``key``,
+# delete a required one, set it to any other ``op`` (NaN, Infinity or a value its record
+# rejects), or, for a dict ``op``, replace the object with ``op``.  Stderr must name the
+# file, the location ``path`` and ``key``.
 STRICT_CASES = {
     "workload_64.json": ["select", "--workload", "@workload_64.json", "--pool", "@pool.json",
                          "--strategy", "random", "--seed", "1"],
@@ -181,28 +205,49 @@ MUTATIONS = [
     ("scenario.json", math.nan, ["behaviors", 2, "tq_dist"], "mean"),
     ("scenario.json", math.inf, ["behaviors", 1, "tx_dist"], "value"),
     ("scenario.json", "del", ["behaviors", 0], "tx_dist"),
+    ("workload_64.json", {"task_id": "t", "instructions": [[]]}, ["tasks", 0], "instruction"),
+    ("pool.json", "", [0], "resource_id"),
+    ("clocks.json", {"resource_id": "osg", "inventory": [
+        {"cpu_model": "a", "node_count": 0, "base_ghz": 2.5, "max_ghz": 3.09}]},
+     [3], "node_count"),
+    ("clocks.json", {"resource_id": "osg", "inventory": [
+        {"cpu_model": "a", "node_count": 1, "base_ghz": 3.5, "max_ghz": 3.09}]},
+     [3], "base_hz"),
+    ("config.json", 0, [], "window_s"),
+    ("config.json", "turbo", [], "frequency_choice"),
+    ("config.json", 0, [], "cores_per_task"),
+    ("scenario.json", {"kind": "empirical", "samples": [1.0, -1.0]}, ["behaviors", 0, "tx_dist"],
+     "samples"),
+    ("scenario.json", 0, ["behaviors", 0], "capacity_cores"),
+    ("scenario.json", "batch", ["behaviors", 0], "pilot_mode"),
 ]
 
 
+def _mutation_id(name, op, path, key) -> str:
+    how = op if op in ("add", "del") else "replace" if isinstance(op, dict) else repr(op)
+    return f"{name.split('.')[0]}-{key}-{how}"
+
+
 class TestStrictInputs:
-    @pytest.mark.parametrize(
-        "name,op,path,key", MUTATIONS,
-        ids=[f"{m[0].split('.')[0]}-{m[3]}-{m[1] if isinstance(m[1], str) else repr(m[1])}"
-             for m in MUTATIONS],
-    )
+    @pytest.mark.parametrize("name,op,path,key", MUTATIONS,
+                             ids=[_mutation_id(*m) for m in MUTATIONS])
     def test_bad_input_exits_1_naming_file_and_key(self, tmp_path, capsys, name, op, path, key):
         def mutate(target):
             if op == "add":
                 target[key] = 1
             elif op == "del":
                 del target[key]
+            elif isinstance(op, dict):
+                target.clear()
+                target.update(op)
             else:
                 target[key] = op
 
         file, argv = edited_bundled_copy(tmp_path, name, path, mutate)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert file in err and key in err, err
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+        assert f"{file}: {where}" in err and key in err and "Traceback" not in err, err
 
 
 def edited_bundled_copy(tmp_path, name, path, edit):
@@ -463,6 +508,13 @@ class TestPipeline:
         by_res = {r["resource_id"]: r for r in reports}
         assert by_res["supermic"]["tx_base_s"] == pytest.approx(1e13 / 2.8e9)
         assert by_res["osg"]["inflation_factor"] == 1.22
+
+    def test_predict_task_without_profiles_exits_1(self, capsys):
+        assert main(["predict", "--profiles", str(BUNDLED / "profiles.csv"),
+                     "--clocks", str(BUNDLED / "clocks.json"), "--task-id", "md-1m"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no baseline profiles for task 'md-1m'\n"
 
     def test_queue_wait_subcommand(self, capsys):
         assert main(["queue-wait", "--history", str(BUNDLED / "history.csv"),

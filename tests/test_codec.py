@@ -5,8 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resselect.codec import DIST, PLAN, POOL, STR, TASK, WORKLOAD, Arr, DecodeError, Record
-from resselect.model import WorkloadSpec
+from resselect.codec import (
+    CAPABILITY, CLOCKS, DIST, PLAN, POOL, REQUIREMENT, STR, TASK, VIABLE_SET, WORKLOAD, Arr,
+    DecodeError, Record,
+)
+from resselect.match import ViableSet
+from resselect.model import ConsumableSpec, WorkloadSpec
+from resselect.predict import GHZ, ClockSpec, PoolInventoryEntry, pool_clock_spec
 
 TASK_JSON = {"task_id": "t", "requirements": [{"type": "cyc", "form": {"isa": ["x86"]}, "amount": 5}]}
 
@@ -36,7 +41,8 @@ class TestDecodeErrors:
 
     def test_value_invariant_keeps_its_message_and_gains_the_path(self):
         obj = {"task_id": "t", "requirements": [{"type": "cyc", "amount": -1}]}
-        assert decode_error(TASK, obj) == "requirements[0]: requirement amount must be > 0"
+        assert decode_error(TASK, obj) == \
+            "requirements[0]: requirement amount must be finite and > 0"
 
     def test_source_prefixes_the_message(self):
         with pytest.raises(DecodeError) as info:
@@ -72,6 +78,35 @@ class TestRoundTrip:
         plan = {"workload_id": "w", "strategy": "model",
                 "assignments": {"t": {"resource_id": "r", "tq_s": 0.1, "tx_s": 0.2, **ttc}}}
         assert PLAN.decode(plan).assignments["t"].ttc_s == 0.30000000000000004
+
+    @pytest.mark.parametrize("kind,key", [(REQUIREMENT, "amount"), (CAPABILITY, "rate")])
+    def test_consumable_type_and_form_come_back(self, kind, key):
+        value = kind.decode({"type": "cyc", "form": {"os": ["linux"], "isa": ["x86", 2]}, key: 5})
+        assert value.consumable == ConsumableSpec("cyc", {"isa": {2, "x86"}, "os": {"linux"}})
+        written = kind.encode(value)
+        assert written == {"type": "cyc", "form": {"isa": [2, "x86"], "os": ["linux"]}, key: 5}
+        assert kind.decode(written) == value
+
+    def test_viable_set_comes_back(self):
+        value = ViableSet("t", ("r2", "r1"))
+        written = VIABLE_SET.encode(value)
+        assert written == {"task_id": "t", "viable": ["r2", "r1"]}
+        assert VIABLE_SET.decode(json.loads(json.dumps(written))) == value
+
+    @pytest.mark.parametrize("base,top", [(2.3, 3.3), (0.1, 0.7), (2.5, 3.09)])
+    def test_plain_clock_is_ghz_times_GHZ(self, base, top):
+        """Clocks are input only: a file's GHz decode to ``ghz * GHZ`` hertz,
+        bit for bit (``==`` on positive floats)."""
+        (clock,) = CLOCKS.decode([{"resource_id": "r", "base_ghz": base, "max_ghz": top}])
+        assert clock == ClockSpec("r", base * GHZ, top * GHZ)
+
+    def test_inventory_clock_weighs_each_model_in_hz(self):
+        models = [("a", 3, 2.3, 3.1), ("b", 1, 2.1, 2.9)]
+        (clock,) = CLOCKS.decode([{"resource_id": "pool", "inventory": [
+            {"cpu_model": m, "node_count": n, "base_ghz": b, "max_ghz": x}
+            for m, n, b, x in models]}])
+        assert clock == pool_clock_spec(
+            [PoolInventoryEntry(m, n, b * GHZ, x * GHZ) for m, n, b, x in models], "pool")
 
 
 # --- a workload's tasks: each distinct body is decoded once

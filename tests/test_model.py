@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -64,6 +65,32 @@ class TestTypes:
             Requirement(CYC_A, 0)
         with pytest.raises(ValueError):
             Capability(CYC_A, -1.0)
+
+    @pytest.mark.parametrize("cls", [Requirement, Capability])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amount_and_rate_rejected(self, cls, value):
+        with pytest.raises(ValueError, match="must be finite and > 0$"):
+            cls(CYC_A, value)
+
+    @pytest.mark.parametrize("cls", [Requirement, Capability])
+    @pytest.mark.parametrize("value", [True, "5", None])
+    def test_amount_and_rate_must_be_numbers(self, cls, value):
+        with pytest.raises(TypeError, match="must be a number$"):
+            cls(CYC_A, value)
+
+    @pytest.mark.parametrize("value", [True, None, (1,)])
+    def test_condition_value_must_be_a_number_or_string(self, value):
+        with pytest.raises(TypeError, match="^condition values must be int, float or str"):
+            ConsumableSpec("cyc", {"isa": [value]})
+
+    def test_consumable_is_never_equal_to_another_type(self):
+        assert CYC_A.__eq__("cycA") is NotImplemented
+        assert CYC_A != "cycA"
+
+    def test_task_copy_needs_an_id(self):
+        task = TaskSpec("t1", requirements=(Requirement(CYC_A, 1),))
+        with pytest.raises(ValueError, match="^task_id must be non-empty$"):
+            task.with_id("")
 
     def test_instruction_merges_duplicate_consumables(self):
         ins = Instruction((Requirement(CYC_A, 3), Requirement(CYC_A, 2)))

@@ -540,3 +540,10 @@ class TestSharedAssignments:
             unshared = json.loads(json.dumps(obj))
             assert len({id(e) for e in unshared["assignments"].values()}) == len(entries)
             assert canonical_dumps(obj) == canonical_dumps_oracle(unshared)
+
+
+@pytest.mark.parametrize("field", ["inflation_factors", "walltime_safety_factor", "window_s"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_config_factors_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match="must be finite and > 0$"):
+        Config(**{field: {"rA": value} if field == "inflation_factors" else value})

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import math
 import statistics
 from unittest import mock
 
@@ -64,6 +66,13 @@ class TestBaselineProfile:
     def test_positivity(self):
         with pytest.raises(ValueError):
             BaselineProfile("t", 1000, 0, 4e9, 2.0, 2.5e9, 1.6)
+
+    @pytest.mark.parametrize("field", [
+        "instructions", "cycles", "instr_rate", "avg_clock_hz", "measured_tx_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counters_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and > 0$"):
+            dataclasses.replace(profile(), **{field: value})
 
 
 class TestSequentialCycles:
@@ -170,6 +179,15 @@ class TestPoolClock:
         with pytest.raises(ValueError):
             pool_clock_spec([])
 
+    @pytest.mark.parametrize("cls,head", [(ClockSpec, ("r",)), (PoolInventoryEntry, ("a", 4))])
+    @pytest.mark.parametrize("clocks", [
+        (2e9, math.inf), (math.inf, math.inf), (math.nan, 3e9), (2e9, math.nan)])
+    def test_clocks_must_be_finite(self, cls, head, clocks):
+        """1e300 GHz in a clocks file is a finite number but infinite hertz,
+        which would predict an execution time of 0 s."""
+        with pytest.raises(ValueError, match="^need 0 < base_hz <= max_hz < inf$"):
+            cls(*head, *clocks)
+
 
 class TestDiagnose:
     def test_overprediction_fully_explained_by_parallelism(self):
@@ -194,6 +212,11 @@ class TestDiagnose:
         pred = sequential_cycles(p)
         target_cycles, target_rate = 5e9, pred / 5e9
         assert diagnose(pred, target_cycles, target_rate).epsilon_pct == 0.0
+
+    @pytest.mark.parametrize("inputs", [(0.0, 4e9, 2.0), (8e9, -1.0, 2.0), (8e9, 4e9, 0.0)])
+    def test_non_positive_inputs_rejected(self, inputs):
+        with pytest.raises(ValueError, match="^diagnose inputs must be > 0$"):
+            diagnose(*inputs)
 
     def test_tx_errors_attached(self):
         report = diagnose(8e9, 4e9, 2.0, tx_pred_base_s=2.57, tx_pred_max_s=0.86,

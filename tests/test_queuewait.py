@@ -59,9 +59,11 @@ class TestRecordsAndBuckets:
 
     @pytest.mark.parametrize("field,value", [
         ("wait", math.nan), ("wait", math.inf), ("walltime", math.nan), ("walltime", math.inf),
+        ("age_s", math.nan), ("age_s", math.inf), ("age_s", -math.inf),
     ])
     def test_non_finite_values_rejected(self, field, value):
-        name = {"wait": "wait_s", "walltime": "walltime_req_s"}[field]
+        """A NaN submit time would compare false and leave a store unsorted."""
+        name = {"wait": "wait_s", "walltime": "walltime_req_s", "age_s": "submit_time"}[field]
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             rec(**{"wait": 100.0, field: value})
 
