@@ -13,7 +13,6 @@ from .match import (
     NotSatisfiableError,
     ViableSet,
     cost,
-    register_affinity,
     res_select,
     satisfy_req,
     satisfy_task,
@@ -86,7 +85,6 @@ __all__ = [
     "pool_clock_spec",
     "predict_sequential_cycles",
     "predict_tx",
-    "register_affinity",
     "res_select",
     "satisfy_req",
     "satisfy_task",

@@ -254,17 +254,23 @@ REQUIREMENT = _consumable_record(Requirement, "amount")
 CAPABILITY = _consumable_record(Capability, "rate")
 
 
-def _task(task_id, instructions=None, requirements=None):
-    if instructions is not None:
-        instructions = tuple(map(Instruction, instructions))
-    return TaskSpec(task_id, instructions, requirements)
+class InstructionArr(Arr):
+    """An `Instruction`, on disk its array of requirements.  Each is built
+    where it is decoded, so its errors name its index."""
+
+    def decode(self, value) -> Instruction:
+        requirements = super().decode(value)
+        try:
+            return Instruction(requirements)
+        except ValueError as exc:
+            raise DecodeError(str(exc)) from exc
+
+    def encode(self, value: Instruction) -> list:
+        return super().encode(value.requirements)
 
 
-TASK = Record(
-    _task, {"task_id": STR, "requirements": opt(Arr(REQUIREMENT)),
-            "instructions": opt(Arr(Arr(REQUIREMENT)))},
-    lambda t: {**vars(t), "instructions": t.instructions and [
-        i.requirements for i in t.instructions]})
+TASK = Record(TaskSpec, {"task_id": STR, "requirements": opt(Arr(REQUIREMENT)),
+                         "instructions": opt(Arr(InstructionArr(REQUIREMENT)))})
 
 
 class Tasks(Arr):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .model import Capability, Requirement, ResourceSpec, TaskSpec, aggregate
 
@@ -119,28 +119,8 @@ def res_select(
     return best_id if best_id is not None else vrs_ids[0]
 
 
-# --- affinity registry -------------------------------------------------------
-#
-# Affinity functions must be pure: same payload, same value, no side effects.
-
-
-def neg_ttc(payload: dict) -> float:
-    """Default affinity: the negated predicted time-to-completion."""
-    return -(payload["tq_s"] + payload["tx_s"])
-
-
-_AFFINITIES: Dict[str, Callable] = {"neg_ttc": neg_ttc}
-
-
-def register_affinity(name: str, fn: Callable) -> None:
-    """Register a user-supplied affinity function under ``name``."""
-    if not callable(fn):
-        raise TypeError("affinity must be callable")
-    _AFFINITIES[name] = fn
-
-
-def get_affinity(name: str) -> Callable:
-    try:
-        return _AFFINITIES[name]
-    except KeyError:
-        raise ValueError(f"unknown affinity function {name!r}") from None
+def neg_ttc(candidate) -> float:
+    """The planner's affinity: a candidate `Assignment`'s negated predicted
+    time-to-completion.  An affinity must be pure: same candidate, same
+    value, no side effects."""
+    return -candidate.ttc_s

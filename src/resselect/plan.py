@@ -4,13 +4,14 @@ per-task time-to-completion estimates and assign each task a resource.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Config
-from .match import EmptyViableSetError, get_affinity, res_select, viable_set
+from .match import EmptyViableSetError, neg_ttc, res_select, viable_set
 from .model import ResourceSpec, TaskSpec, WorkloadSpec, aggregate
 from .predict import (
     BaselineProfile,
@@ -39,6 +40,10 @@ class Assignment:
     def __post_init__(self):
         if (self.tq_s is None) != (self.tx_s is None):
             raise ValueError("tq_s and tx_s must be given together")
+        for name in ("tq_s", "tx_s", "walltime_s"):
+            value = getattr(self, name)
+            if value is not None and not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @property
     def ttc_s(self) -> Optional[float]:
@@ -186,14 +191,13 @@ def plan_model(
     config: Config,
     now: float,
 ) -> SelectionPlan:
-    """Assign every task the viable resource with the highest affinity
-    (by default the smallest predicted TTC).  Ties go to pool order.
+    """Assign every task the viable resource with the smallest predicted
+    TTC: `res_select` ranks the candidates by `neg_ttc`.  Ties go to pool
+    order.
 
     A task's estimates depend on nothing but its profile id and its viable
-    resources, and the affinity is pure, so each distinct (profile id,
-    viable ids) kind is estimated once and every task of the kind gets the
-    same `Assignment` object."""
-    affinity = get_affinity(config.affinity)
+    resources, so each distinct (profile id, viable ids) kind is estimated
+    once and every task of the kind gets the same `Assignment` object."""
     by_task = profiles_by_task(profiles)
     queries = _BucketedQueries(queue_store)
     viable: dict = {}
@@ -205,8 +209,7 @@ def plan_model(
         chosen = chosen_by_kind.get(kind)
         if chosen is None:
             estimates = task_estimates(task, ids, by_task, clocks, queries, config, now)
-            payloads = [{"tq_s": e.tq_s, "tx_s": e.tx_s} for e in estimates]
-            rid = res_select(ids, payloads, affinity)
+            rid = res_select(ids, estimates, neg_ttc)
             chosen = chosen_by_kind[kind] = next(e for e in estimates if e.resource_id == rid)
         assignments[task.task_id] = chosen
     return SelectionPlan(

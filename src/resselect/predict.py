@@ -170,13 +170,17 @@ def predict_tx(
 def pool_clock_spec(
     inventory: Sequence[PoolInventoryEntry], resource_id: str = "pool"
 ) -> ClockSpec:
-    """Node-count-weighted average base/max clock of a heterogeneous pool."""
+    """Node-count-weighted average base/max clock of a heterogeneous pool.
+    The weighted clocks are added left to right, not by ``sum()``, which
+    compensates floats since Python 3.12: every version gives the same bits."""
     if not inventory:
         raise ValueError("empty pool inventory")
-    weight = sum(e.node_count for e in inventory)
-    base = sum(e.node_count * e.base_hz for e in inventory) / weight
-    mx = sum(e.node_count * e.max_hz for e in inventory) / weight
-    return ClockSpec(resource_id, base_hz=base, max_hz=mx)
+    weight = base = mx = 0
+    for e in inventory:
+        weight += e.node_count
+        base += e.node_count * e.base_hz
+        mx += e.node_count * e.max_hz
+    return ClockSpec(resource_id, base_hz=base / weight, max_hz=mx / weight)
 
 
 def diagnose(

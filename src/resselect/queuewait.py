@@ -132,6 +132,9 @@ class SimilarityBuckets:
 
     def __post_init__(self):
         for edges in (self.walltime_edges_s, self.cores_edges):
+            # NaN passes the order check below; an int of any size is finite
+            if not all(-math.inf < e < math.inf for e in edges):
+                raise ValueError("bucket edges must be finite")
             if any(a >= b for a, b in zip(edges, edges[1:])):
                 raise ValueError("bucket edges must be strictly ascending")
         object.__setattr__(self, "walltime_edges_s", tuple(self.walltime_edges_s))

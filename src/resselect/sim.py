@@ -153,9 +153,11 @@ class SimulationResult:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for m in METRICS:
-            n = len(getattr(self, m))
-            if n != self.trials:
-                raise ValueError(f"{m} holds {n} values, not trials = {self.trials}")
+            values = getattr(self, m)
+            if len(values) != self.trials:
+                raise ValueError(f"{m} holds {len(values)} values, not trials = {self.trials}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{m} values must be finite")
 
     @property
     def mean_ttc_s(self) -> float:

@@ -224,7 +224,11 @@ def timeline_oracle(
             merged[-1][1] = max(merged[-1][1], end)
         else:
             merged.append([start, end])
-    tx = sum(end - start for start, end in merged)
+    # added one at a time in start order, as the simulator adds them; sum()
+    # compensates float additions since Python 3.12
+    tx = 0.0
+    for start, end in merged:
+        tx += end - start
     return ttc, ttc - tx, tx
 
 

@@ -216,6 +216,7 @@ MUTATIONS = [
     ("config.json", 0, [], "window_s"),
     ("config.json", "turbo", [], "frequency_choice"),
     ("config.json", 0, [], "cores_per_task"),
+    ("config.json", "x", [], "affinity"),
     ("scenario.json", {"kind": "empirical", "samples": [1.0, -1.0]}, ["behaviors", 0, "tx_dist"],
      "samples"),
     ("scenario.json", 0, ["behaviors", 0], "capacity_cores"),

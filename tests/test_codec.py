@@ -44,6 +44,12 @@ class TestDecodeErrors:
         assert decode_error(TASK, obj) == \
             "requirements[0]: requirement amount must be finite and > 0"
 
+    def test_empty_instruction_is_named_at_its_index(self):
+        steps = [[{"type": "cyc", "amount": 5}], []]
+        workload = {"workload_id": "w", "tasks": [{"task_id": "t", "instructions": steps}]}
+        assert decode_error(WORKLOAD, workload) == \
+            "tasks[0].instructions[1]: instruction must have at least one requirement"
+
     def test_source_prefixes_the_message(self):
         with pytest.raises(DecodeError) as info:
             TASK.decode({"task_id": 1})

@@ -13,14 +13,14 @@ from resselect import (
     ResourceSpec,
     TaskSpec,
     aggregate,
-    register_affinity,
     res_select,
     satisfy_req,
     satisfy_task,
     viable_set,
 )
 from resselect.codec import VIABLE_SET
-from resselect.match import get_affinity, neg_ttc
+from resselect.match import neg_ttc
+from resselect.plan import Assignment
 
 from conftest import (
     VALUES,
@@ -222,19 +222,6 @@ class TestResSelect:
         assert res_select(list(ids2), list(values2), float) == chosen
 
 
-class TestAffinityRegistry:
+class TestNegTtc:
     def test_default_neg_ttc(self):
-        assert get_affinity("neg_ttc") is neg_ttc
-        assert neg_ttc({"tq_s": 100.0, "tx_s": 50.0}) == -150.0
-
-    def test_register_and_list(self):
-        register_affinity("test_only", lambda p: 0.0)
-        assert get_affinity("test_only")({}) == 0.0
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown affinity"):
-            get_affinity("nope")
-
-    def test_non_callable_rejected(self):
-        with pytest.raises(TypeError):
-            register_affinity("bad", 42)
+        assert neg_ttc(Assignment("r", 100.0, 50.0)) == -150.0

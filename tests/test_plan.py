@@ -23,7 +23,7 @@ from resselect import (
     aggregate,
     plan_model,
     plan_random,
-    register_affinity,
+    res_select,
     viable_set,
 )
 from resselect.match import EmptyViableSetError
@@ -168,19 +168,20 @@ class TestPlanModel:
             assert all(a.ttc_s <= ttcs[rid] for rid in ttcs)
 
     def test_decreasing_transform_of_ttc_gives_same_assignment(self):
-        register_affinity("inv_ttc_cubed", lambda p: -((p["tq_s"] + p["tx_s"]) ** 3))
-        args = (
-            make_workload(4),
-            make_pool({"rA": 2.0e9, "rB": 2.5e9}),
-            make_profiles(),
-            CLOCKS,
-            make_store({"rA": [400.0], "rB": [1000.0]}),
-        )
-        default = plan_model(*args, base_config(), now=NOW)
-        transformed = plan_model(*args, base_config(affinity="inv_ttc_cubed"), now=NOW)
-        assert {t: a.resource_id for t, a in default.assignments.items()} == {
-            t: a.resource_id for t, a in transformed.assignments.items()
-        }
+        # rA: ttc 5400, rB: ttc 5000
+        workload, profiles = make_workload(4), make_profiles()
+        pool = make_pool({"rA": 2.0e9, "rB": 2.5e9})
+        store = make_store({"rA": [400.0], "rB": [1000.0]})
+        plan = plan_model(workload, pool, profiles, CLOCKS, store, base_config(), now=NOW)
+        ids = ("rA", "rB")
+        estimates = task_estimates(workload.tasks[0], ids, profiles_by_task(profiles), CLOCKS,
+                                   store, base_config(), NOW)
+        cubed = res_select(ids, estimates, lambda a: -(a.ttc_s ** 3))
+        assert {a.resource_id for a in plan.assignments.values()} == {cubed} == {"rB"}
+
+    def test_config_names_no_other_affinity(self):
+        with pytest.raises(ValueError, match="affinity must be 'neg_ttc', got 'neg_tq'"):
+            base_config(affinity="neg_tq")
 
     def test_plan_completeness_and_requests(self):
         wl = make_workload(10)
@@ -264,6 +265,13 @@ class TestPlanSerialization:
             Assignment("r", **times)
         assert Assignment("r").ttc_s is None
         assert Assignment("r", 1.0, 2.5).ttc_s == 3.5
+
+    @pytest.mark.parametrize("times,name", [
+        ((math.nan, 1.0), "tq_s"), ((1.0, -math.inf), "tx_s"),
+        ((1.0, math.inf, math.nan), "tx_s"), ((1.0, 1.0, math.nan), "walltime_s")])
+    def test_times_must_be_finite(self, times, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            Assignment("r", *times)
 
     def test_random_plan_round_trip_keeps_seed(self):
         plan = plan_random(make_workload(3), make_pool({"rA": 1e9}), seed=5)

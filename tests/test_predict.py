@@ -179,6 +179,14 @@ class TestPoolClock:
         with pytest.raises(ValueError):
             pool_clock_spec([])
 
+    def test_weighted_clock_bits_are_pinned(self):
+        """Python 3.12's sum() would give ...852.8138523 here; the weighted
+        clocks are added left to right on every version."""
+        inventory = [PoolInventoryEntry(f"m{i}", n, ghz * GHZ, ghz * GHZ) for i, (n, ghz) in
+                     enumerate([(298, 2.03), (149, 1.88), (231, 2.73), (15, 2.11)])]
+        spec = pool_clock_spec(inventory)
+        assert repr(spec.base_hz) == repr(spec.max_hz) == "2232813852.813853"
+
     @pytest.mark.parametrize("cls,head", [(ClockSpec, ("r",)), (PoolInventoryEntry, ("a", 4))])
     @pytest.mark.parametrize("clocks", [
         (2e9, math.inf), (math.inf, math.inf), (math.nan, 3e9), (2e9, math.nan)])

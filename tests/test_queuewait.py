@@ -101,6 +101,13 @@ class TestRecordsAndBuckets:
         with pytest.raises(ValueError):
             SimilarityBuckets((10.0, 10.0), (1,))
 
+    @pytest.mark.parametrize("edges", [((1.0, math.nan, 2.0), (1,)), ((math.inf,), (1,)),
+                                       ((1.0,), (1, -math.inf))])
+    def test_bucket_edges_must_be_finite(self, edges):
+        with pytest.raises(ValueError, match="^bucket edges must be finite$"):
+            SimilarityBuckets(*edges)
+        assert SimilarityBuckets((1.0,), (10**400,)).cores_bucket(10**400) == 1
+
     def test_half_open_buckets(self):
         b = DEFAULT_BUCKETS
         # edge value starts the next bucket: [lo, hi)

@@ -442,6 +442,14 @@ class TestCompare:
         with pytest.raises(ValueError, match=f"^{reason}$"):
             SimulationResult("w", "model", trials, (1.0,) * n, (0.0,) * n, (1.0,) * n)
 
+    @pytest.mark.parametrize("metric,bad", [
+        ("ttc_wkd_s", math.nan), ("tq_wkd_s", -math.inf), ("tx_wkd_s", math.inf)])
+    def test_values_must_be_finite(self, metric, bad):
+        values = {"ttc_wkd_s": (2.0, 2.0), "tq_wkd_s": (1.0, 1.0), "tx_wkd_s": (1.0, 1.0)}
+        values[metric] = (1.0, bad)
+        with pytest.raises(ValueError, match=f"^{metric} values must be finite$"):
+            SimulationResult("w", "model", 2, **values)
+
     def test_trials_counts_each_metric(self):
         with pytest.raises(ValueError, match="^tq_wkd_s holds 3 values, not trials = 2$"):
             SimulationResult("w", "model", 2, (1.0, 1.0), (0.0,) * 3, (1.0, 1.0))
