@@ -12,7 +12,7 @@ from resselect import DistSpec, ResourceBehavior, SimulationResult, compare, sim
 from resselect.codec import DIST, RESULT
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan
-from resselect.sim import _draw, _draws
+from resselect.sim import _BLOCK, _draw, _draws, _timeline
 
 from oracles import timeline_oracle
 
@@ -68,6 +68,10 @@ class TestDistSpec:
             ("normal", {"mean": 1.0, "stddev": math.inf}, "stddev"),
             ("empirical", {"samples": (1.0, math.nan)}, "samples"),
             ("empirical", {"samples": (math.inf,)}, "samples"),
+            # an int past the float range makes math.isfinite overflow
+            ("constant", {"value": 10**400}, "value"),
+            ("normal", {"mean": 1.0, "stddev": 10**400}, "stddev"),
+            ("empirical", {"samples": (1.0, 10**400)}, "samples"),
         ]:
             with pytest.raises(ValueError, match=f"{kind} distribution needs a finite {field}$"):
                 DistSpec(kind, **given)
@@ -369,6 +373,75 @@ class TestSimulate:
             assert got == expected
 
 
+class TestTimeline:
+    """``_timeline`` sorts on start alone and merges in one pass; the oracle
+    sorts whole tuples and takes TTC as the largest end in list order."""
+
+    POINT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(0.0, 1e6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(POINT, POINT), min_size=1, max_size=12).flatmap(
+        lambda spans: st.permutations(spans + spans[:len(spans) // 2])))
+    def test_matches_the_interval_oracle_bit_for_bit(self, spans):
+        """Tied starts, duplicates and zero-length spans included; a start
+        and a length of -0.0 give an end of -0.0."""
+        intervals = [(start, start + length) for start, length in spans]
+        ttc, _, tx = timeline_oracle(intervals)
+        got = _timeline(list(intervals))
+        assert list(map(float.hex, got)) == list(map(float.hex, (ttc, tx)))
+        assert got[0].hex() == max(end for _, end in intervals).hex()
+
+    def test_tied_starts_merge_in_any_order(self):
+        for intervals in ([(1.0, 3.0), (1.0, 1.0), (1.0, 2.0), (4.0, 4.0), (0.0, 1.0)],
+                          [(1.0, 2.0), (0.0, 1.0), (4.0, 4.0), (1.0, 3.0), (1.0, 1.0)]):
+            assert _timeline(intervals) == (4.0, 3.0)
+
+    def test_touching_spans_merge(self):
+        """One span of 1.1 - 0.1, not (0.2 - 0.1) + (1.1 - 0.2), a bit longer."""
+        assert _timeline([(0.2, 1.1), (0.1, 0.2)]) == (1.1, 1.0)
+
+
+class TestActivationBlocks:
+    """A single pilot's activations are drawn ``_BLOCK`` trials at a time."""
+
+    TRIALS = _BLOCK + 37
+    WAIT = DistSpec("normal", mean=100.0, stddev=40.0)
+
+    def behaviors(self, fixed_tx, capacity=None):
+        return {
+            "fixed": behavior("fixed", self.WAIT, fixed_tx, capacity_cores=capacity),
+            "capped": behavior("capped", DistSpec("normal", mean=50.0, stddev=30.0),
+                               DistSpec("empirical", samples=(0.0, 20.0, 35.5)),
+                               capacity_cores=2),
+            "staggered": behavior("staggered", DistSpec("normal", mean=80.0, stddev=60.0),
+                                  DistSpec("normal", mean=30.0, stddev=10.0),
+                                  pilot_mode="per_task"),
+        }
+
+    ASSIGNMENTS = {"a": "fixed", "b": "fixed", "c": "capped", "d": "capped",
+                   "e": "capped", "f": "staggered", "g": "staggered"}
+
+    def test_each_trial_matches_the_per_task_oracle_across_the_block_boundary(self):
+        behaviors = self.behaviors(const(25.0))
+        result = simulate(make_plan(self.ASSIGNMENTS), behaviors, trials=self.TRIALS, seed=17)
+        for trial in range(self.TRIALS):
+            expected = timeline_oracle(per_task_schedule(self.ASSIGNMENTS, behaviors, 17, trial))
+            got = (result.ttc_wkd_s[trial], result.tq_wkd_s[trial], result.tx_wkd_s[trial])
+            assert got == expected
+        assert len(set(result.ttc_wkd_s[_BLOCK - 2:_BLOCK + 2])) == 4
+
+    @pytest.mark.parametrize("capacity", [None, 2, 3])
+    def test_a_fixed_span_is_the_drawn_span_of_a_one_sample_distribution(self, capacity):
+        """A constant duration on a pilot with a core per task takes no draw
+        per trial; one sample of the same value takes the drawn path."""
+        results = []
+        for tx in (const(25.0), DistSpec("empirical", samples=(25.0,))):
+            result = simulate(make_plan(self.ASSIGNMENTS), self.behaviors(tx, capacity),
+                              trials=self.TRIALS, seed=3)
+            results.append(canonical_dumps(result.to_json()))
+        assert results[0] == results[1]
+
+
 def per_task_schedule(assignments, behaviors, seed, trial):
     """One interval per task, on the simulator's keyed draws: a per_task
     pilot starts each task at its own wait; a single pilot starts each task,
@@ -443,7 +516,8 @@ class TestCompare:
             SimulationResult("w", "model", trials, (1.0,) * n, (0.0,) * n, (1.0,) * n)
 
     @pytest.mark.parametrize("metric,bad", [
-        ("ttc_wkd_s", math.nan), ("tq_wkd_s", -math.inf), ("tx_wkd_s", math.inf)])
+        ("ttc_wkd_s", math.nan), ("tq_wkd_s", -math.inf), ("tx_wkd_s", math.inf),
+        pytest.param("ttc_wkd_s", 10**400, id="ttc_wkd_s-int-past-float")])
     def test_values_must_be_finite(self, metric, bad):
         values = {"ttc_wkd_s": (2.0, 2.0), "tq_wkd_s": (1.0, 1.0), "tx_wkd_s": (1.0, 1.0)}
         values[metric] = (1.0, bad)
