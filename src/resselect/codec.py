@@ -17,7 +17,7 @@ import csv
 import marshal
 import sys
 from functools import reduce
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import isfinite, nan
 from operator import attrgetter, iadd, itemgetter, mul, not_
 from types import SimpleNamespace
@@ -396,11 +396,13 @@ RESULT = Record(
 
 # --- CSV files: a header naming the columns, then one record per row
 
-# Rows read and built at a time.  Each row is a list the garbage collector
-# tracks, and 512 stays under CPython's default gen-0 threshold (700), so a
-# chunk sets off no collection of its own; its rows are let go before the
-# chunk's columns are handed on.  Chunks of 4096 rows set off 112 gen-0 and
-# 10 gen-1 collections per 100k history rows, and read them 9 % slower.
+# Lines read and built at a time.  A chunk the csv module reads makes a list
+# per row, which the garbage collector tracks, and 512 stays under CPython's
+# default gen-0 threshold (700), so such a chunk sets off no collection of
+# its own; its rows are let go before the chunk's columns are handed on.
+# Chunks of 4096 rows set off 112 gen-0 and 10 gen-1 collections per 100k
+# history rows, and read them 9 % slower.  A quote-free chunk is split as
+# one string, so it makes a few lists, not one per row.
 _CHUNK = 512
 
 
@@ -415,8 +417,9 @@ class Csv:
         self.name, self.build, self.columns = name, build, columns
 
     def read(self, stream, warnings: List[str]) -> Iterator[tuple]:
-        """Stream the value columns of the accepted rows of each chunk of up
-        to `_CHUNK` rows of ``stream``.
+        """Stream the value columns of the accepted rows of each chunk of
+        ``stream``, which is up to `_CHUNK` lines and the lines a quoted
+        cell on its last line runs on to.
 
         The header must name every declared column once; other columns are
         ignored.  Blank lines are skipped.  A row with more cells than the
@@ -426,8 +429,14 @@ class Csv:
         whole however many of its rows are bad, and its bad rows are then
         dropped from its columns.  Text that is not CSV raises `ValueError`
         naming its line, and so does a NUL character, which the csv module
-        of Python 3.10 rejects and later ones read as part of a cell."""
-        reader = csv.reader(stream)
+        of Python 3.10 rejects and later ones read as part of a cell.
+
+        A chunk whose lines are one row each by the rules of `_split` is
+        split at its commas.  Any other chunk is read by the csv module,
+        which may read on past its last line to the end of a quoted cell.
+        Both give the cells, warnings and errors the csv module gives."""
+        lines = iter(stream)
+        reader, line = csv.reader(lines), 0  # ``line``: the line before the chunk
         try:
             header = next(reader, [])
             if "\0" in "".join(header):
@@ -439,50 +448,91 @@ class Csv:
                 if header.count(c) > 1:
                     raise ValueError(f"{self.name} CSV repeats column {c!r}")
             indices = [header.index(c) for c in self.columns]
-            build, width = self.build, len(header)
-            # each row, noting in ``ends`` the line it ends on as it is read:
-            # the stream counts the line breaks, which the cells may not show
-            ends: List[int] = []
-            noted = map(itemgetter(0), zip(
-                reader, map(ends.append, map(attrgetter("line_num"), repeat(reader)))))
-            line = reader.line_num  # the line before the chunk
-            for chunk in iter(lambda: list(islice(noted, _CHUNK)), []):
-                # the chunk's cells, by one C-level extend per row; ``zip(*chunk)``
-                # would hold an iterator per row, each one counting toward gen
-                # 0.  A NUL is sought in their joined text, a string, which the
-                # collector does not track.
-                cells = reduce(iadd, chunk, [])
-                if "\0" in "".join(cells):
-                    raise _nul_error(chunk, ends, line)
+            build, width, line = self.build, len(header), reader.line_num
+            limit = csv.field_size_limit()
+            for chunk in iter(lambda: list(islice(lines, _CHUNK)), []):
                 bad: Dict[int, Optional[str]] = {}  # row -> its warning; None for none
-                if set(map(len, chunk)) != {width}:  # fit every row to the header
-                    for i, row in enumerate(chunk):
-                        if len(row) < width:
-                            if not row:  # a blank line
-                                bad[i] = None
-                            row += [""] * (width - len(row))
-                        elif len(row) > width:
-                            bad[i] = f"{len(row) - width} more cells than the header"
-                            del row[width:]
-                    cells = reduce(iadd, chunk, [])
+                cells = _split(chunk, width, limit)
+                if cells is None:  # rows that may run on past the chunk's last line
+                    reader = csv.reader(chain(chunk, lines))
+                    cells, ends = _rows(reader, len(chunk), line, width, bad)
+                else:
+                    ends = range(1, len(chunk) + 1)  # one row per line
                 # the declared columns
                 columns = build(bad, *(cells[i::width] for i in indices))
+                del chunk, cells  # see _CHUNK
                 if bad:
-                    keep = [True] * len(chunk)
+                    keep = [True] * len(ends)
                     for i in bad:
                         keep[i] = False
                     columns = tuple(list(compress(c, keep)) for c in columns)
-                    warnings.extend(f"line {(ends[i - 1] if i else line) + 1}: {bad[i]}"
+                    warnings.extend(f"line {line + (ends[i - 1] if i else 0) + 1}: {bad[i]}"
                                     for i in sorted(bad) if bad[i] is not None)
-                line = ends[-1]
-                ends.clear()
-                del chunk, cells  # see _CHUNK
+                line += ends[-1]
                 yield columns
         except csv.Error as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+            raise ValueError(f"line {line + reader.line_num}: {exc}") from exc
 
     def schema(self) -> str:
         return "CSV: " + ",".join(self.columns)
+
+
+# every byte but a comma, a NUL and a line break: what `_split` deletes from
+# a text to see its rows' shape
+_CELL_BYTES = bytes(set(range(256)).difference(b",\0\r\n"))
+
+
+def _split(lines: List[str], width: int, limit: int) -> Optional[List[str]]:
+    """The cells of ``lines`` as the csv module reads them, one row per
+    line, when they hold no ``"``, NUL or line break inside a line, each
+    has ``width - 1`` commas and none is longer than ``limit``; else None.
+    The lines must all end alike, in ``\\n`` or in ``\\r\\n``, except that the
+    last may have no end.  Deleting every other byte from the UTF-8 of
+    their text, in which no other character has an ASCII byte, leaves one
+    shape per line."""
+    text = "".join(lines)
+    if width < 2 or '"' in text:  # with one column a blank line would read as a cell
+        return None
+    end = "\r\n" if lines[0].endswith("\r\n") else "\n"
+    if not text.endswith(end):  # a file's last line, with no end
+        text += end
+    shape = text.encode("utf-8", "surrogatepass").translate(None, _CELL_BYTES)
+    if (shape != ("," * (width - 1) + end).encode() * len(lines)
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    cells = text.replace(end, ",").split(",")
+    del cells[-1]  # after the last line's end
+    return cells
+
+
+def _rows(reader, n: int, line: int, width: int, bad: Dict[int, Optional[str]]) -> tuple:
+    """The cells of ``n`` rows of ``reader``, which starts after
+    ``line``, each row fitted to ``width`` with the blank and long ones
+    noted in ``bad``, and the line each row ends on, counted from
+    ``line``."""
+    # each row, noting in ``ends`` the line it ends on as it is read: the
+    # stream counts the line breaks, which the cells may not show
+    ends: List[int] = []
+    rows = list(islice(map(itemgetter(0), zip(
+        reader, map(ends.append, map(attrgetter("line_num"), repeat(reader))))), n))
+    # the cells, by one C-level extend per row; ``zip(*rows)`` would hold
+    # an iterator per row, each one counting toward gen 0.  A NUL is
+    # sought in their joined text, a string, which the collector does
+    # not track.
+    cells = reduce(iadd, rows, [])
+    if "\0" in "".join(cells):
+        raise _nul_error(rows, [line + end for end in ends], line)
+    if set(map(len, rows)) != {width}:  # fit every row to the header
+        for i, row in enumerate(rows):
+            if len(row) < width:
+                if not row:  # a blank line
+                    bad[i] = None
+                row += [""] * (width - len(row))
+            elif len(row) > width:
+                bad[i] = f"{len(row) - width} more cells than the header"
+                del row[width:]
+        cells = reduce(iadd, rows, [])
+    return cells, ends
 
 
 def _nul_error(rows: List[List[str]], ends: List[int], line: int) -> ValueError:

@@ -172,15 +172,32 @@ class QueueWaitEstimate:
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# The time forms read: ``YYYY-MM-DDTHH:MM:SS``, a 3- or 6-digit fraction or
+# none, and ``Z``, ``±HH:MM`` or no offset, as shapes with each ASCII digit
+# written 0.  `datetime.fromisoformat` reads these alike on every supported
+# Python, and other forms too, more of them on 3.11 and later.
+_DIGITS = str.maketrans("123456789", "000000000")
+_TIME_SHAPES = frozenset(f"0000-00-00T00:00:00{fraction}{offset}"
+                         for fraction in ("", ".000", ".000000")
+                         for offset in ("", "Z", "+00:00", "-00:00"))
 
 
-def iso_times(bad: Dict[int, Optional[str]], texts: Iterable[str]) -> list:
-    """UTC epoch seconds of ISO-8601 times; ``Z`` or no offset means UTC.
-    Each is ``(time - epoch).total_seconds()``, which is how
-    `datetime.timestamp` computes an aware time, so the floats are the
-    same."""
-    texts = map(str.replace, texts, repeat("Z"), repeat("+00:00"))
-    times = parsed(bad, _EPOCH, datetime.fromisoformat, texts)
+def iso_times(bad: Dict[int, Optional[str]], texts: Sequence[str]) -> list:
+    """UTC epoch seconds of ISO-8601 times in the forms of `_TIME_SHAPES`;
+    ``Z`` or no offset means UTC.  Each is ``(time - epoch).total_seconds()``,
+    which is how `datetime.timestamp` computes an aware time, so the floats
+    are the same.  A text that `datetime.fromisoformat` reads in another
+    form is rejected with the message it gives a text it cannot read.  The
+    shapes are checked at once, as the joined texts with their digits
+    written 0; texts of mixed shapes are then checked one by one."""
+    joined = ",".join(texts)
+    times = parsed(bad, _EPOCH, datetime.fromisoformat, map(
+        str.replace, texts, repeat("Z"), repeat("+00:00")) if "Z" in joined else texts)
+    shape = texts[0].translate(_DIGITS)
+    if shape not in _TIME_SHAPES or joined.translate(_DIGITS) + "," != (shape + ",") * len(texts):
+        fits = map(_TIME_SHAPES.__contains__, map(str.translate, texts, repeat(_DIGITS)))
+        for i in compress(count(), map(not_, fits)):
+            bad.setdefault(i, f"Invalid isoformat string: {texts[i].replace('Z', '+00:00')!r}")
     try:
         deltas = list(map(sub, times, repeat(_EPOCH)))
     except TypeError:  # a naive time, which is read as UTC

@@ -337,6 +337,13 @@ class TestArgumentErrors:
         assert main(argv) == 1
         assert "--now" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("now", ["20231110T000000Z", "2023-11-10 00:00:00"])
+    def test_now_outside_the_history_time_grammar_exits_1(self, capsys, now):
+        argv = ["queue-wait", "--history", str(BUNDLED / "history.csv"), "--machine", "supermic",
+                "--queue", "workq", "--walltime", "7200", "--cores", "1", "--now", now]
+        assert main(argv) == 1
+        assert f"--now: not an ISO-8601 time: {now!r}" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert main(["select", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage:")
@@ -644,6 +651,18 @@ class TestPipeline:
         code, err, path = self._run_edited_csv(tmp_path, capsys, flag, edit)
         assert code == 1
         assert err == f"error: {path}: line 3: line contains NUL\n"
+
+    @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
+    def test_cell_past_the_field_limit_exits_1_naming_its_line(self, tmp_path, capsys, flag):
+        limit = csv.field_size_limit()
+
+        def edit(lines):
+            lines[2] = "x" * (limit + 1) + lines[2]
+            return lines
+
+        code, err, path = self._run_edited_csv(tmp_path, capsys, flag, edit)
+        assert code == 1
+        assert err == f"error: {path}: line 3: field larger than field limit ({limit})\n"
 
     @pytest.mark.parametrize("flag,column", [("--history", "wait_s"), ("--profiles", "tx_s")])
     def test_repeated_column_exits_1(self, tmp_path, capsys, flag, column):

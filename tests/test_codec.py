@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resselect.codec import (
-    CAPABILITY, CLOCKS, DIST, PLAN, POOL, REQUIREMENT, STR, TASK, VIABLE_SET, WORKLOAD, Arr,
+    CAPABILITY, CLOCKS, DIST, PLAN, POOL, REQUIREMENT, STR, TASK, VIABLE_SET, WORKLOAD, Arr, Csv,
     DecodeError, Record,
 )
 from resselect.match import ViableSet
@@ -221,3 +222,13 @@ class TestSharedTaskBodies:
                  {"task_id": "b", "requirements": [{"type": "cyc", "amount": held}]}]
         workload = WORKLOAD.decode({"workload_id": "w", "tasks": tasks})
         assert workload.tasks[0].requirements is workload.tasks[1].requirements
+
+
+class TestCsv:
+    @pytest.mark.parametrize("text", ["a\nx\n\ny\n", "b,a\n1,x\n\n2,y\n"], ids=["one", "two"])
+    def test_blank_line_skipped_however_many_columns(self, text):
+        """A blank line holds no comma, as a line of a one-column file
+        does; it is skipped either way."""
+        warnings = []
+        chunks = Csv("c", lambda bad, a: (list(a),), "a").read(io.StringIO(text), warnings)
+        assert [v for (column,) in chunks for v in column] == ["x", "y"] and warnings == []

@@ -343,6 +343,14 @@ class TestIngest:
         with mock.patch.object(codec, "_CHUNK", chunk):
             self.test_matches_reference_reader()
 
+    def test_quote_free_and_quoted_chunks_match_reference_reader(self):
+        """A file of several chunks: quote-free ones, split at their commas,
+        around the reference rows, whose quoted cell runs over two lines."""
+        header, *lines = self.REFERENCE_CSV.splitlines(keepends=True)
+        clean = [f"{c},1.6,md,1000,8e9,4e9,2.0,2.5\n" for c in "abcdefg"] * codec._CHUNK
+        text = header + "".join(clean[:codec._CHUNK - 3] + lines + clean).rstrip("\n")
+        assert load_profiles(io.StringIO(text)) == csv_read_oracle(text, profile_oracle)
+
     CELLS = ["md", "", "1000", "10.5", "8e9", "4e9", "9e9", "2.0", "2.5", "1.6", "0", "-1",
              "nan", "inf", "x"]
 

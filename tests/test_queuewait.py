@@ -40,6 +40,29 @@ def store_of(*records):
     return QueueWaitStore(records)
 
 
+def row_strategy(cells):
+    """Rows with one cell per column of ``cells``, a list of (valid cells,
+    rejected cells); a cell is drawn from the rejected ones one time in ten."""
+    return st.tuples(*(
+        st.integers(0, 9).flatmap(
+            lambda i, ok=ok, bad=bad: st.sampled_from(bad if i == 0 and bad else ok))
+        for ok, bad in cells)).map(list)
+
+
+def read_paths(read):
+    """``read()``, and per chunk that `codec.Csv.read` took, "split" if it
+    was split at its commas or "csv" if the csv module read it."""
+    paths, split = [], codec._split
+
+    def spy(*args):
+        cells = split(*args)
+        paths.append("csv" if cells is None else "split")
+        return cells
+
+    with mock.patch.object(codec, "_split", spy):
+        return read(), paths
+
+
 class TestRecordsAndBuckets:
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError):
@@ -407,6 +430,31 @@ class TestIngestCsv:
             store.ingest_csv(io.StringIO(csv_text, newline=newline))
         assert store._groups == held and len(store) == 1
 
+    @pytest.mark.parametrize("when", [
+        "20231110T000000Z", "2023-W45-5T00:00:00Z", "2023-11-10T00:00:00.5Z",
+        "2023-11-10T00:00:00+0100",
+        # forms that Python 3.10 reads too
+        "2023-11-10 00:00:00", "2023-11-10", "2023-11-10T00:00Z", "2023-11-10T00:00:00+01:00:30",
+    ])
+    def test_time_outside_the_grammar_is_a_bad_row_on_every_python(self, when):
+        """Python 3.11 and later read the first four forms and 3.10 does
+        not; every version skips such a row with 3.10's message."""
+        good = "m,q,2023-11-11T00:00:00Z,100,7200,1\n"
+        csv_text = self.HEADER + good + f"m,q,{when},100,7200,1\n" + good
+        assert QueueWaitStore().ingest_csv(io.StringIO(csv_text)) == (
+            2, [f"line 3: Invalid isoformat string: {when.replace('Z', '+00:00')!r}"])
+
+    @pytest.mark.parametrize("fraction,seconds", [("", 0), (".125", 0.125), (".000125", 1.25e-4)])
+    @pytest.mark.parametrize("offset,shift", [("", 0), ("Z", 0), ("+01:30", -5400),
+                                              ("-01:30", 5400)])
+    def test_every_form_of_the_grammar_is_read(self, fraction, seconds, offset, shift):
+        text = f"1970-01-02T00:00:00{fraction}{offset}"
+        assert _parse_iso8601(text) == DAY + shift + seconds
+        csv_text = self.HEADER + f"m,q,{text},100,7200,1\n" * 3
+        store = QueueWaitStore()
+        assert store.ingest_csv(io.StringIO(csv_text)) == (3, [])
+        assert store._groups[("m", "q")].times == [DAY + shift + seconds] * 3
+
     def test_nul_in_header_fatal(self):
         csv_text = self.HEADER.replace("queue", "qu\0eue") + "m,q,2023-11-10T00:00:00Z,100,7200,1\n"
         with pytest.raises(ValueError, match="^line 1: line contains NUL$"):
@@ -422,17 +470,17 @@ class TestIngestEquivalence:
         (["q1", "q,2"], [""]),
         (["2023-11-10T00:00:00Z", "2023-11-10T00:00:00+00:00", "2023-11-10T00:00:00",  # tied
           "2023-11-09T12:00:00Z", "2023-11-11T00:00:00-05:00"],
-         ["2023-02-30T00:00:00Z", "x", ""]),
+         ["2023-02-30T00:00:00Z", "x", "", "20231110T000000Z", "2023-11-10 00:00:00"]),
         (["0", "100", "250.5", "-0"], ["-5", "nan", "inf", "1e400", "", "x"]),
         (["600", "7200", "1e5"], ["0", "-inf", "nan"]),
         (["1", "16", " 4"], ["0", "2.5", ""]),
     ]
-    row = st.tuples(*(  # a cell is drawn from the rejected ones one time in ten
-        st.integers(0, 9).flatmap(
-            lambda i, ok=ok, bad=bad: st.sampled_from(bad if i == 0 and bad else ok))
-        for ok, bad in CELLS)).map(list)
+    row = row_strategy(CELLS)
+    # rows with no cell that needs quotes, so a chunk of them is split at its commas
+    quote_free_row = row_strategy([([c for c in ok if "," not in c and "\n" not in c], bad)
+                                   for ok, bad in CELLS])
     any_row = st.one_of(
-        row, row,
+        row, row, quote_free_row,
         st.tuples(row, st.integers(0, 5)).map(lambda r: r[0][:r[1]]),  # short, or a blank line
         st.tuples(row, st.lists(st.sampled_from(["", "9"]), min_size=1, max_size=2)).map(
             lambda r: r[0] + r[1]),  # long
@@ -470,6 +518,82 @@ class TestIngestEquivalence:
     def test_small_chunks_match_reference(self, chunk, parts):
         with mock.patch.object(codec, "_CHUNK", chunk):
             self.check_against_reference(parts)
+
+    def check_text(self, text, chunk=codec._CHUNK):
+        """``text`` read ``chunk`` lines at a time against the reference;
+        returns how each chunk was read (see `read_paths`)."""
+        expected, warnings = csv_read_oracle(text, history_record_oracle)
+        store = QueueWaitStore()
+        with mock.patch.object(codec, "_CHUNK", chunk):
+            result, paths = read_paths(lambda: store.ingest_csv(io.StringIO(text)))
+        assert result == (len(expected), warnings)
+        assert store._groups == history_columns_oracle(expected)
+        return paths
+
+    # runs of one row, so that at the reader's own chunk size a stream
+    # crosses chunks, both quote-free ones and ones the csv module reads
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(any_row, st.integers(1, 300)), min_size=1, max_size=6))
+    def test_runs_across_chunks_of_the_reader_size_match_reference(self, runs):
+        self.check_text(self.text([row for row, n in runs for _ in range(n)]))
+
+    def clean_rows(self, n):
+        return [[f"m{i % 3}", "q1", self.GOOD[2], str(i), *self.GOOD[4:]] for i in range(n)]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("last_ended", [True, False], ids=["last-ended", "last-unended"])
+    def test_line_ends_are_split(self, end, last_ended):
+        rows = self.clean_rows(2 * codec._CHUNK + 5)
+        rows[7] = rows[codec._CHUNK + 3] = self.EDGE_ROWS["bad"]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=end).writerows([self.HEADER, *rows])
+        text = buf.getvalue() if last_ended else buf.getvalue()[:-len(end)]
+        assert self.check_text(text) == ["split"] * 3
+
+    @pytest.mark.parametrize("edge", ["blank", "short", "long"])
+    def test_a_row_of_another_width_inside_a_clean_chunk(self, edge):
+        rows = self.clean_rows(3 * codec._CHUNK)
+        rows[codec._CHUNK + 100] = self.EDGE_ROWS[edge]
+        assert self.check_text(self.text(rows)) == ["split", "csv", "split"]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_multi_line_cell_opening_on_the_last_line_of_a_chunk(self, chunk):
+        """The csv module reads the cell on past the chunk, and the next
+        chunk starts after it, its lines named as the stream counts them."""
+        rows = self.clean_rows(3 * chunk + 2)
+        rows[chunk - 1] = self.EDGE_ROWS["multi-line"]
+        rows[chunk] = self.EDGE_ROWS["bad"]
+        paths = self.check_text(self.text(rows), chunk)
+        assert paths[0] == "csv" and set(paths[1:]) == {"split"}
+
+    @pytest.mark.parametrize("line,error", [
+        ("m\rx,q1,2023-11-10T00:00:00Z,100,7200,1\n", "new-line character seen in unquoted field"),
+        ("m1,q1,2023-11-10T00:00:00Z,1\x000,7200,1\n", "line contains NUL$"),
+    ], ids=["carriage-return", "nul"])
+    def test_text_that_is_not_csv_inside_a_clean_chunk(self, line, error):
+        store = store_of(rec(100, machine="m1", queue="q1"))
+        held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
+        lines = self.text(self.clean_rows(3 * codec._CHUNK)).splitlines(keepends=True)
+        lines[codec._CHUNK + 100] = line
+        with pytest.raises(ValueError, match=f"^line {codec._CHUNK + 101}: {error}"):
+            store.ingest_csv(io.StringIO("".join(lines)))
+        assert store._groups == held and len(store) == 1
+
+    def test_line_past_the_field_limit(self):
+        """A cell past the csv module's limit, read when the reading starts,
+        fails naming its line; a line past it whose cells are not is read."""
+        limit = csv.field_size_limit()
+        rows = self.clean_rows(2 * codec._CHUNK)
+        try:
+            csv.field_size_limit(64)
+            rows[codec._CHUNK + 100][0] = "m" * 60
+            assert self.check_text(self.text(rows)) == ["split", "csv"]
+            rows[codec._CHUNK + 100][0] = "m" * 65
+            with pytest.raises(ValueError, match=(
+                    f"^line {codec._CHUNK + 102}: field larger than field limit \\(64\\)$")):
+                QueueWaitStore().ingest_csv(io.StringIO(self.text(rows)))
+        finally:
+            csv.field_size_limit(limit)
 
     GOOD = ["m1", "q1", "2023-11-10T00:00:00Z", "100", "7200", "1"]
     EDGE_ROWS = {
