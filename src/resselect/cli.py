@@ -1,6 +1,10 @@
 """Command-line interface: the pipeline as subcommands with deterministic,
 machine-readable output.
 
+A call builds the argument parser of the subcommand its first argument
+names, and no other; help, an unknown name and an option before the command
+build every subcommand's.  Usage lines and errors read the same either way.
+
 Exit codes: 0 success, 1 validation error, 2 I/O error.  Results go to
 stdout (or --out); diagnostics go to stderr.
 """
@@ -15,10 +19,11 @@ from typing import List, Optional
 
 from . import codec, model
 from .config import Config
-from .match import viable_set
-from .plan import plan_model, plan_random
-from .predict import load_clocks, load_profiles, predict_sequential_cycles, predict_tx, profiles_by_task
-from .queuewait import QueueWaitStore, _parse_iso8601
+from .match import EmptyViableSetError, viable_set
+from .plan import MissingClockError, plan_model, plan_random
+from .predict import (UnknownTaskError, load_clocks, load_profiles, predict_sequential_cycles,
+                      predict_tx, profiles_by_task)
+from .queuewait import NoQueueHistoryError, QueueWaitStore, _parse_iso8601
 from .sim import compare, simulate
 
 
@@ -180,24 +185,47 @@ def _cmd_select(args) -> None:
     pool = _load(args.pool, codec.POOL.decode)
     config = _load_config(args.config)
     _check_resource_ids(config, args.config, {r.resource_id for r in pool}, args.pool)
-    if args.strategy == "random":
-        plan = plan_random(workload, pool, args.seed, config.cores_per_task)
-    else:
+    if args.strategy == "model":
         profiles = _load_csv(args.profiles, load_profiles)
         clocks = _load(args.clocks, load_clocks)
         store = QueueWaitStore()
         _load_csv(args.history, store.ingest_csv)
-        plan = plan_model(workload, pool, profiles, clocks, store, config, now=args.now)
+    # an id that one file names and another lacks: name both files
+    try:
+        if args.strategy == "random":
+            plan = plan_random(workload, pool, args.seed, config.cores_per_task)
+        else:
+            plan = plan_model(workload, pool, profiles, clocks, store, config, now=args.now)
+    except EmptyViableSetError as exc:
+        raise CliError(f"{args.pool}: no resource can run task {exc.task_id!r} "
+                       f"of {args.workload}") from exc
+    except UnknownTaskError as exc:
+        raise CliError(f"{args.profiles}: no baseline profile "
+                       f"{config.profile_id(exc.task_id)!r} for task {exc.task_id!r} "
+                       f"of {args.workload}") from exc
+    except MissingClockError as exc:
+        raise CliError(f"{args.clocks}: no clock for resource {exc.resource_id!r} "
+                       f"of {args.pool}") from exc
+    except NoQueueHistoryError as exc:
+        raise CliError(f"{args.history}: {exc.__cause__}, for resource {exc.resource_id!r} "
+                       f"of {args.pool}") from exc
     _emit(model.canonical_dumps(plan.to_json()), args.out)
 
 
 def _cmd_simulate(args) -> None:
     scenario = _load(args.scenario, codec.SCENARIO.decode)
-    plan = scenario["plan"]
+    plan = plan_path = scenario["plan"]
     if isinstance(plan, str):
         plan = _load(plan, codec.PLAN.decode)
     behaviors = {b.resource_id: b for b in scenario["behaviors"]}
-    result = simulate(plan, behaviors, trials=scenario["trials"], seed=scenario["seed"])
+    for a in plan.assignments.values():
+        if a.resource_id not in behaviors:
+            of = plan_path if isinstance(plan_path, str) else "its plan"
+            raise CliError(f"{args.scenario}: no behavior for resource {a.resource_id!r} of {of}")
+    try:
+        result = simulate(plan, behaviors, trials=scenario["trials"], seed=scenario["seed"])
+    except ValueError as exc:  # a zero-task plan, or a trial whose TTC overflows
+        raise CliError(f"{args.scenario}: {exc}") from exc
     _emit(model.canonical_dumps(result.to_json()), args.out)
     if args.trials_csv:
         buf = io.StringIO()
@@ -208,6 +236,9 @@ def _cmd_simulate(args) -> None:
 def _cmd_report(args) -> None:
     model_result = _load(args.model, codec.RESULT.decode)
     random_result = _load(args.random, codec.RESULT.decode)
+    if model_result.workload_id != random_result.workload_id:
+        raise CliError(f"mismatched workloads: {model_result.workload_id!r} in {args.model} "
+                       f"vs {random_result.workload_id!r} in {args.random}")
     rep = compare(model_result, random_result)
     lines = [",".join(codec.REPORT.columns)]
     for metric, entry in sorted(rep["metrics"].items()):
@@ -242,83 +273,93 @@ class _PrintSchema(argparse.Action):
         parser.exit()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _file(flag, fmt, help_text, required=True):
+    """A file argument; ``--schema`` lists its format ``fmt`` under ``flag``."""
+    return flag, fmt, {"required": required, "help": help_text}
+
+
+def _opt(flag, **kwargs):
+    return flag, None, kwargs
+
+
+# name: (handler, help, output format, arguments after --out and --schema),
+# in the order of the top-level usage
+_SUBCOMMANDS = {
+    "aggregate": (_cmd_aggregate, "collapse a task's instructions into totals", codec.TASK, [
+        _file("--task", codec.TASK, "task JSON file")]),
+    "match": (_cmd_match, "compute a task's viable resources", codec.VIABLE_SET, [
+        _file("--task", codec.TASK, "task JSON file"),
+        _file("--pool", codec.POOL, "resource pool JSON file")]),
+    "predict": (_cmd_predict, "predict execution times from profiles",
+                codec.Arr(codec.PREDICTION), [
+        _file("--profiles", codec.PROFILES, "baseline profile CSV"),
+        _file("--clocks", codec.CLOCKS, "clock specification JSON"),
+        _opt("--task-id", help="restrict to one task id"),
+        _file("--config", codec.CONFIG, "config JSON", required=False)]),
+    "queue-wait": (_cmd_queue_wait, "estimate queue wait from history", codec.QUEUE_ESTIMATE, [
+        _file("--history", codec.HISTORY, "queue-wait history CSV"),
+        _opt("--machine", required=True),
+        _opt("--queue", required=True),
+        _opt("--walltime", type=_positive(codec.number, "a finite number"), required=True,
+             help="requested walltime in seconds"),
+        _opt("--cores", type=_positive(int, "an integer"), required=True,
+             help="requested core count"),
+        _opt("--now", type=_time, required=True, help="query time, ISO-8601 UTC"),
+        _file("--config", codec.CONFIG, "config JSON", required=False)]),
+    "select": (_cmd_select, "plan a workload over a pool", codec.PLAN, [
+        _file("--workload", codec.WORKLOAD, "workload JSON file"),
+        _file("--pool", codec.POOL, "resource pool JSON file"),
+        _file("--profiles", codec.PROFILES, "baseline profile CSV (model strategy)",
+              required=False),
+        _file("--clocks", codec.CLOCKS, "clock specification JSON (model strategy)",
+              required=False),
+        _file("--history", codec.HISTORY, "queue-wait history CSV (model strategy)",
+              required=False),
+        _file("--config", codec.CONFIG, "config JSON", required=False),
+        _opt("--now", type=_time, help="planning time, ISO-8601 UTC (model strategy)"),
+        _opt("--strategy", choices=["model", "random"], default="model"),
+        _opt("--seed", type=int, help="PRNG seed (random strategy)")]),
+    "simulate": (_cmd_simulate, "Monte-Carlo simulate a selection plan", codec.RESULT, [
+        _file("--scenario", codec.SCENARIO, "scenario JSON (plan, behaviors, trials, seed)"),
+        _opt("--trials-csv", help="also write per-trial metrics CSV here")]),
+    "report": (_cmd_report, "compare model vs random simulation results", codec.REPORT, [
+        _file("--model", codec.RESULT, "model-strategy SimulationResult JSON"),
+        _file("--random", codec.RESULT, "random-strategy SimulationResult JSON")]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names
+    one: a call parses one subcommand's arguments, so it need not pay for
+    building the other six parsers."""
     parser = _Parser(
         prog="resselect",
         description="Model-driven resource selection for bag-of-tasks workloads.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, output):
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # One subcommand's usage and errors still list every name.  Only then:
+    # with a metavar, a missing command would be reported by it, not by dest.
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        handler, help_text, output, arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler, command=name)
         p.add_argument("--out", help="write output to this file instead of stdout")
         inputs = {}
         p.add_argument("--schema", action=_PrintSchema, nargs=0, const=(inputs, output),
                        help="print this subcommand's input/output formats and exit")
-
-        def file_arg(flag, kind, help_text, required=True):
-            inputs[flag[2:]] = kind
-            p.add_argument(flag, required=required, help=help_text)
-
-        return p, file_arg
-
-    p, file_arg = add("aggregate", _cmd_aggregate, "collapse a task's instructions into totals",
-                      codec.TASK)
-    file_arg("--task", codec.TASK, "task JSON file")
-
-    p, file_arg = add("match", _cmd_match, "compute a task's viable resources", codec.VIABLE_SET)
-    file_arg("--task", codec.TASK, "task JSON file")
-    file_arg("--pool", codec.POOL, "resource pool JSON file")
-
-    p, file_arg = add("predict", _cmd_predict, "predict execution times from profiles",
-                      codec.Arr(codec.PREDICTION))
-    file_arg("--profiles", codec.PROFILES, "baseline profile CSV")
-    file_arg("--clocks", codec.CLOCKS, "clock specification JSON")
-    p.add_argument("--task-id", help="restrict to one task id")
-    file_arg("--config", codec.CONFIG, "config JSON", required=False)
-
-    p, file_arg = add("queue-wait", _cmd_queue_wait, "estimate queue wait from history",
-                      codec.QUEUE_ESTIMATE)
-    file_arg("--history", codec.HISTORY, "queue-wait history CSV")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--queue", required=True)
-    p.add_argument("--walltime", type=_positive(codec.number, "a finite number"),
-                   required=True, help="requested walltime in seconds")
-    p.add_argument("--cores", type=_positive(int, "an integer"), required=True,
-                   help="requested core count")
-    p.add_argument("--now", type=_time, required=True, help="query time, ISO-8601 UTC")
-    file_arg("--config", codec.CONFIG, "config JSON", required=False)
-
-    p, file_arg = add("select", _cmd_select, "plan a workload over a pool", codec.PLAN)
-    file_arg("--workload", codec.WORKLOAD, "workload JSON file")
-    file_arg("--pool", codec.POOL, "resource pool JSON file")
-    file_arg("--profiles", codec.PROFILES, "baseline profile CSV (model strategy)",
-             required=False)
-    file_arg("--clocks", codec.CLOCKS, "clock specification JSON (model strategy)",
-             required=False)
-    file_arg("--history", codec.HISTORY, "queue-wait history CSV (model strategy)",
-             required=False)
-    file_arg("--config", codec.CONFIG, "config JSON", required=False)
-    p.add_argument("--now", type=_time, help="planning time, ISO-8601 UTC (model strategy)")
-    p.add_argument("--strategy", choices=["model", "random"], default="model")
-    p.add_argument("--seed", type=int, help="PRNG seed (random strategy)")
-
-    p, file_arg = add("simulate", _cmd_simulate, "Monte-Carlo simulate a selection plan",
-                      codec.RESULT)
-    file_arg("--scenario", codec.SCENARIO, "scenario JSON (plan, behaviors, trials, seed)")
-    p.add_argument("--trials-csv", help="also write per-trial metrics CSV here")
-
-    p, file_arg = add("report", _cmd_report, "compare model vs random simulation results",
-                      codec.REPORT)
-    file_arg("--model", codec.RESULT, "model-strategy SimulationResult JSON")
-    file_arg("--random", codec.RESULT, "random-strategy SimulationResult JSON")
-
+        for flag, fmt, kwargs in arguments:
+            if fmt is not None:
+                inputs[flag[2:]] = fmt
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, --schema or an argument error

@@ -24,6 +24,18 @@ from .predict import (
 from .queuewait import NoQueueHistoryError, QueueWaitEstimate, QueueWaitStore, SimilarityBuckets
 
 
+class MissingClockError(ValueError):
+    """Raised when a viable resource has no clock specification."""
+
+
+def _about(exc: ValueError, **ids) -> ValueError:
+    """``exc`` with the ids it is about (``task_id``, ``resource_id``) as
+    attributes, so that a caller can name the files those came from."""
+    for name, value in ids.items():
+        setattr(exc, name, value)
+    return exc
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A task's resource and, in a model plan, the predicted queue wait and
@@ -106,15 +118,16 @@ def task_estimates(
     profile_id = config.profile_id(task.task_id)
     task_profiles = profiles.get(profile_id)
     if not task_profiles:
-        raise UnknownTaskError(
+        raise _about(UnknownTaskError(
             f"missing prediction inputs: no baseline profile {profile_id!r} "
             f"for task {task.task_id!r}"
-        )
+        ), task_id=task.task_id)
     cycles = predict_sequential_cycles(task_profiles)
     estimates = []
     for rid in viable_ids:
         if rid not in clocks:
-            raise ValueError(f"missing clock specification for resource {rid!r}")
+            raise _about(MissingClockError(f"missing clock specification for resource {rid!r}"),
+                         resource_id=rid)
         report = predict_tx(
             cycles.mean, clocks[rid], inflation=config.inflation_factors.get(rid, 1.0)
         )
@@ -132,9 +145,9 @@ def task_estimates(
                 buckets=config.buckets,
             ).mean_wait_s
         except NoQueueHistoryError as exc:
-            raise NoQueueHistoryError(
+            raise _about(NoQueueHistoryError(
                 f"missing queue inputs for resource {rid!r}: {exc}"
-            ) from exc
+            ), resource_id=rid) from exc
         estimates.append(Assignment(rid, tq, tx, walltime))
     return estimates
 
@@ -176,9 +189,9 @@ def _viable_ids(task: TaskSpec, pool: Sequence[ResourceSpec], memo: dict) -> Tup
         seen = memo[id(body)] = (body, ids)
     ids = seen[1]
     if not ids:
-        raise EmptyViableSetError(
+        raise _about(EmptyViableSetError(
             f"empty viable set: task {task.task_id!r} cannot run on any pool resource"
-        )
+        ), task_id=task.task_id)
     return ids
 
 

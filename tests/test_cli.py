@@ -6,11 +6,13 @@ import io
 import json
 import math
 import shutil
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resselect import cli
 from resselect.cli import main
 from resselect.predict import load_profiles
 from resselect.queuewait import QueueWaitStore
@@ -347,6 +349,107 @@ class TestArgumentErrors:
     def test_help_exits_0(self, capsys):
         assert main(["select", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage:")
+
+    def test_bare_call_names_the_missing_command(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr().err.endswith(
+            "resselect: error: the following arguments are required: command\n")
+
+
+# --- a named subcommand builds its own parser alone -----------------------------
+
+FILES = {f.name: str(f) for f in BUNDLED.iterdir()}
+SELECT = ["select", "--workload", FILES["workload_64.json"], "--pool", FILES["pool.json"]]
+MODEL_SELECT = SELECT + ["--profiles", FILES["profiles.csv"], "--clocks", FILES["clocks.json"],
+                         "--history", FILES["history.csv"], "--config", FILES["config.json"],
+                         "--now", NOW]
+RANDOM_SELECT = SELECT + ["--strategy", "random", "--seed", "1", "--config", FILES["config.json"]]
+QUEUE_WAIT = ["queue-wait", "--history", FILES["history.csv"], "--machine", "supermic",
+              "--queue", "workq", "--walltime", "7200", "--cores", "1", "--now", NOW]
+# an argv per subcommand, and the README's and the bench's select, simulate and report
+PARSED = {
+    "aggregate": ["aggregate", "--task", "task.json", "--out", "agg.json"],
+    "match": ["match", "--task", "task.json", "--pool", FILES["pool.json"]],
+    "predict": ["predict", "--profiles", FILES["profiles.csv"], "--clocks", FILES["clocks.json"],
+                "--task-id", "md-100k", "--config", FILES["config.json"]],
+    "queue-wait": QUEUE_WAIT + ["--config", FILES["config.json"]],
+    "select-model": MODEL_SELECT + ["--out", "plan.json"],
+    "select-random": RANDOM_SELECT + ["--out", "random_plan.json"],
+    "simulate": ["simulate", "--scenario", FILES["scenario.json"], "--out", "result.json",
+                 "--trials-csv", "trials.csv"],
+    "report": ["report", "--model", "result.json", "--random", "random_result.json",
+               "--out", "report.csv"],
+}
+# id -> the calls made in one directory, in order
+PARITY_CASES = {
+    "no-args": [[]], "-h": [["-h"]], "--help": [["--help"]], "-h-select": [["-h", "select"]],
+    "unknown-name": [["bogus"]], "prefix": [["sel"]], "option-first": [["--out", "x", "select"]],
+    "--": [["--", "select"]], "bare-select": [["select"]], "select-bogus": [["select", "--bogus"]],
+    "select-select": [["select", "select"]],
+    "missing-required-flag": [SELECT[:3]], "bad-strategy": [SELECT + ["--strategy", "best"]],
+    "extra-positional": [SELECT + ["extra"]], "flag-without-value": [["report", "--model"]],
+    "model-flags-missing": [SELECT], "bad-now": [MODEL_SELECT[:-1] + ["yesterday"]],
+    "bad-walltime": [QUEUE_WAIT[:7] + ["-1"] + QUEUE_WAIT[8:]],
+    "help-then-bogus": [["select", "--help", "--bogus"]],
+    "schema-then-bogus": [["report", "--schema", "--bogus"]],
+    "queue-wait": [QUEUE_WAIT],
+    "predict": [["predict", "--profiles", FILES["profiles.csv"], "--clocks", FILES["clocks.json"]]],
+    "bad-task": [["aggregate", "--task", FILES["workload_64.json"]]],
+    "model-select-stdout": [MODEL_SELECT],
+    "pipeline": [PARSED["select-model"], PARSED["select-random"], PARSED["simulate"],
+                 ["report", "--model", "result.json", "--random", "result.json"]],
+    **{f"{cmd}-{how}": [[cmd, *flags]] for cmd in COMMANDS
+       for how, flags in (("schema", ["--schema"]), ("help", ["--help"]), ("bare", []))},
+}
+
+
+def _build_every_parser(monkeypatch):
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+
+
+class TestOneSubcommandParser:
+    """``main`` builds only the parser of the subcommand that ``argv`` names
+    first; any other argv builds them all.  Both must parse, print and fail
+    alike, byte for byte."""
+
+    @pytest.mark.parametrize("command,built", [(cmd, [cmd]) for cmd in COMMANDS] + [
+        (None, COMMANDS), ("-h", COMMANDS), ("sel", COMMANDS)])
+    def test_named_subcommand_builds_its_parser_alone(self, command, built):
+        (sub,) = cli.build_parser(command)._subparsers._group_actions
+        assert list(sub.choices) == built
+
+    @pytest.mark.parametrize("argv", PARSED.values(), ids=PARSED.keys())
+    def test_same_namespace(self, argv):
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == \
+            vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("calls", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+    def test_same_exit_code_output_and_files(self, calls, tmp_path, monkeypatch, capsys):
+        runs = []
+        for side in ("one", "every"):
+            if side == "every":
+                _build_every_parser(monkeypatch)
+            cwd = tmp_path / side
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            results = [(main(list(argv)), *capsys.readouterr()) for argv in calls]
+            runs.append((results, {f.name: f.read_bytes() for f in cwd.iterdir()}))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", [["select", "--help"], ["report", "--schema"], ["-h"], []])
+    def test_argv_none_reads_sys_argv(self, argv, monkeypatch, capsys):
+        build, built = cli.build_parser, []
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        expected = (main(list(argv)), *capsys.readouterr())
+        monkeypatch.setattr(sys, "argv", ["resselect", *argv])
+        assert (main(), *capsys.readouterr()) == expected
+        assert built == [argv[0] if argv else None] * 2
 
 
 class TestPipeline:
@@ -753,6 +856,92 @@ class TestConfigResourceIds:
         assert captured.out == ""
         assert (f"{config}: {name}.{rid}: no resource {rid!r} in {tmp_path / source}"
                 in captured.err), captured.err
+
+
+class TestCrossFileErrors:
+    """An id that one input file names and another lacks exits 1 with a
+    message that names both: the file that lacks the entry, then the file
+    that names the id."""
+
+    SELECT = ["select", "--workload", "@workload_64.json", "--pool", "@pool.json",
+              "--config", "@config.json"]
+    MODEL = SELECT + ["--profiles", "@profiles.csv", "--clocks", "@clocks.json",
+                      "--history", "@history.csv", "--now", NOW]
+    RANDOM = SELECT + ["--strategy", "random", "--seed", "1"]
+
+    def run(self, tmp_path, capsys, argv):
+        """Run ``argv``, its ``@name`` files read from ``tmp_path``, and
+        return stderr."""
+        assert main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "plan.json").exists()
+        return captured.err
+
+    def test_missing_clock_names_clocks_and_pool(self, tmp_path, capsys):
+        edited_bundled_copy(tmp_path, "clocks.json", [], lambda clocks: clocks.pop(0))
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'clocks.json'}: no clock for resource 'bridges' "
+            f"of {tmp_path / 'pool.json'}\n")
+
+    def test_missing_queue_history_names_history_and_pool(self, tmp_path, capsys):
+        for f in BUNDLED.iterdir():
+            shutil.copy(f, tmp_path)
+        rows = (BUNDLED / "history.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "history.csv").write_text(
+            "".join(r for r in rows if not r.startswith("supermic,")))
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'history.csv'}: no queue history for machine 'supermic' "
+            f"queue 'workq' in the past 604800 s, for resource 'supermic' "
+            f"of {tmp_path / 'pool.json'}\n")
+
+    @pytest.mark.parametrize("strategy", ["model", "random"])
+    def test_empty_viable_set_names_pool_and_workload(self, tmp_path, capsys, strategy):
+        edited_bundled_copy(tmp_path, "workload_64.json", ["tasks", 5, "requirements", 0],
+                            lambda requirement: requirement.update(type="gpu_cycle"))
+        assert self.run(tmp_path, capsys, self.MODEL if strategy == "model" else self.RANDOM) == (
+            f"error: {tmp_path / 'pool.json'}: no resource can run task 'md-100k-0005' "
+            f"of {tmp_path / 'workload_64.json'}\n")
+
+    def test_missing_profile_names_profiles_and_workload(self, tmp_path, capsys):
+        edited_bundled_copy(tmp_path, "config.json", [],
+                            lambda config: config.update(default_profile="md-1m"))
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'profiles.csv'}: no baseline profile 'md-1m' for task "
+            f"'md-100k-0000' of {tmp_path / 'workload_64.json'}\n")
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["plan-file", "inline-plan"])
+    def test_missing_behavior_names_scenario_and_plan(self, tmp_path, capsys, inline):
+        def edit(scenario):
+            del scenario["behaviors"][0]  # supermic's
+            if inline:
+                scenario["plan"] = json.loads((tmp_path / "plan.json").read_text())
+
+        scenario, argv = edited_bundled_copy(tmp_path, "scenario.json", [], edit)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        plan = "its plan" if inline else tmp_path / "plan.json"
+        assert captured.out == ""
+        assert captured.err == f"error: {scenario}: no behavior for resource 'supermic' of {plan}\n"
+
+    def test_overflowing_trial_names_scenario(self, tmp_path, capsys):
+        def edit(behavior):
+            behavior["tq_dist"] = behavior["tx_dist"] = {"kind": "constant", "value": 1e308}
+
+        scenario, argv = edited_bundled_copy(tmp_path, "scenario.json", ["behaviors", 0], edit)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {scenario}: trial 0: waits plus durations overflow "
+                                "to a TTC of inf\n")
+
+    def test_mismatched_workloads_name_both_results(self, tmp_path, capsys):
+        model = write(tmp_path / "model.json", {**RESULTS[0], "workload_id": "v"})
+        random_path = write(tmp_path / "random.json", RESULTS[1])
+        assert main(["report", "--model", model, "--random", random_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: mismatched workloads: 'v' in {model} "
+                                f"vs 'w' in {random_path}\n")
 
 
 # --- mutated inputs never crash the CLI -------------------------------------
