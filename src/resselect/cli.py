@@ -147,7 +147,7 @@ def _cmd_predict(args) -> None:
     reports = []
     for task_id in task_ids:
         if task_id not in by_task:
-            raise CliError(f"no baseline profiles for task {task_id!r}")
+            raise CliError(f"{args.profiles}: no baseline profiles for task {task_id!r}")
         cycles = predict_sequential_cycles(by_task[task_id])
         for rid in sorted(clocks):
             report = predict_tx(
@@ -239,7 +239,10 @@ def _cmd_report(args) -> None:
     if model_result.workload_id != random_result.workload_id:
         raise CliError(f"mismatched workloads: {model_result.workload_id!r} in {args.model} "
                        f"vs {random_result.workload_id!r} in {args.random}")
-    rep = compare(model_result, random_result)
+    try:
+        rep = compare(model_result, random_result)
+    except ValueError as exc:  # a random mean TTC of 0
+        raise CliError(f"{args.random}: {exc}") from exc
     lines = [",".join(codec.REPORT.columns)]
     for metric, entry in sorted(rep["metrics"].items()):
         for group in ("model", "random"):

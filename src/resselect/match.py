@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .model import Capability, Requirement, ResourceSpec, TaskSpec, aggregate
+from .model import Capability, ConsumableSpec, Requirement, ResourceSpec, TaskSpec, aggregate
 
 
 class EmptyViableSetError(ValueError):
@@ -47,16 +48,9 @@ def satisfy_req(req: Requirement, cap: Capability) -> bool:
     return True
 
 
-def _satisfies(requirements: Sequence[Requirement], resource: ResourceSpec) -> bool:
-    return all(
-        any(satisfy_req(req, cap) for cap in resource.capabilities)
-        for req in requirements
-    )
-
-
 def satisfy_task(task: TaskSpec, resource: ResourceSpec) -> bool:
     """True iff every requirement of the task is matched by some capability."""
-    return _satisfies(aggregate(task).requirements, resource)
+    return bool(viable_set(task, (resource,)).resource_ids)
 
 
 def cost(task: TaskSpec, resource: ResourceSpec) -> float:
@@ -84,13 +78,37 @@ def cost(task: TaskSpec, resource: ResourceSpec) -> float:
     return total
 
 
-def viable_set(task: TaskSpec, pool: Sequence[ResourceSpec]) -> ViableSet:
+def viable_set(task: TaskSpec, pool: Sequence[ResourceSpec],
+               masks: Optional[Dict[ConsumableSpec, int]] = None) -> ViableSet:
     """Filter the pool to resources that can execute the task (pool order
-    kept).  A task given as instructions is aggregated once, not once per
-    resource, and not at all for an empty pool."""
-    if task.requirements is None and pool:
-        task = aggregate(task)
-    ids = tuple(r.resource_id for r in pool if _satisfies(task.requirements, r))
+    kept).
+
+    A resource can run a task iff it matches each consumable the task
+    demands; amounts and instruction order play no part, so the task is not
+    aggregated.  Each distinct consumable is matched once, as a bit mask
+    over the pool whose bit *i* is set when ``pool[i]`` has a capability
+    that `satisfy_req` accepts, and the viable set is the AND of the task's
+    masks.  ``masks`` keeps those masks by consumable across calls, so it
+    must only ever be passed with one pool.  An empty instruction sequence
+    raises `EmptyTaskError`, except against an empty pool."""
+    if not pool:
+        return ViableSet(task.task_id, ())
+    if task.requirements is not None:
+        reqs = task.requirements
+    elif task.instructions:
+        reqs = chain.from_iterable(ins.requirements for ins in task.instructions)
+    else:
+        reqs = aggregate(task).requirements  # raises EmptyTaskError
+    masks = {} if masks is None else masks
+    viable = (1 << len(pool)) - 1
+    for req in reqs:
+        mask = masks.get(req.consumable)
+        if mask is None:
+            mask = masks[req.consumable] = sum(
+                1 << i for i, r in enumerate(pool)
+                if any(satisfy_req(req, cap) for cap in r.capabilities))
+        viable &= mask
+    ids = tuple(r.resource_id for i, r in enumerate(pool) if viable >> i & 1)
     return ViableSet(task.task_id, ids)
 
 

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Config
 from .match import EmptyViableSetError, neg_ttc, res_select, viable_set
-from .model import ResourceSpec, TaskSpec, WorkloadSpec, aggregate
+from .model import ResourceSpec, TaskSpec, WorkloadSpec
 from .predict import (
     BaselineProfile,
     ClockSpec,
@@ -171,22 +171,18 @@ class _BucketedQueries:
         return self._memo[key]
 
 
-def _viable_ids(task: TaskSpec, pool: Sequence[ResourceSpec], memo: dict) -> Tuple[str, ...]:
-    """The task's viable resource ids.  Matching reads nothing of a task but
-    its aggregated requirements.  ``memo`` holds the ids under the ``id`` of
-    each body object seen (its ``requirements`` or ``instructions``), next
-    to the body, which keeps the id valid, and under each distinct
-    aggregated requirement set: a shared body is aggregated and looked up
-    once, and equal bodies in different objects are matched once."""
+def _viable_ids(task: TaskSpec, pool: Sequence[ResourceSpec], memo: dict,
+                masks: dict) -> Tuple[str, ...]:
+    """The task's viable resource ids.  ``memo`` holds them under the ``id``
+    of each body object seen (its ``requirements`` or ``instructions``),
+    next to the body, which keeps the id valid, so a body that many tasks
+    share is matched once.  ``masks`` is `viable_set`'s per-consumable masks
+    over ``pool``, one dict per plan call, so each distinct consumable is
+    matched against each resource once and no task is aggregated."""
     body = task.instructions if task.requirements is None else task.requirements
     seen = memo.get(id(body))
     if seen is None:
-        if task.requirements is None and pool:  # an empty pool reports no viable set, not the task
-            task = aggregate(task)
-        ids = memo.get(task.requirements)
-        if ids is None:
-            ids = memo[task.requirements] = viable_set(task, pool).resource_ids
-        seen = memo[id(body)] = (body, ids)
+        seen = memo[id(body)] = (body, viable_set(task, pool, masks).resource_ids)
     ids = seen[1]
     if not ids:
         raise _about(EmptyViableSetError(
@@ -214,10 +210,11 @@ def plan_model(
     by_task = profiles_by_task(profiles)
     queries = _BucketedQueries(queue_store)
     viable: dict = {}
+    masks: dict = {}
     chosen_by_kind: Dict[tuple, Assignment] = {}
     assignments: Dict[str, Assignment] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
-        ids = _viable_ids(task, pool, viable)
+        ids = _viable_ids(task, pool, viable, masks)
         kind = (config.profile_id(task.task_id), ids)
         chosen = chosen_by_kind.get(kind)
         if chosen is None:
@@ -244,10 +241,11 @@ def plan_random(
     Tasks drawn to the same resource share one `Assignment` object."""
     rng = random.Random(seed)
     viable: dict = {}
+    masks: dict = {}
     by_resource = {r.resource_id: Assignment(r.resource_id) for r in pool}
     assignments: Dict[str, Assignment] = {}
     for task in sorted(workload.tasks, key=lambda t: t.task_id):
-        assignments[task.task_id] = by_resource[rng.choice(_viable_ids(task, pool, viable))]
+        assignments[task.task_id] = by_resource[rng.choice(_viable_ids(task, pool, viable, masks))]
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="random",

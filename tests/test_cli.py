@@ -620,13 +620,6 @@ class TestPipeline:
         assert by_res["supermic"]["tx_base_s"] == pytest.approx(1e13 / 2.8e9)
         assert by_res["osg"]["inflation_factor"] == 1.22
 
-    def test_predict_task_without_profiles_exits_1(self, capsys):
-        assert main(["predict", "--profiles", str(BUNDLED / "profiles.csv"),
-                     "--clocks", str(BUNDLED / "clocks.json"), "--task-id", "md-1m"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: no baseline profiles for task 'md-1m'\n"
-
     def test_queue_wait_subcommand(self, capsys):
         assert main(["queue-wait", "--history", str(BUNDLED / "history.csv"),
                      "--machine", "supermic", "--queue", "workq",
@@ -942,6 +935,24 @@ class TestCrossFileErrors:
         assert captured.out == ""
         assert captured.err == (f"error: mismatched workloads: 'v' in {model} "
                                 f"vs 'w' in {random_path}\n")
+
+    def test_unknown_predict_task_names_profiles(self, capsys):
+        profiles = str(BUNDLED / "profiles.csv")
+        assert main(["predict", "--profiles", profiles, "--clocks", str(BUNDLED / "clocks.json"),
+                     "--task-id", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {profiles}: no baseline profiles for task 'nope'\n"
+
+    def test_zero_random_ttc_names_random_result(self, tmp_path, capsys):
+        model = write(tmp_path / "model.json", RESULTS[0])
+        zeros = SimulationResult("w", "random", 2, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)).to_json()
+        random_path = write(tmp_path / "random.json", zeros)
+        assert main(["report", "--model", model, "--random", random_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {random_path}: random strategy has a mean TTC of 0: "
+                                "no reduction to report\n")
 
 
 # --- mutated inputs never crash the CLI -------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from resselect import (
     Capability,
     ConsumableSpec,
+    EmptyTaskError,
     EmptyViableSetError,
+    Instruction,
     Requirement,
     ResourceSpec,
     TaskSpec,
@@ -24,7 +26,9 @@ from resselect.plan import Assignment
 
 from conftest import (
     VALUES,
+    matching_resource,
     random_capability,
+    random_consumable,
     random_requirement,
     random_resource,
     random_sequenced_task,
@@ -167,6 +171,58 @@ class TestViableSet:
     def test_single_resource_pool(self):
         task, yes, _ = self._pool()
         assert viable_set(task, [yes("r1")]).resource_ids == ("r1",)
+
+    def test_empty_instructions_raise_unless_the_pool_is_empty(self):
+        empty = TaskSpec("t", instructions=())
+        _, yes, _ = self._pool()
+        with pytest.raises(EmptyTaskError):
+            viable_set(empty, [yes("r1")], {})
+        assert viable_set(empty, [], {}).resource_ids == ()
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 10**9))
+    def test_shared_masks_match_oracle(self, seed):
+        """A bag of tasks in both forms, whose consumables repeat across
+        instructions and tasks and spell a number as 2 or 2.0, matched
+        against one pool through one mask dict."""
+        rng = random.Random(seed)
+
+        def respelled(consumable):  # an equal consumable, its ints written as floats
+            return ConsumableSpec(consumable.ctype, {
+                a: frozenset(float(v) if isinstance(v, int) else v for v in vs)
+                for a, vs in consumable.form.items()})
+
+        palette = [random_consumable(rng) for _ in range(rng.randint(1, 6))]
+        palette.append(ConsumableSpec(rng.choice(["cyc", "op"]), {"simd": frozenset([2])}))
+        tasks = []
+        for k in range(rng.randint(1, 12)):
+            task = random_sequenced_task(rng, f"t{k}", max_instructions=4)
+            reqs = [Requirement(rng.choice(palette), rng.uniform(0.1, 10.0))
+                    for _ in range(rng.randint(1, 4))]
+            spelled = [Requirement(respelled(r.consumable), r.amount) for r in reqs]
+            stream = task.instructions + (Instruction(reqs), Instruction(spelled))
+            tasks.append(TaskSpec(task.task_id, instructions=stream) if rng.random() < 0.5 else
+                         TaskSpec(task.task_id, requirements=[
+                             r for ins in stream for r in ins.requirements]))
+        pool = []
+        for i in range(rng.randint(1, 8)):
+            if rng.random() < 0.5:
+                res = matching_resource(rng, rng.choice(tasks), f"r{i}")
+            else:
+                res = random_resource(rng, f"r{i}", max_caps=6)
+            caps = [Capability(respelled(cap.consumable), cap.rate) if rng.random() < 0.5
+                    else cap for cap in res.capabilities]
+            caps += [Capability(rng.choice(palette), 1.0)] * rng.randint(0, 2)
+            pool.append(ResourceSpec(res.resource_id, caps))
+
+        masks, consumables = {}, set()
+        for task in tasks:
+            reqs = task.requirements or [r for ins in task.instructions for r in ins.requirements]
+            consumables.update(r.consumable for r in reqs)
+            expected = tuple(r.resource_id for r in pool
+                             if satisfy_task_oracle(reqs, r.capabilities))
+            assert viable_set(task, pool, masks).resource_ids == expected
+        assert set(masks) == consumables  # one mask per distinct consumable
 
 
 class TestResSelect:

@@ -3,9 +3,11 @@ import inspect
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import resselect.match as match_module
 import resselect.plan as plan_module
 from resselect import (
     BaselineProfile,
@@ -361,6 +363,37 @@ def body_objects(workload):
             if t.instructions is not None}
 
 
+def body(task):
+    return task.instructions if task.requirements is None else task.requirements
+
+
+def spy_matching(monkeypatch):
+    """Record the calls of `viable_set` from the planner, and of
+    `satisfy_req` and `aggregate` from matching."""
+    return (counted(monkeypatch, plan_module, "viable_set"),
+            counted(monkeypatch, match_module, "satisfy_req"),
+            counted(monkeypatch, match_module, "aggregate"))
+
+
+def assert_matched_per_consumable(calls, workload, pool):
+    """Check the matching ``calls`` of one plan call of ``workload``, then
+    empty them for the next: `viable_set` ran once per body object with one
+    mask dict, `satisfy_req` at most once per (distinct consumable, pool
+    capability) pair, and `aggregate` never."""
+    matched, satisfied, aggregated = calls
+    assert sorted(id(body(c["task"])) for c in matched) == sorted(
+        {id(body(t)) for t in workload.tasks})
+    assert len({id(c["masks"]) for c in matched}) == 1
+    pairs = Counter((c["req"].consumable, id(c["cap"])) for c in satisfied)
+    assert set(pairs.values()) == {1}
+    assert {cap for _, cap in pairs} <= {id(cap) for r in pool for cap in r.capabilities}
+    assert {consumable for consumable, _ in pairs} == {
+        req.consumable for t in workload.tasks for req in aggregate(t).requirements}
+    assert aggregated == []
+    for calls_of_one_plan in calls:
+        calls_of_one_plan.clear()
+
+
 def counted(monkeypatch, owner, name):
     """Replace ``owner.name`` with a wrapper that records each call's bound
     arguments in the returned list."""
@@ -408,41 +441,30 @@ class TestKindDedupe:
         distinct = {bucketed(c) for c in rescan_queries}
         assert len(rescan_queries) > len(distinct)  # the rescan repeats queries
 
-        matched = counted(monkeypatch, plan_module, "viable_set")
         predicted = counted(monkeypatch, plan_module, "predict_sequential_cycles")
         queries = counted(monkeypatch, QueueWaitStore, "estimate_tq")
+        matching = spy_matching(monkeypatch)
         plan_model(*args, now=NOW)
-        requirement_sets = {aggregate(t).requirements for t in workload.tasks}
-        assert len(requirement_sets) == 3
-        assert len(matched) == 3
-        assert {aggregate(c["task"]).requirements for c in matched} == requirement_sets
+        assert_matched_per_consumable(matching, workload, args[1])
         assert len(predicted) == 4  # (requirement set, profile id) kinds
         assert sorted(bucketed(c) for c in queries) == sorted(distinct)
 
-        matched.clear()
         plan_random(workload, args[1], seed=3)
-        assert len(matched) == 3
+        assert_matched_per_consumable(matching, workload, args[1])
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
-    def test_each_body_object_is_aggregated_once(self, monkeypatch, shared):
-        """A body object is aggregated once per plan call however many tasks
-        hold it, and equal bodies in objects of their own are still matched
-        once per requirement set."""
+    def test_each_body_object_is_matched_once(self, monkeypatch, shared):
+        """A body object is matched once per plan call however many tasks
+        hold it, and equal bodies in objects of their own match each
+        consumable against the pool only once between them."""
         args = kinds_bag()
         workload = args[0] if shared else unshared(args[0])
-        bodies = body_objects(workload)
-        assert len(bodies) == (1 if shared else 3)
-        aggregated = counted(monkeypatch, plan_module, "aggregate")
-        matched = counted(monkeypatch, plan_module, "viable_set")
+        assert len(body_objects(workload)) == (1 if shared else 3)
+        matching = spy_matching(monkeypatch)
         plan_model(workload, *args[1:], now=NOW)
-        assert sorted(id(c["task"].instructions) for c in aggregated) == sorted(bodies)
-        assert len(matched) == 3
-
-        aggregated.clear()
-        matched.clear()
+        assert_matched_per_consumable(matching, workload, args[1])
         plan_random(workload, args[1], seed=3)
-        assert sorted(id(c["task"].instructions) for c in aggregated) == sorted(bodies)
-        assert len(matched) == 3
+        assert_matched_per_consumable(matching, workload, args[1])
 
     def test_shared_and_unshared_bodies_plan_the_same(self):
         args = kinds_bag()
@@ -475,7 +497,8 @@ class TestKindDedupe:
 
 def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatch):
     """Decoded tasks of one body share its requirements tuple, so the
-    planners' lookup by requirement set finds it by identity."""
+    planners match it once, under its object's id, and never compare
+    requirements or consumables."""
     body = {"requirements": [{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": 1e13}]}
     workload = WORKLOAD.decode(
         {"workload_id": "w", "tasks": [{"task_id": f"t-{i:04d}", **body} for i in range(64)]})
@@ -488,10 +511,10 @@ def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatc
     assert compared == [[], []]
 
 
-def test_decoded_instruction_bag_aggregates_each_body_once(monkeypatch):
+def test_decoded_instruction_bag_matches_each_body_once(monkeypatch):
     """Decoded tasks of one instruction body share its tuple, so each
-    planner aggregates each distinct body once and looks its requirement
-    set up once, without comparing requirements."""
+    planner matches each distinct body once, matches its one consumable
+    against each resource once, and aggregates nothing."""
     bodies = [{"instructions": [[{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": a}],
                                 [{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": a}]]}
               for a in (1e12, 2e12, 3e12, 4e12)]
@@ -500,13 +523,17 @@ def test_decoded_instruction_bag_aggregates_each_body_once(monkeypatch):
     assert len(body_objects(workload)) == 4
     args = (workload, make_pool({"rA": 2.0e9, "rB": 2.5e9}), make_profiles(), CLOCKS,
             make_store({"rA": [400.0], "rB": [1000.0]}), base_config())
-    aggregated = counted(monkeypatch, plan_module, "aggregate")
+    expected = rescan_model_plan(*args)
+    matching = spy_matching(monkeypatch)
     compared = counted(monkeypatch, Requirement, "__eq__")
     plan = plan_model(*args, now=NOW)
+    assert len(matching[0]) == 4 and len(matching[1]) == 2
+    assert_matched_per_consumable(matching, workload, args[1])
     plan_random(workload, args[1], seed=3)
-    assert len(aggregated) == 8
+    assert len(matching[0]) == 4 and len(matching[1]) == 2
+    assert_matched_per_consumable(matching, workload, args[1])
     assert compared == []
-    assert plan == rescan_model_plan(*args)
+    assert plan == expected
 
 
 class TestSharedAssignments:
