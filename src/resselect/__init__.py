@@ -15,7 +15,6 @@ from .match import (
     cost,
     res_select,
     satisfy_req,
-    satisfy_task,
     viable_set,
 )
 from .model import (
@@ -87,7 +86,6 @@ __all__ = [
     "predict_tx",
     "res_select",
     "satisfy_req",
-    "satisfy_task",
     "simulate",
     "tx_error",
     "viable_set",

@@ -21,8 +21,8 @@ from . import codec, model
 from .config import Config
 from .match import EmptyViableSetError, viable_set
 from .plan import MissingClockError, plan_model, plan_random
-from .predict import (UnknownTaskError, load_clocks, load_profiles, predict_sequential_cycles,
-                      predict_tx, profiles_by_task)
+from .predict import (ClockRangeError, ProfileConsistencyError, UnknownTaskError, load_clocks,
+                      load_profiles, predict_sequential_cycles, predict_tx, profiles_by_task)
 from .queuewait import NoQueueHistoryError, QueueWaitStore, _parse_iso8601
 from .sim import compare, simulate
 
@@ -145,18 +145,19 @@ def _cmd_predict(args) -> None:
     by_task = profiles_by_task(profiles)
     task_ids = [args.task_id] if args.task_id else sorted(by_task)
     reports = []
-    for task_id in task_ids:
-        if task_id not in by_task:
-            raise CliError(f"{args.profiles}: no baseline profiles for task {task_id!r}")
-        cycles = predict_sequential_cycles(by_task[task_id])
-        for rid in sorted(clocks):
-            report = predict_tx(
-                cycles.mean,
-                clocks[rid],
-                inflation=config.inflation_factors.get(rid, 1.0),
-                task_id=task_id,
-            )
-            reports.append(codec.PREDICTION.encode((report, cycles)))
+    try:
+        for task_id in task_ids:
+            if task_id not in by_task:
+                raise CliError(f"{args.profiles}: no baseline profiles for task {task_id!r}")
+            cycles = predict_sequential_cycles(by_task[task_id])
+            for rid in sorted(clocks):
+                report = predict_tx(cycles.mean, clocks[rid], task_id=task_id,
+                                    inflation=config.inflation_factors.get(rid, 1.0))
+                reports.append(codec.PREDICTION.encode((report, cycles)))
+    except ProfileConsistencyError as exc:
+        raise CliError(f"{args.profiles}: {exc}") from exc
+    except ClockRangeError as exc:
+        raise CliError(f"{args.clocks}: {exc}") from exc
     _emit(model.canonical_dumps(reports), args.out)
 
 
@@ -164,15 +165,11 @@ def _cmd_queue_wait(args) -> None:
     store = QueueWaitStore()
     _load_csv(args.history, store.ingest_csv)
     config = _load_config(args.config)
-    estimate = store.estimate_tq(
-        machine=args.machine,
-        queue=args.queue,
-        walltime_req_s=args.walltime,
-        cores_req=args.cores,
-        now=args.now,
-        window_s=config.window_s,
-        buckets=config.buckets,
-    )
+    try:
+        estimate = store.estimate_tq(args.machine, args.queue, args.walltime, args.cores,
+                                     args.now, config.window_s, config.buckets)
+    except NoQueueHistoryError as exc:
+        raise CliError(f"{args.history}: {exc}") from exc
     _emit(model.canonical_dumps(codec.QUEUE_ESTIMATE.encode(estimate)), args.out)
 
 
@@ -203,6 +200,10 @@ def _cmd_select(args) -> None:
         raise CliError(f"{args.profiles}: no baseline profile "
                        f"{config.profile_id(exc.task_id)!r} for task {exc.task_id!r} "
                        f"of {args.workload}") from exc
+    except ProfileConsistencyError as exc:
+        raise CliError(f"{args.profiles}: {exc}") from exc
+    except ClockRangeError as exc:
+        raise CliError(f"{args.clocks}: {exc}") from exc
     except MissingClockError as exc:
         raise CliError(f"{args.clocks}: no clock for resource {exc.resource_id!r} "
                        f"of {args.pool}") from exc

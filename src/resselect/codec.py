@@ -428,19 +428,19 @@ class Csv:
         on; a short row reads its missing cells as empty.  A chunk is built
         whole however many of its rows are bad, and its bad rows are then
         dropped from its columns.  Text that is not CSV raises `ValueError`
-        naming its line, and so does a NUL character, which the csv module
-        of Python 3.10 rejects and later ones read as part of a cell.
+        naming its line.  So does a NUL character, on every Python: each
+        line is checked as it is read, ahead of any error on a later line,
+        and a NUL gets the message of Python 3.10's csv module (later ones
+        would read it as part of a cell).
 
         A chunk whose lines are one row each by the rules of `_split` is
         split at its commas.  Any other chunk is read by the csv module,
         which may read on past its last line to the end of a quoted cell.
         Both give the cells, warnings and errors the csv module gives."""
         lines = iter(stream)
-        reader, line = csv.reader(lines), 0  # ``line``: the line before the chunk
+        reader, line = csv.reader(_no_nul(lines, 0)), 0  # ``line``: the line before the chunk
         try:
             header = next(reader, [])
-            if "\0" in "".join(header):
-                raise _nul_error([header], [reader.line_num], 0)
             missing = [c for c in self.columns if c not in header]
             if missing:
                 raise ValueError(f"{self.name} CSV missing columns: {', '.join(missing)}")
@@ -454,8 +454,8 @@ class Csv:
                 bad: Dict[int, Optional[str]] = {}  # row -> its warning; None for none
                 cells = _split(chunk, width, limit)
                 if cells is None:  # rows that may run on past the chunk's last line
-                    reader = csv.reader(chain(chunk, lines))
-                    cells, ends = _rows(reader, len(chunk), line, width, bad)
+                    reader = csv.reader(_no_nul(chain(chunk, lines), line))
+                    cells, ends = _rows(reader, len(chunk), width, bad)
                 else:
                     ends = range(1, len(chunk) + 1)  # one row per line
                 # the declared columns
@@ -505,23 +505,28 @@ def _split(lines: List[str], width: int, limit: int) -> Optional[List[str]]:
     return cells
 
 
-def _rows(reader, n: int, line: int, width: int, bad: Dict[int, Optional[str]]) -> tuple:
-    """The cells of ``n`` rows of ``reader``, which starts after
-    ``line``, each row fitted to ``width`` with the blank and long ones
-    noted in ``bad``, and the line each row ends on, counted from
-    ``line``."""
+def _no_nul(lines: Iterator[str], line: int) -> Iterator[str]:
+    """``lines``, which follow line ``line``, each checked before it is
+    yielded: the first that holds a NUL raises the error of Python 3.10's
+    csv module, naming that line."""
+    for line, text in enumerate(lines, line + 1):
+        if "\0" in text:
+            raise ValueError(f"line {line}: line contains NUL")
+        yield text
+
+
+def _rows(reader, n: int, width: int, bad: Dict[int, Optional[str]]) -> tuple:
+    """The cells of ``n`` rows of ``reader``, each row fitted to ``width``
+    with the blank and long ones noted in ``bad``, and the line each row
+    ends on, counted from the reader's start."""
     # each row, noting in ``ends`` the line it ends on as it is read: the
     # stream counts the line breaks, which the cells may not show
     ends: List[int] = []
     rows = list(islice(map(itemgetter(0), zip(
         reader, map(ends.append, map(attrgetter("line_num"), repeat(reader))))), n))
     # the cells, by one C-level extend per row; ``zip(*rows)`` would hold
-    # an iterator per row, each one counting toward gen 0.  A NUL is
-    # sought in their joined text, a string, which the collector does
-    # not track.
+    # an iterator per row, each one counting toward gen 0
     cells = reduce(iadd, rows, [])
-    if "\0" in "".join(cells):
-        raise _nul_error(rows, [line + end for end in ends], line)
     if set(map(len, rows)) != {width}:  # fit every row to the header
         for i, row in enumerate(rows):
             if len(row) < width:
@@ -533,22 +538,6 @@ def _rows(reader, n: int, line: int, width: int, bad: Dict[int, Optional[str]]) 
                 del row[width:]
         cells = reduce(iadd, rows, [])
     return cells, ends
-
-
-def _nul_error(rows: List[List[str]], ends: List[int], line: int) -> ValueError:
-    """The error of the first NUL in ``rows``, which end on the lines
-    ``ends`` after ``line``, naming the line it stands on as the csv module
-    of Python 3.10 does.  A row's line breaks are in its quoted cells: a
-    ``\\n``, a ``\\r\\n`` or a lone ``\\r``, as a stream opened with
-    ``newline=""`` reads them."""
-    for row, end in zip(rows, ends):
-        text = ",".join(row)
-        if "\0" in text:
-            break
-        line = end
-    head = text[:text.index("\0")]
-    breaks = head.count("\n") + head.count("\r") - head.count("\r\n")
-    return ValueError(f"line {min(line + 1 + breaks, end)}: line contains NUL")
 
 
 def _profiles(bad, task_id, param, instructions, cycles, rate, ghz, tx_s) -> tuple:

@@ -48,11 +48,6 @@ def satisfy_req(req: Requirement, cap: Capability) -> bool:
     return True
 
 
-def satisfy_task(task: TaskSpec, resource: ResourceSpec) -> bool:
-    """True iff every requirement of the task is matched by some capability."""
-    return bool(viable_set(task, (resource,)).resource_ids)
-
-
 def cost(task: TaskSpec, resource: ResourceSpec) -> float:
     """Total cost of running ``task`` on ``resource``: sum of amount/rate
     over matched (requirement, capability) pairs.

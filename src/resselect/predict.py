@@ -29,6 +29,10 @@ class UnknownTaskError(ValueError):
     """Raised when no baseline profile exists for a task."""
 
 
+class ClockRangeError(ValueError):
+    """Raised when a resource's base clock gives no finite execution time."""
+
+
 @dataclass(frozen=True)
 class BaselineProfile:
     """One profiled run of a task on the baseline machine."""
@@ -150,13 +154,17 @@ def predict_tx(
     """Predicted execution times at the resource's base and maximum clocks.
 
     ``inflation`` scales the cycle count, e.g. to account for extra
-    instructions executed on a pool like OSG.
+    instructions executed on a pool like OSG.  An infinite time raises
+    `ClockRangeError`.
     """
     if pred_cycles <= 0:
         raise ValueError("pred_cycles must be > 0")
     if inflation <= 0:
         raise ValueError("inflation must be > 0")
     cycles = pred_cycles * inflation
+    if cycles / clock.base_hz == inf:  # the longer time: base_hz <= max_hz
+        raise ClockRangeError(f"resource {clock.resource_id!r}: {cycles:g} cycles take no "
+                              f"finite time at its base clock of {clock.base_hz:g} Hz")
     return PredictionReport(
         task_id=task_id,
         resource_id=clock.resource_id,

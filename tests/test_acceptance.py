@@ -24,9 +24,9 @@ from resselect import (
     predict_tx,
     res_select,
     satisfy_req,
-    satisfy_task,
     simulate,
     tx_error,
+    viable_set,
 )
 from resselect.config import Config
 from resselect.model import canonical_dumps, resource_from_json, workload_from_json
@@ -99,7 +99,7 @@ def test_criterion_2_matchmaking_conformance():
         assert satisfy_req(req, cap) == satisfy_req_oracle(req, cap)
         task = aggregate(random_sequenced_task(rng, max_instructions=4))
         res = random_resource(rng, max_caps=6)
-        assert satisfy_task(task, res) == satisfy_task_oracle(
+        assert bool(viable_set(task, [res]).resource_ids) == satisfy_task_oracle(
             task.requirements, res.capabilities
         )
     # exhaustive argmax enumerations, all tie patterns

@@ -529,7 +529,8 @@ class TestPipeline:
 
     def test_mixed_workload_params_exit_1_naming_task_and_values(self, tmp_path, capsys):
         """Profiles of one task id at two workload sizes measure different
-        work; ``predict`` and ``select`` refuse to average them."""
+        work; ``predict`` and ``select`` refuse to average them, naming the
+        profiles file."""
         rows = list(csv.reader(io.StringIO((BUNDLED / "profiles.csv").read_text())))
         rows[2][1] = "200000"  # the second md-100k profile
         profiles = tmp_path / "profiles.csv"
@@ -542,8 +543,9 @@ class TestPipeline:
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == ("error: profiles for 'md-100k' mix workload_param values "
-                                    "100000, 200000: one task id takes one workload_param\n")
+            assert captured.err == (f"error: {profiles}: profiles for 'md-100k' mix "
+                                    "workload_param values 100000, 200000: one task id takes "
+                                    "one workload_param\n")
         assert not (tmp_path / "plan.json").exists()
 
     @pytest.mark.parametrize("edit,reason", [
@@ -760,6 +762,24 @@ class TestPipeline:
         assert code == 1
         assert err == f"error: {path}: line 3: field larger than field limit ({limit})\n"
 
+    @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
+    def test_nul_is_reported_ahead_of_a_later_error_on_every_python(self, tmp_path, capsys, flag):
+        """A quoted first row sends the file to the csv module, which would
+        read a NUL as a character after Python 3.10; the NUL on line 3 is
+        still reported, ahead of the cell past the field limit on line 5."""
+        limit = csv.field_size_limit()
+
+        def edit(lines):
+            lines = lines + lines[1:2]  # at least five lines
+            lines[1] = '"' + lines[1].replace(",", '",', 1)
+            lines[2] = lines[2][:1] + "\0" + lines[2][1:]
+            lines[4] = "x" * (limit + 1) + lines[4]
+            return lines
+
+        code, err, path = self._run_edited_csv(tmp_path, capsys, flag, edit)
+        assert code == 1
+        assert err == f"error: {path}: line 3: line contains NUL\n"
+
     @pytest.mark.parametrize("flag,column", [("--history", "wait_s"), ("--profiles", "tx_s")])
     def test_repeated_column_exits_1(self, tmp_path, capsys, flag, column):
         def edit(lines):
@@ -944,6 +964,27 @@ class TestCrossFileErrors:
         assert captured.out == ""
         assert captured.err == f"error: {profiles}: no baseline profiles for task 'nope'\n"
 
+    def test_queue_wait_without_history_in_the_window_names_history(self, capsys):
+        history = str(BUNDLED / "history.csv")
+        assert main(["queue-wait", "--history", history, "--machine", "nope", "--queue", "workq",
+                     "--walltime", "7200", "--cores", "1", "--now", NOW]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {history}: no queue history for machine 'nope' "
+                                "queue 'workq' in the past 604800 s\n")
+
+    PREDICT = ["predict", "--profiles", "@profiles.csv", "--clocks", "@clocks.json"]
+
+    @pytest.mark.parametrize("command", ["predict", "select"])
+    def test_clock_too_slow_for_a_finite_time_names_clocks_and_resource(self, tmp_path, capsys,
+                                                                         command):
+        edited_bundled_copy(tmp_path, "clocks.json", [0],
+                            lambda clock: clock.update(base_ghz=5e-324))
+        argv = self.PREDICT if command == "predict" else self.MODEL
+        assert self.run(tmp_path, capsys, argv) == (
+            f"error: {tmp_path / 'clocks.json'}: resource 'bridges': 1e+13 cycles take no "
+            f"finite time at its base clock of {5e-324 * 1e9:g} Hz\n")
+
     def test_zero_random_ttc_names_random_result(self, tmp_path, capsys):
         model = write(tmp_path / "model.json", RESULTS[0])
         zeros = SimulationResult("w", "random", 2, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)).to_json()
@@ -990,8 +1031,8 @@ FUZZ_ARGS = {  # subcommand -> the arguments that are not files
     "select": ["--now", NOW],
 }
 CSV_FLAGS = {"--profiles", "--history"}
-JSON_VALUES = [None, True, "x", 0, -1, 2, 0.5, 1e308, 10**400, math.nan, -math.inf, [], {}, [0],
-               {"k": 1}]
+JSON_VALUES = [None, True, "x", 0, -1, 2, 0.5, 1e308, 5e-324, 10**400, math.nan, -math.inf, [],
+               {}, [0], {"k": 1}]
 CSV_VALUES = ["", "x", "0", "-1", "0.5", "1e308", "1e400", "nan", "-inf", "2026-02-30T00:00:00Z",
               "supermic", "md-100k", ["x", "1"], []]
 
@@ -1057,3 +1098,7 @@ def test_mutated_inputs_exit_0_1_or_2_without_traceback(fuzz_dir, run):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 1:  # a validation error names the file at fault
+        error = err.getvalue().splitlines()[-1]
+        assert error.startswith("error: ")
+        assert any(str(fuzz_dir / f"in{i}") in error for i in range(len(inputs))), error

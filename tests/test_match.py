@@ -17,7 +17,6 @@ from resselect import (
     aggregate,
     res_select,
     satisfy_req,
-    satisfy_task,
     viable_set,
 )
 from resselect.codec import VIABLE_SET
@@ -109,22 +108,24 @@ class TestSatisfyReq:
 
 
 class TestSatisfyTask:
+    """A resource runs a task iff the task is viable on it alone."""
+
     def test_no_matching_capability(self):
         task = TaskSpec("t", requirements=(Requirement(c("gpu"), 1),))
         res = ResourceSpec("r", (Capability(c("cpu"), 1),))
-        assert not satisfy_task(task, res)
+        assert not viable_set(task, [res]).resource_ids
 
     def test_full_cover(self):
         a, b = c("A"), c("B")
         task = TaskSpec("t", requirements=(Requirement(a, 1), Requirement(b, 1)))
         res = ResourceSpec("r", (Capability(a, 1), Capability(b, 1)))
-        assert satisfy_task(task, res)
+        assert viable_set(task, [res]).resource_ids
 
     def test_partial_cover_fails(self):
         a, b = c("A"), c("B")
         task = TaskSpec("t", requirements=(Requirement(a, 1), Requirement(b, 1)))
         res = ResourceSpec("r", (Capability(a, 1),))
-        assert not satisfy_task(task, res)
+        assert not viable_set(task, [res]).resource_ids
 
     @settings(max_examples=200)
     @given(st.integers(0, 10**9))
@@ -132,7 +133,7 @@ class TestSatisfyTask:
         rng = random.Random(seed)
         task = aggregate(random_sequenced_task(rng))
         res = random_resource(rng)
-        assert satisfy_task(task, res) == satisfy_task_oracle(
+        assert bool(viable_set(task, [res]).resource_ids) == satisfy_task_oracle(
             task.requirements, res.capabilities
         )
 
@@ -142,11 +143,11 @@ class TestSatisfyTask:
         rng = random.Random(seed)
         task = aggregate(random_sequenced_task(rng))
         res = random_resource(rng)
-        if satisfy_task(task, res):
+        if viable_set(task, [res]).resource_ids:
             grown = ResourceSpec(
                 "r", res.capabilities + (random_capability(rng),)
             )
-            assert satisfy_task(task, grown)
+            assert viable_set(task, [grown]).resource_ids
 
 
 class TestViableSet:

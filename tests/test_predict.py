@@ -23,6 +23,7 @@ from resselect import codec
 from resselect.codec import CLOCK
 from resselect.predict import (
     GHZ,
+    ClockRangeError,
     ProfileConsistencyError,
     UnknownTaskError,
     load_clocks,
@@ -125,6 +126,12 @@ class TestPredictTx:
             predict_tx(0, clock)
         with pytest.raises(ValueError):
             predict_tx(1e9, clock, inflation=0)
+
+    def test_time_past_the_float_range_names_the_resource(self):
+        clock = ClockSpec("r", 5e-315, 2e9)
+        with pytest.raises(ClockRangeError, match="^resource 'r': 1e\\+13 cycles take no finite "):
+            predict_tx(1e13, clock)
+        assert predict_tx(1e-300, clock).tx_base_s > 0
 
     @settings(max_examples=100)
     @given(
