@@ -7,7 +7,7 @@ encoding and the ``--schema`` output all read these declarations.
 
 Decoding is strict: an unknown key, a missing key, a wrong JSON type or a
 non-finite number raises `DecodeError` naming the key path.  Value
-invariants stay in each dataclass's ``__post_init__``; their errors gain
+invariants stay in each value class's ``__post_init__``; their errors gain
 the key path here.
 """
 
@@ -245,7 +245,7 @@ def _consumable_record(cls, key: str) -> Record:
     """Requirements and capabilities carry their consumable's type and form
     inline, next to their ``key`` (amount or rate)."""
     return Record(
-        lambda type, form=None, **amount: cls(ConsumableSpec(type, form or {}), **amount),
+        lambda type, form=None, **amount: cls(ConsumableSpec(type, form or {}), *amount.values()),
         {"type": STR, "form": opt(Map(Arr(Scalar("number", "string")))), key: NUM},
         lambda x: {**vars(x), "type": x.consumable.ctype, "form": x.consumable.sorted_form()})
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from .model import Value
 from .queuewait import DEFAULT_BUCKETS, DEFAULT_WINDOW_S, SimilarityBuckets
 
 
-@dataclass
-class Config:
+class Config(Value):
     """Explicit configuration; no environment variables are consulted.
 
     inflation_factors scales predicted cycle counts per resource (e.g. a
@@ -22,15 +21,15 @@ class Config:
     affinity must be "neg_ttc", the planner's one ranking (smallest TTC).
     """
 
-    inflation_factors: Dict[str, float] = field(default_factory=dict)
+    inflation_factors: Dict[str, float] = dict
     walltime_safety_factor: float = 1.5
     buckets: SimilarityBuckets = DEFAULT_BUCKETS
     window_s: float = DEFAULT_WINDOW_S
     affinity: str = "neg_ttc"
     frequency_choice: str = "base"
-    resource_queues: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    resource_queues: Dict[str, Tuple[str, str]] = dict
     cores_per_task: int = 1
-    profile_overrides: Dict[str, str] = field(default_factory=dict)
+    profile_overrides: Dict[str, str] = dict
     default_profile: Optional[str] = None
 
     def __post_init__(self):

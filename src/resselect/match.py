@@ -8,11 +8,12 @@ form conditions is exact (no numeric tolerance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .model import Capability, ConsumableSpec, Requirement, ResourceSpec, TaskSpec, aggregate
+from .model import (
+    Capability, ConsumableSpec, Requirement, ResourceSpec, TaskSpec, Value, aggregate,
+)
 
 
 class EmptyViableSetError(ValueError):
@@ -23,8 +24,7 @@ class NotSatisfiableError(ValueError):
     """Raised when costing a task on a resource that cannot run it."""
 
 
-@dataclass(frozen=True)
-class ViableSet:
+class ViableSet(Value):
     """Resources on which a task can execute, in input pool order."""
 
     task_id: str

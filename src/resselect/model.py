@@ -14,11 +14,10 @@ package, so every module can use it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring
 from math import frexp, inf, isfinite, isqrt, ldexp
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, float, str]
@@ -36,6 +35,70 @@ def _check_scalar(value: Scalar) -> None:
         )
 
 
+class Value:
+    """Base of the value classes: a frozen dataclass without the decorator,
+    which compiles each class's methods at import.  The fields are the names
+    a subclass annotates, in order, each defaulting to the class attribute of
+    its name, if any (``dict``: a new empty dict per instance).  ``__init__``
+    binds them as a dataclass does, then runs ``__post_init__``, which may set
+    a field with ``object.__setattr__``.  Instances equal only instances of
+    their class, compare and hash as their fields' tuple, and are immutable."""
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._names = frozenset(fields)
+        cls._defaults = {f: vars(cls)[f] for f in fields if vars(cls).get(f, dict) is not dict}
+        cls._fresh = [f for f in fields if vars(cls).get(f) is dict]
+        cls._values = (itemgetter(*fields) if len(fields) > 1  # __dict__ -> fields' tuple
+                       else staticmethod(lambda d, f=fields[0]: (d[f],)))
+
+    def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == len(self._fields):
+            values = dict(zip(self._fields, args))
+        else:  # kwargs is a new dict: it becomes the __dict__ when it names every field
+            values = (kwargs if not args and kwargs.keys() == self._names
+                      else self._bound(args, kwargs))
+        _set_dict(self, values)
+        self.__post_init__()
+
+    def _bound(self, args: tuple, kwargs: dict) -> dict:
+        """The fields of ``cls(*args, **kwargs)``, or `TypeError` as a dataclass's."""
+        values = {**self._defaults, **kwargs}
+        if args:
+            given = dict(zip(self._fields, args))
+            if len(args) > len(self._fields) or not given.keys().isdisjoint(kwargs):
+                raise TypeError(f"{type(self).__name__}() got too many or repeated arguments")
+            values.update(given)
+        for f in self._fresh:  # a default of dict: a new one for each instance
+            values.setdefault(f, {})
+        if values.keys() != self._names:
+            raise TypeError(f"{type(self).__name__}() lacks or does not take the arguments "
+                            f"{sorted(values.keys() ^ self._names)}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        return (self._values(self.__dict__) == self._values(other.__dict__)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values(self.__dict__))
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values(self.__dict__))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_set_dict = Value.__dict__["__dict__"].__set__  # object.__setattr__(x, "__dict__", d), faster
+
+
 def _value_key(value: Scalar):
     """Sort key for condition values: numbers first (numerically), then strings."""
     if isinstance(value, (int, float)):
@@ -43,8 +106,7 @@ def _value_key(value: Scalar):
     return (1, 0.0, value)
 
 
-@dataclass(frozen=True, eq=False)
-class ConsumableSpec:
+class ConsumableSpec(Value):
     """A typed unit of work with form conditions.
 
     ``form`` maps attribute names to non-empty sets of allowed values.
@@ -53,7 +115,7 @@ class ConsumableSpec:
     """
 
     ctype: str
-    form: Mapping[str, FrozenSet[Scalar]] = field(default_factory=dict)
+    form: Mapping[str, FrozenSet[Scalar]] = dict
 
     def __post_init__(self):
         if not self.ctype:
@@ -88,8 +150,7 @@ class ConsumableSpec:
         return (self.ctype, json.dumps(self.sorted_form(), sort_keys=True))
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(Value):
     """A fixed amount of a consumable demanded by a task."""
 
     consumable: ConsumableSpec
@@ -102,8 +163,7 @@ class Requirement:
             raise ValueError("requirement amount must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class Capability:
+class Capability(Value):
     """A fixed rate at which a resource offers a consumable."""
 
     consumable: ConsumableSpec
@@ -127,8 +187,7 @@ def _merge_requirements(reqs) -> Tuple[Requirement, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(Value):
     """One step of a task: a set of requirements, one per distinct consumable."""
 
     requirements: Tuple[Requirement, ...]
@@ -140,8 +199,7 @@ class Instruction:
         object.__setattr__(self, "requirements", _merge_requirements(reqs))
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Value):
     """A task, either as an ordered instruction sequence or in aggregated form."""
 
     task_id: str
@@ -156,14 +214,12 @@ class TaskSpec:
         if self.instructions is not None:
             object.__setattr__(self, "instructions", tuple(self.instructions))
         else:
-            object.__setattr__(
-                self, "requirements", _merge_requirements(self.requirements)
-            )
+            object.__setattr__(self, "requirements", _merge_requirements(self.requirements))
 
     def with_id(self, task_id: str) -> TaskSpec:
         """This task under ``task_id``, sharing its body objects: the body
         is already checked and merged, so it is not checked or merged again
-        (``dataclasses.replace`` would merge it again)."""
+        (``TaskSpec(task_id, ...)`` would merge it again)."""
         if not task_id:
             raise ValueError("task_id must be non-empty")
         return _built(type(self), task_id, self.instructions, self.requirements)
@@ -173,15 +229,12 @@ def _built(cls, task_id: str, instructions, requirements) -> TaskSpec:
     """A ``cls`` task of a body that is already checked and merged:
     ``__post_init__`` does not run."""
     task = object.__new__(cls)
-    fields = task.__dict__  # frozen: fill the fields as __init__ would
-    fields["task_id"] = task_id
-    fields["instructions"] = instructions
-    fields["requirements"] = requirements
+    _set_dict(task, {"task_id": task_id, "instructions": instructions,
+                     "requirements": requirements})
     return task
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Value):
     """A bag of tasks with unique ids."""
 
     workload_id: str
@@ -195,8 +248,7 @@ class WorkloadSpec:
         object.__setattr__(self, "tasks", tasks)
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
+class ResourceSpec(Value):
     """A resource: a non-empty set of capabilities."""
 
     resource_id: str

@@ -7,14 +7,14 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Config
 from .match import EmptyViableSetError, neg_ttc, res_select, viable_set
-from .model import ResourceSpec, TaskSpec, WorkloadSpec
+from .model import ResourceSpec, TaskSpec, Value, WorkloadSpec
 from .predict import (
     BaselineProfile,
+    ClockRangeError,
     ClockSpec,
     UnknownTaskError,
     predict_sequential_cycles,
@@ -36,8 +36,7 @@ def _about(exc: ValueError, **ids) -> ValueError:
     return exc
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Value):
     """A task's resource and, in a model plan, the predicted queue wait and
     execution time there.  walltime_s is the walltime the queue-wait query
     asked for; a plan read back from a file does not carry it.  Tasks of one
@@ -63,8 +62,7 @@ class Assignment:
         return None if self.tq_s is None else self.tq_s + self.tx_s
 
 
-@dataclass(frozen=True)
-class SelectionPlan:
+class SelectionPlan(Value):
     """Per-task resource assignment for a workload.
 
     resource_requests aggregates per resource what a single acquisition
@@ -75,7 +73,7 @@ class SelectionPlan:
     workload_id: str
     strategy: str  # "model" | "random"
     assignments: Dict[str, Assignment]
-    resource_requests: Dict[str, dict] = field(default_factory=dict)
+    resource_requests: Dict[str, dict] = dict
     rng_seed: Optional[int] = None
 
     def to_json(self) -> dict:
@@ -128,11 +126,14 @@ def task_estimates(
         if rid not in clocks:
             raise _about(MissingClockError(f"missing clock specification for resource {rid!r}"),
                          resource_id=rid)
-        report = predict_tx(
-            cycles.mean, clocks[rid], inflation=config.inflation_factors.get(rid, 1.0)
-        )
+        report = predict_tx(cycles.mean, clocks[rid],
+                            inflation=config.inflation_factors.get(rid, 1.0))
         tx = report.tx_base_s if config.frequency_choice == "base" else report.tx_max_s
         walltime = report.tx_base_s * config.walltime_safety_factor
+        if walltime == math.inf:  # both factors are finite
+            raise ClockRangeError(f"resource {rid!r}: {report.tx_base_s:g} s at its base clock "
+                                  "times walltime_safety_factor "
+                                  f"{config.walltime_safety_factor:g} gives no finite walltime")
         machine, queue = config.machine_queue(rid)
         try:
             tq = queue_store.estimate_tq(

@@ -7,12 +7,11 @@ then divides by a target clock frequency to get an execution-time estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import mean_and_stddev
+from .model import Value, mean_and_stddev
 
 GHZ = 1e9
 
@@ -30,11 +29,11 @@ class UnknownTaskError(ValueError):
 
 
 class ClockRangeError(ValueError):
-    """Raised when a resource's base clock gives no finite execution time."""
+    """Raised when a resource's base clock gives no finite execution time or
+    walltime request."""
 
 
-@dataclass(frozen=True)
-class BaselineProfile:
+class BaselineProfile(Value):
     """One profiled run of a task on the baseline machine."""
 
     task_id: str
@@ -63,8 +62,7 @@ class BaselineProfile:
             )
 
 
-@dataclass(frozen=True)
-class ClockSpec:
+class ClockSpec(Value):
     """Base and maximum clock of a resource."""
 
     resource_id: str
@@ -76,8 +74,7 @@ class ClockSpec:
             raise ValueError("need 0 < base_hz <= max_hz < inf")
 
 
-@dataclass(frozen=True)
-class PoolInventoryEntry:
+class PoolInventoryEntry(Value):
     """One CPU model in a heterogeneous pool, weighted by node count."""
 
     cpu_model: str
@@ -92,8 +89,7 @@ class PoolInventoryEntry:
             raise ValueError("need 0 < base_hz <= max_hz < inf")
 
 
-@dataclass(frozen=True)
-class CyclesEstimate:
+class CyclesEstimate(Value):
     """Predicted sequential cycle count, aggregated over repeat profiles."""
 
     mean: float
@@ -101,8 +97,7 @@ class CyclesEstimate:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(Value):
     task_id: str
     resource_id: str
     pred_cycles: float
@@ -111,8 +106,7 @@ class PredictionReport:
     inflation_factor: float
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(Value):
     p2a_cy: float
     instr_rate_act: float
     epsilon_pct: float

@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice, repeat
 from operator import attrgetter, gt, itemgetter, le, lt, not_, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .model import mean_and_stddev
+from .model import Value, mean_and_stddev
 
 DEFAULT_WINDOW_S = 7 * 24 * 3600
 
@@ -41,8 +40,7 @@ class NoQueueHistoryError(ValueError):
     """Raised when no history exists for (machine, queue) in the window."""
 
 
-@dataclass(frozen=True)
-class QueueWaitRecord:
+class QueueWaitRecord(Value):
     """One historical job's queue wait with its submission context."""
 
     machine: str
@@ -58,7 +56,7 @@ class QueueWaitRecord:
             raise ValueError("submit_time must be finite")
 
 
-_FIELDS = attrgetter(*QueueWaitRecord.__dataclass_fields__)
+_FIELDS = attrgetter(*QueueWaitRecord._fields)
 
 # Column checks.  Each takes ``bad``, a dict from row index to the message
 # of the first check that row failed, and notes there every row it rejects
@@ -119,8 +117,7 @@ def checked_columns(bad: Dict[int, Optional[str]], machines: Sequence[str],
     return machines, queues, submit_times, waits, walltimes, cores
 
 
-@dataclass(frozen=True)
-class SimilarityBuckets:
+class SimilarityBuckets(Value):
     """Predefined half-open ranges [lo, hi) for walltime and core requests.
 
     Edges partition the line into len(edges)+1 buckets; two values are
@@ -161,8 +158,7 @@ DEFAULT_BUCKETS = SimilarityBuckets(
 )
 
 
-@dataclass(frozen=True)
-class QueueWaitEstimate:
+class QueueWaitEstimate(Value):
     machine: str
     queue: str
     mean_wait_s: float

@@ -26,11 +26,10 @@ import hashlib
 import heapq
 import math
 import statistics
-from dataclasses import dataclass
 from operator import add, itemgetter, sub
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .model import mean_and_stddev
+from .model import Value, mean_and_stddev
 from .plan import SelectionPlan
 
 
@@ -64,8 +63,7 @@ def _finite(values) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class DistSpec:
+class DistSpec(Value):
     """A sampling distribution: constant, normal truncated at 0, or empirical."""
 
     kind: str  # "constant" | "normal" | "empirical"
@@ -118,8 +116,7 @@ class DistSpec:
         return self.at_each([k])[0]
 
 
-@dataclass(frozen=True)
-class ResourceBehavior:
+class ResourceBehavior(Value):
     """Stochastic behavior of one resource during simulation.
 
     pilot_mode "single" samples one queue wait per resource per trial (one
@@ -152,8 +149,7 @@ class ResourceBehavior:
 METRICS = ("ttc_wkd_s", "tq_wkd_s", "tx_wkd_s")
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Value):
     """Per-trial workload metrics plus their means and sample stddevs."""
 
     workload_id: str

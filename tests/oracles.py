@@ -9,6 +9,7 @@ arithmetic.  Keep them dumb.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,8 +17,20 @@ import struct
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from resselect.predict import GHZ, BaselineProfile
-from resselect.queuewait import QueueWaitRecord, _parse_iso8601
+from resselect.config import Config
+from resselect.match import ViableSet
+from resselect.model import (
+    Capability, ConsumableSpec, Instruction, Requirement, ResourceSpec, TaskSpec, WorkloadSpec,
+)
+from resselect.plan import Assignment, SelectionPlan
+from resselect.predict import (
+    GHZ, BaselineProfile, ClockSpec, CyclesEstimate, DiagnosticReport, PoolInventoryEntry,
+    PredictionReport,
+)
+from resselect.queuewait import (
+    QueueWaitEstimate, QueueWaitRecord, SimilarityBuckets, _parse_iso8601,
+)
+from resselect.sim import DistSpec, ResourceBehavior, SimulationResult
 
 
 def consumable_key(consumable) -> tuple:
@@ -236,3 +249,34 @@ def canonical_dumps_oracle(obj) -> str:
     """Canonical JSON text by the standard library's encoder, which writes
     every occurrence of a shared value anew."""
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+# --- the value classes as the frozen dataclasses they replace
+
+VALUE_CLASSES = (
+    Config, ViableSet, ConsumableSpec, Requirement, Capability, Instruction, TaskSpec,
+    WorkloadSpec, ResourceSpec, Assignment, SelectionPlan, BaselineProfile, ClockSpec,
+    PoolInventoryEntry, CyclesEstimate, PredictionReport, DiagnosticReport, QueueWaitRecord,
+    SimilarityBuckets, QueueWaitEstimate, DistSpec, ResourceBehavior, SimulationResult,
+)
+
+
+def dataclass_twin(cls) -> type:
+    """``cls`` rebuilt by `dataclasses.make_dataclass` from what its body
+    declares: its annotated fields in order, the class attribute of a
+    field's name as its default (``dict`` as ``default_factory=dict``), and
+    its own ``__post_init__``.  The twin is frozen, and generates no
+    ``__eq__`` when the class defines its own (`ConsumableSpec`), which
+    the twin then keeps, with ``__hash__``."""
+    body = vars(cls)
+    fields = []
+    for name in body["__annotations__"]:
+        default = body.get(name, dataclasses.MISSING)
+        fields.append((name, object, dataclasses.field(default_factory=dict) if default is dict
+                       else dataclasses.field(default=default)))
+    own = {k: body[k] for k in ("__post_init__", "__eq__", "__hash__") if k in body}
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=own, frozen=True,
+                                      eq="__eq__" not in body)
+
+
+DATACLASS_TWINS = {cls: dataclass_twin(cls) for cls in VALUE_CLASSES}

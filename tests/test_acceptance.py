@@ -1,7 +1,6 @@
 """Acceptance suite: every criterion at its stated tolerance, one pass/fail
 line per criterion (run with -s to see them)."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -339,7 +338,9 @@ def _tx_over(behavior, divisor):
     d = behavior.tx_dist
     value, mean, stddev = (None if v is None else v / divisor for v in (d.value, d.mean, d.stddev))
     samples = d.samples and tuple(x / divisor for x in d.samples)
-    return dataclasses.replace(behavior, tx_dist=DistSpec(d.kind, value, mean, stddev, samples))
+    return ResourceBehavior(behavior.resource_id, behavior.tq_dist,
+                            DistSpec(d.kind, value, mean, stddev, samples),
+                            behavior.capacity_cores, behavior.pilot_mode)
 
 
 def test_criterion_9_holds_across_the_papers_tx_error_box():

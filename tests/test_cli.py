@@ -985,6 +985,15 @@ class TestCrossFileErrors:
             f"error: {tmp_path / 'clocks.json'}: resource 'bridges': 1e+13 cycles take no "
             f"finite time at its base clock of {5e-324 * 1e9:g} Hz\n")
 
+    def test_walltime_past_the_float_range_names_clocks_and_resource(self, tmp_path, capsys):
+        # the time at the base clock is finite; times the safety factor it is not
+        edited_bundled_copy(tmp_path, "clocks.json", [0],
+                            lambda clock: clock.update(base_ghz=8e-305))
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'clocks.json'}: resource 'bridges': "
+            f"{1e13 / (8e-305 * 1e9):g} s at its base clock times walltime_safety_factor 1.5 "
+            "gives no finite walltime\n")
+
     def test_zero_random_ttc_names_random_result(self, tmp_path, capsys):
         model = write(tmp_path / "model.json", RESULTS[0])
         zeros = SimulationResult("w", "random", 2, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)).to_json()

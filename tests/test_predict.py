@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import statistics
@@ -73,7 +72,7 @@ class TestBaselineProfile:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_counters_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be finite and > 0$"):
-            dataclasses.replace(profile(), **{field: value})
+            BaselineProfile(**{**vars(profile()), field: value})
 
 
 class TestSequentialCycles:
