@@ -21,10 +21,11 @@ from . import codec, model
 from .config import Config
 from .match import EmptyViableSetError, viable_set
 from .plan import MissingClockError, plan_model, plan_random
-from .predict import (ClockRangeError, ProfileConsistencyError, UnknownTaskError, load_clocks,
-                      load_profiles, predict_sequential_cycles, predict_tx, profiles_by_task)
+from .predict import (ClockRangeError, InflationRangeError, ProfileConsistencyError,
+                      UnknownTaskError, load_clocks, load_profiles, predict_sequential_cycles,
+                      predict_tx, profiles_by_task)
 from .queuewait import NoQueueHistoryError, QueueWaitStore, _parse_iso8601
-from .sim import compare, simulate
+from .sim import MissingBehaviorError, compare, simulate
 
 
 class CliError(Exception):
@@ -156,6 +157,8 @@ def _cmd_predict(args) -> None:
                 reports.append(codec.PREDICTION.encode((report, cycles)))
     except ProfileConsistencyError as exc:
         raise CliError(f"{args.profiles}: {exc}") from exc
+    except InflationRangeError as exc:
+        raise CliError(f"{args.config}: {exc}") from exc
     except ClockRangeError as exc:
         raise CliError(f"{args.clocks}: {exc}") from exc
     _emit(model.canonical_dumps(reports), args.out)
@@ -194,22 +197,19 @@ def _cmd_select(args) -> None:
         else:
             plan = plan_model(workload, pool, profiles, clocks, store, config, now=args.now)
     except EmptyViableSetError as exc:
-        raise CliError(f"{args.pool}: no resource can run task {exc.task_id!r} "
-                       f"of {args.workload}") from exc
+        raise CliError(f"{args.pool}: {exc} of {args.workload}") from exc
     except UnknownTaskError as exc:
-        raise CliError(f"{args.profiles}: no baseline profile "
-                       f"{config.profile_id(exc.task_id)!r} for task {exc.task_id!r} "
-                       f"of {args.workload}") from exc
+        raise CliError(f"{args.profiles}: {exc} of {args.workload}") from exc
     except ProfileConsistencyError as exc:
         raise CliError(f"{args.profiles}: {exc}") from exc
+    except InflationRangeError as exc:
+        raise CliError(f"{args.config}: {exc}") from exc
     except ClockRangeError as exc:
         raise CliError(f"{args.clocks}: {exc}") from exc
     except MissingClockError as exc:
-        raise CliError(f"{args.clocks}: no clock for resource {exc.resource_id!r} "
-                       f"of {args.pool}") from exc
+        raise CliError(f"{args.clocks}: {exc} of {args.pool}") from exc
     except NoQueueHistoryError as exc:
-        raise CliError(f"{args.history}: {exc.__cause__}, for resource {exc.resource_id!r} "
-                       f"of {args.pool}") from exc
+        raise CliError(f"{args.history}: {exc} of {args.pool}") from exc
     _emit(model.canonical_dumps(plan.to_json()), args.out)
 
 
@@ -219,12 +219,11 @@ def _cmd_simulate(args) -> None:
     if isinstance(plan, str):
         plan = _load(plan, codec.PLAN.decode)
     behaviors = {b.resource_id: b for b in scenario["behaviors"]}
-    for a in plan.assignments.values():
-        if a.resource_id not in behaviors:
-            of = plan_path if isinstance(plan_path, str) else "its plan"
-            raise CliError(f"{args.scenario}: no behavior for resource {a.resource_id!r} of {of}")
     try:
         result = simulate(plan, behaviors, trials=scenario["trials"], seed=scenario["seed"])
+    except MissingBehaviorError as exc:
+        of = plan_path if isinstance(plan_path, str) else "its plan"
+        raise CliError(f"{args.scenario}: {exc} of {of}") from exc
     except ValueError as exc:  # a zero-task plan, or a trial whose TTC overflows
         raise CliError(f"{args.scenario}: {exc}") from exc
     _emit(model.canonical_dumps(result.to_json()), args.out)
@@ -242,7 +241,7 @@ def _cmd_report(args) -> None:
                        f"vs {random_result.workload_id!r} in {args.random}")
     try:
         rep = compare(model_result, random_result)
-    except ValueError as exc:  # a random mean TTC of 0
+    except ValueError as exc:  # a random mean TTC of 0, or one too small for a finite reduction
         raise CliError(f"{args.random}: {exc}") from exc
     lines = [",".join(codec.REPORT.columns)]
     for metric, entry in sorted(rep["metrics"].items()):

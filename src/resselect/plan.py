@@ -28,14 +28,6 @@ class MissingClockError(ValueError):
     """Raised when a viable resource has no clock specification."""
 
 
-def _about(exc: ValueError, **ids) -> ValueError:
-    """``exc`` with the ids it is about (``task_id``, ``resource_id``) as
-    attributes, so that a caller can name the files those came from."""
-    for name, value in ids.items():
-        setattr(exc, name, value)
-    return exc
-
-
 class Assignment(Value):
     """A task's resource and, in a model plan, the predicted queue wait and
     execution time there.  walltime_s is the walltime the queue-wait query
@@ -116,16 +108,12 @@ def task_estimates(
     profile_id = config.profile_id(task.task_id)
     task_profiles = profiles.get(profile_id)
     if not task_profiles:
-        raise _about(UnknownTaskError(
-            f"missing prediction inputs: no baseline profile {profile_id!r} "
-            f"for task {task.task_id!r}"
-        ), task_id=task.task_id)
+        raise UnknownTaskError(f"no baseline profile {profile_id!r} for task {task.task_id!r}")
     cycles = predict_sequential_cycles(task_profiles)
     estimates = []
     for rid in viable_ids:
         if rid not in clocks:
-            raise _about(MissingClockError(f"missing clock specification for resource {rid!r}"),
-                         resource_id=rid)
+            raise MissingClockError(f"no clock for resource {rid!r}")
         report = predict_tx(cycles.mean, clocks[rid],
                             inflation=config.inflation_factors.get(rid, 1.0))
         tx = report.tx_base_s if config.frequency_choice == "base" else report.tx_max_s
@@ -146,9 +134,7 @@ def task_estimates(
                 buckets=config.buckets,
             ).mean_wait_s
         except NoQueueHistoryError as exc:
-            raise _about(NoQueueHistoryError(
-                f"missing queue inputs for resource {rid!r}: {exc}"
-            ), resource_id=rid) from exc
+            raise NoQueueHistoryError(f"{exc}, for resource {rid!r}") from exc
         estimates.append(Assignment(rid, tq, tx, walltime))
     return estimates
 
@@ -186,9 +172,7 @@ def _viable_ids(task: TaskSpec, pool: Sequence[ResourceSpec], memo: dict,
         seen = memo[id(body)] = (body, viable_set(task, pool, masks).resource_ids)
     ids = seen[1]
     if not ids:
-        raise _about(EmptyViableSetError(
-            f"empty viable set: task {task.task_id!r} cannot run on any pool resource"
-        ), task_id=task.task_id)
+        raise EmptyViableSetError(f"no resource can run task {task.task_id!r}")
     return ids
 
 

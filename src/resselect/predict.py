@@ -28,6 +28,10 @@ class UnknownTaskError(ValueError):
     """Raised when no baseline profile exists for a task."""
 
 
+class InflationRangeError(ValueError):
+    """Raised when a resource's inflation factor gives no finite cycle count."""
+
+
 class ClockRangeError(ValueError):
     """Raised when a resource's base clock gives no finite execution time or
     walltime request."""
@@ -148,14 +152,17 @@ def predict_tx(
     """Predicted execution times at the resource's base and maximum clocks.
 
     ``inflation`` scales the cycle count, e.g. to account for extra
-    instructions executed on a pool like OSG.  An infinite time raises
-    `ClockRangeError`.
+    instructions executed on a pool like OSG.  An infinite cycle count
+    raises `InflationRangeError`, and an infinite time `ClockRangeError`.
     """
     if pred_cycles <= 0:
         raise ValueError("pred_cycles must be > 0")
     if inflation <= 0:
         raise ValueError("inflation must be > 0")
     cycles = pred_cycles * inflation
+    if cycles == inf:  # pred_cycles is finite
+        raise InflationRangeError(f"inflation_factors.{clock.resource_id}: {inflation:g} times "
+                                  f"{pred_cycles:g} predicted cycles gives no finite cycle count")
     if cycles / clock.base_hz == inf:  # the longer time: base_hz <= max_hz
         raise ClockRangeError(f"resource {clock.resource_id!r}: {cycles:g} cycles take no "
                               f"finite time at its base clock of {clock.base_hz:g} Hz")

@@ -33,6 +33,10 @@ from .model import Value, mean_and_stddev
 from .plan import SelectionPlan
 
 
+class MissingBehaviorError(ValueError):
+    """Raised when a plan assigns a task to a resource with no behavior."""
+
+
 # the fields each distribution kind reads; giving any other is an error
 _DIST_FIELDS = {
     "constant": ("value",),
@@ -258,7 +262,7 @@ def simulate(
         tasks_by_res.setdefault(a.resource_id, []).append(task_id)
     for rid in tasks_by_res:
         if rid not in behaviors:
-            raise ValueError(f"missing behavior for resource {rid!r}")
+            raise MissingBehaviorError(f"no behavior for resource {rid!r}")
     head = hashlib.blake2b(f"{seed}|".encode(), digest_size=8)
     # per resource, in id order: a single pilot's activations; a fixed
     # duration, for a single pilot with a core per task and a constant
@@ -337,7 +341,9 @@ def compare(model_result: SimulationResult, random_result: SimulationResult) -> 
         metrics[metric] = {"model_mean": m_mean, "random_mean": r_mean, "delta": r_mean - m_mean,
                            "model_sample_stddev": m_stddev, "random_sample_stddev": r_stddev}
     ttc = metrics["ttc_wkd_s"]
-    if ttc["random_mean"] == 0:
-        raise ValueError("random strategy has a mean TTC of 0: no reduction to report")
-    return {"workload_id": model_result.workload_id,
-            "ttc_reduction_pct": ttc["delta"] / ttc["random_mean"] * 100.0, "metrics": metrics}
+    r_mean = ttc["random_mean"]
+    reduction = ttc["delta"] / r_mean * 100.0 if r_mean else math.inf
+    if not math.isfinite(reduction):
+        raise ValueError(f"random strategy has a mean TTC of {r_mean:g}: no reduction to report")
+    return {"workload_id": model_result.workload_id, "ttc_reduction_pct": reduction,
+            "metrics": metrics}

@@ -994,6 +994,16 @@ class TestCrossFileErrors:
             f"{1e13 / (8e-305 * 1e9):g} s at its base clock times walltime_safety_factor 1.5 "
             "gives no finite walltime\n")
 
+    @pytest.mark.parametrize("command", ["predict", "select"])
+    def test_inflation_past_the_float_range_names_config(self, tmp_path, capsys, command):
+        # the cycle count overflows before any clock divides it
+        edited_bundled_copy(tmp_path, "config.json", ["inflation_factors"],
+                            lambda factors: factors.update(osg=1e308))
+        argv = self.PREDICT + ["--config", "@config.json"] if command == "predict" else self.MODEL
+        assert self.run(tmp_path, capsys, argv) == (
+            f"error: {tmp_path / 'config.json'}: inflation_factors.osg: 1e+308 times 1e+13 "
+            "predicted cycles gives no finite cycle count\n")
+
     def test_zero_random_ttc_names_random_result(self, tmp_path, capsys):
         model = write(tmp_path / "model.json", RESULTS[0])
         zeros = SimulationResult("w", "random", 2, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)).to_json()
@@ -1003,6 +1013,17 @@ class TestCrossFileErrors:
         assert captured.out == ""
         assert captured.err == (f"error: {random_path}: random strategy has a mean TTC of 0: "
                                 "no reduction to report\n")
+
+    def test_random_ttc_too_small_for_a_finite_reduction_names_random_result(self, tmp_path,
+                                                                             capsys):
+        one = {s: SimulationResult("w", s, 1, (ttc,), (0.0,), (ttc,)).to_json()
+               for s, ttc in (("model", 1.0), ("random", 5e-324))}
+        model, random_path = (write(tmp_path / f"{s}.json", one[s]) for s in one)
+        assert main(["report", "--model", model, "--random", random_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {random_path}: random strategy has a mean TTC of "
+                                f"{5e-324:g}: no reduction to report\n")
 
 
 # --- mutated inputs never crash the CLI -------------------------------------

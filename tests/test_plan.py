@@ -31,7 +31,7 @@ from resselect import (
 from resselect.match import EmptyViableSetError
 from resselect.codec import PLAN, WORKLOAD
 from resselect.model import canonical_dumps
-from resselect.plan import Assignment, SelectionPlan, task_estimates
+from resselect.plan import Assignment, MissingClockError, SelectionPlan, task_estimates
 from resselect.predict import UnknownTaskError, profiles_by_task
 from resselect.queuewait import DEFAULT_BUCKETS, NoQueueHistoryError
 
@@ -135,7 +135,7 @@ class TestPlanModel:
                        make_store({"r": [1.0]}), base_config(), now=NOW)
 
     def test_missing_profile_names_gap(self):
-        with pytest.raises(UnknownTaskError, match="missing prediction inputs"):
+        with pytest.raises(UnknownTaskError, match="no baseline profile"):
             plan_model(
                 make_workload(1),
                 make_pool({"rA": 2.0e9}),
@@ -328,6 +328,42 @@ def kinds_bag():
     config = Config(profile_overrides=overrides)
     store = QueueWaitStore(records)
     return WorkloadSpec("bag", tuple(tasks)), pool, profiles, clocks, store, config
+
+
+class TestPlanErrorMessages:
+    """Each planning error says what is wrong in the words the CLI prints
+    after the file name, and carries no ids for a caller to reword."""
+
+    def plan(self, pool=None, profiles=None, clocks=CLOCKS, store=None):
+        return plan_model(make_workload(1), pool or make_pool({"rA": 2.0e9}),
+                          profiles or make_profiles(), clocks,
+                          store or make_store({"rA": [1.0]}), base_config(), now=NOW)
+
+    def raised(self, error, **kwargs):
+        with pytest.raises(error) as caught:
+            self.plan(**kwargs)
+        assert not hasattr(caught.value, "task_id")
+        assert not hasattr(caught.value, "resource_id")
+        return caught.value
+
+    def test_empty_viable_set(self):
+        pool = [ResourceSpec("r", (Capability(ConsumableSpec("gpu"), 1e9),))]
+        exc = self.raised(EmptyViableSetError, pool=pool)
+        assert str(exc) == "no resource can run task 't-0000'"
+
+    def test_unknown_task(self):
+        exc = self.raised(UnknownTaskError, profiles=make_profiles(task_id="other"))
+        assert str(exc) == "no baseline profile 'prof' for task 't-0000'"
+
+    def test_missing_clock(self):
+        exc = self.raised(MissingClockError, clocks={})
+        assert str(exc) == "no clock for resource 'rA'"
+
+    def test_no_queue_history(self):
+        exc = self.raised(NoQueueHistoryError, store=make_store({"unrelated": [1.0]}))
+        assert str(exc) == ("no queue history for machine 'rA' queue 'default' "
+                            "in the past 604800 s, for resource 'rA'")
+        assert isinstance(exc.__cause__, NoQueueHistoryError)
 
 
 def rescan_model_plan(workload, pool, profiles, clocks, store, config):

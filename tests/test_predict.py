@@ -23,6 +23,7 @@ from resselect.codec import CLOCK
 from resselect.predict import (
     GHZ,
     ClockRangeError,
+    InflationRangeError,
     ProfileConsistencyError,
     UnknownTaskError,
     load_clocks,
@@ -131,6 +132,14 @@ class TestPredictTx:
         with pytest.raises(ClockRangeError, match="^resource 'r': 1e\\+13 cycles take no finite "):
             predict_tx(1e13, clock)
         assert predict_tx(1e-300, clock).tx_base_s > 0
+
+    def test_inflation_past_the_float_range_names_the_factor(self):
+        # the cycle count overflows before the clock divides it
+        with pytest.raises(InflationRangeError) as caught:
+            predict_tx(1e13, ClockSpec("r", 5e-315, 2e9), inflation=1e308)
+        assert str(caught.value) == ("inflation_factors.r: 1e+308 times 1e+13 predicted cycles "
+                                     "gives no finite cycle count")
+        assert not isinstance(caught.value, ClockRangeError)
 
     @settings(max_examples=100)
     @given(

@@ -12,7 +12,7 @@ from resselect import DistSpec, ResourceBehavior, SimulationResult, compare, sim
 from resselect.codec import DIST, RESULT
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan
-from resselect.sim import _BLOCK, _draw, _draws, _timeline
+from resselect.sim import _BLOCK, MissingBehaviorError, _draw, _draws, _timeline
 
 from oracles import timeline_oracle
 
@@ -308,8 +308,14 @@ class TestSimulate:
 
     def test_missing_behavior_errors(self):
         plan = make_plan({"t1": "r"})
-        with pytest.raises(ValueError, match="missing behavior"):
+        with pytest.raises(ValueError, match="no behavior"):
             simulate(plan, {}, trials=1, seed=0)
+
+    def test_missing_behavior_names_the_resource(self):
+        with pytest.raises(MissingBehaviorError) as caught:
+            simulate(make_plan({"t1": "r", "t2": "s"}),
+                     {"r": behavior("r", const(1.0), const(1.0))}, trials=1, seed=0)
+        assert str(caught.value) == "no behavior for resource 's'"
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_1_error(self, trials):
@@ -497,6 +503,12 @@ class TestCompare:
         m = self.make_result("w", "model", [0.0])
         r = self.make_result("w", "random", [0.0])
         with pytest.raises(ValueError, match="mean TTC of 0"):
+            compare(m, r)
+
+    def test_random_ttc_too_small_for_a_finite_reduction_rejected(self):
+        m = self.make_result("w", "model", [1.0])
+        r = self.make_result("w", "random", [5e-324])
+        with pytest.raises(ValueError, match="^random strategy has a mean TTC of 4.94066e-324: "):
             compare(m, r)
 
     def test_mismatched_workloads_rejected(self):
