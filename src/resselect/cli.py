@@ -146,21 +146,14 @@ def _cmd_predict(args) -> None:
     by_task = profiles_by_task(profiles)
     task_ids = [args.task_id] if args.task_id else sorted(by_task)
     reports = []
-    try:
-        for task_id in task_ids:
-            if task_id not in by_task:
-                raise CliError(f"{args.profiles}: no baseline profiles for task {task_id!r}")
-            cycles = predict_sequential_cycles(by_task[task_id])
-            for rid in sorted(clocks):
-                report = predict_tx(cycles.mean, clocks[rid], task_id=task_id,
-                                    inflation=config.inflation_factors.get(rid, 1.0))
-                reports.append(codec.PREDICTION.encode((report, cycles)))
-    except ProfileConsistencyError as exc:
-        raise CliError(f"{args.profiles}: {exc}") from exc
-    except InflationRangeError as exc:
-        raise CliError(f"{args.config}: {exc}") from exc
-    except ClockRangeError as exc:
-        raise CliError(f"{args.clocks}: {exc}") from exc
+    for task_id in task_ids:
+        if task_id not in by_task:
+            raise CliError(f"{args.profiles}: no baseline profiles for task {task_id!r}")
+        cycles = predict_sequential_cycles(by_task[task_id])
+        for rid in sorted(clocks):
+            report = predict_tx(cycles.mean, clocks[rid], task_id=task_id,
+                                inflation=config.inflation_factors.get(rid, 1.0))
+            reports.append(codec.PREDICTION.encode((report, cycles)))
     _emit(model.canonical_dumps(reports), args.out)
 
 
@@ -168,11 +161,8 @@ def _cmd_queue_wait(args) -> None:
     store = QueueWaitStore()
     _load_csv(args.history, store.ingest_csv)
     config = _load_config(args.config)
-    try:
-        estimate = store.estimate_tq(args.machine, args.queue, args.walltime, args.cores,
-                                     args.now, config.window_s, config.buckets)
-    except NoQueueHistoryError as exc:
-        raise CliError(f"{args.history}: {exc}") from exc
+    estimate = store.estimate_tq(args.machine, args.queue, args.walltime, args.cores,
+                                 args.now, config.window_s, config.buckets)
     _emit(model.canonical_dumps(codec.QUEUE_ESTIMATE.encode(estimate)), args.out)
 
 
@@ -190,26 +180,10 @@ def _cmd_select(args) -> None:
         clocks = _load(args.clocks, load_clocks)
         store = QueueWaitStore()
         _load_csv(args.history, store.ingest_csv)
-    # an id that one file names and another lacks: name both files
-    try:
-        if args.strategy == "random":
-            plan = plan_random(workload, pool, args.seed, config.cores_per_task)
-        else:
-            plan = plan_model(workload, pool, profiles, clocks, store, config, now=args.now)
-    except EmptyViableSetError as exc:
-        raise CliError(f"{args.pool}: {exc} of {args.workload}") from exc
-    except UnknownTaskError as exc:
-        raise CliError(f"{args.profiles}: {exc} of {args.workload}") from exc
-    except ProfileConsistencyError as exc:
-        raise CliError(f"{args.profiles}: {exc}") from exc
-    except InflationRangeError as exc:
-        raise CliError(f"{args.config}: {exc}") from exc
-    except ClockRangeError as exc:
-        raise CliError(f"{args.clocks}: {exc}") from exc
-    except MissingClockError as exc:
-        raise CliError(f"{args.clocks}: {exc} of {args.pool}") from exc
-    except NoQueueHistoryError as exc:
-        raise CliError(f"{args.history}: {exc} of {args.pool}") from exc
+    if args.strategy == "random":
+        plan = plan_random(workload, pool, args.seed, config.cores_per_task)
+    else:
+        plan = plan_model(workload, pool, profiles, clocks, store, config, now=args.now)
     _emit(model.canonical_dumps(plan.to_json()), args.out)
 
 
@@ -359,6 +333,20 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# A planning error raised by a handler: the flag of the input it is about
+# and, when the cause is an id that a second input names, that input's flag
+# (None, or a flag the subcommand lacks: no " of <file>" tail)
+_BLAME = {
+    EmptyViableSetError: ("pool", "workload"),
+    UnknownTaskError: ("profiles", "workload"),
+    ProfileConsistencyError: ("profiles", None),
+    InflationRangeError: ("config", None),
+    ClockRangeError: ("clocks", None),
+    MissingClockError: ("clocks", "pool"),
+    NoQueueHistoryError: ("history", "pool"),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -372,6 +360,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except tuple(_BLAME) as exc:
+        about, of = (vars(args).get(flag) for flag in _BLAME[type(exc)])
+        print(f"error: {about}: {exc}{f' of {of}' if of else ''}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -84,16 +84,9 @@ def viable_set(task: TaskSpec, pool: Sequence[ResourceSpec],
     over the pool whose bit *i* is set when ``pool[i]`` has a capability
     that `satisfy_req` accepts, and the viable set is the AND of the task's
     masks.  ``masks`` keeps those masks by consumable across calls, so it
-    must only ever be passed with one pool.  An empty instruction sequence
-    raises `EmptyTaskError`, except against an empty pool."""
-    if not pool:
-        return ViableSet(task.task_id, ())
-    if task.requirements is not None:
-        reqs = task.requirements
-    elif task.instructions:
-        reqs = chain.from_iterable(ins.requirements for ins in task.instructions)
-    else:
-        reqs = aggregate(task).requirements  # raises EmptyTaskError
+    must only ever be passed with one pool."""
+    reqs = (task.requirements if task.requirements is not None
+            else chain.from_iterable(ins.requirements for ins in task.instructions))
     masks = {} if masks is None else masks
     viable = (1 << len(pool)) - 1
     for req in reqs:

@@ -24,7 +24,7 @@ Scalar = Union[int, float, str]
 
 
 class EmptyTaskError(ValueError):
-    """Raised when aggregating a task with no instructions."""
+    """Raised when building a task from an empty instruction sequence."""
 
 
 def _check_scalar(value: Scalar) -> None:
@@ -213,6 +213,8 @@ class TaskSpec(Value):
             raise ValueError("task body must be instructions or requirements, not both")
         if self.instructions is not None:
             object.__setattr__(self, "instructions", tuple(self.instructions))
+            if not self.instructions:
+                raise EmptyTaskError("task must have at least one instruction")
         else:
             object.__setattr__(self, "requirements", _merge_requirements(self.requirements))
 
@@ -272,8 +274,6 @@ def aggregate(task: TaskSpec) -> TaskSpec:
     """
     if task.requirements is not None:
         return task
-    if not task.instructions:
-        raise EmptyTaskError("empty task")
     reqs = []
     for ins in task.instructions:
         reqs.extend(ins.requirements)

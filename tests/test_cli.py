@@ -2,9 +2,11 @@ import contextlib
 import copy
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
+import pkgutil
 import shutil
 import sys
 
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resselect import cli
+import resselect
+from resselect import cli, codec, match, model, sim
 from resselect.cli import main
 from resselect.predict import load_profiles
 from resselect.queuewait import QueueWaitStore
@@ -1026,11 +1029,62 @@ class TestCrossFileErrors:
                                 f"{5e-324:g}: no reduction to report\n")
 
 
+class TestEmptyInstructions:
+    """A task whose ``instructions`` is empty is rejected as it is decoded:
+    exit 1, naming the file and, in a workload, the task's index."""
+
+    EMPTY = "task must have at least one instruction"
+
+    @pytest.mark.parametrize("pool", [None, "pool", "empty-pool"])
+    def test_task_file(self, tmp_path, pool_file, capsys, pool):
+        task = write(tmp_path / "task.json", {"task_id": "t1", "instructions": []})
+        argv = ["aggregate", "--task", task]
+        if pool is not None:
+            pools = {"pool": pool_file, "empty-pool": write(tmp_path / "empty.json", [])}
+            argv = ["match", "--task", task, "--pool", pools[pool]]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {task}: {self.EMPTY}\n")
+
+    @pytest.mark.parametrize("strategy", ["model", "random"])
+    def test_workload_task(self, tmp_path, capsys, strategy):
+        def empty(task):
+            del task["requirements"]
+            task["instructions"] = []
+
+        edited_bundled_copy(tmp_path, "workload_64.json", ["tasks", 5], empty)
+        argv = TestCrossFileErrors.MODEL if strategy == "model" else TestCrossFileErrors.RANDOM
+        assert main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'workload_64.json'}: tasks[5]: {self.EMPTY}\n")
+
+
+def test_every_planning_error_is_blamed_on_a_file():
+    """Each `ValueError` subclass that the package defines is a key of
+    `cli._BLAME`, or one handled elsewhere: `DecodeError` (``_load`` names
+    the file), `MissingBehaviorError` (``simulate`` names the scenario),
+    `EmptyTaskError` (a decode error) and `NotSatisfiableError` (raised by
+    `match.cost` alone, which no subcommand calls).  A new planning error
+    then cannot reach ``main``'s generic handler, which names no file."""
+    errors = {obj for info in pkgutil.iter_modules(resselect.__path__)
+              for module in [importlib.import_module(f"resselect.{info.name}")]
+              for obj in vars(module).values()
+              if isinstance(obj, type) and issubclass(obj, ValueError)
+              and obj.__module__ == module.__name__}
+    elsewhere = {codec.DecodeError, sim.MissingBehaviorError, model.EmptyTaskError,
+                 match.NotSatisfiableError}
+    assert elsewhere <= errors and not elsewhere & cli._BLAME.keys()
+    assert errors - elsewhere == cli._BLAME.keys()
+
+
 # --- mutated inputs never crash the CLI -------------------------------------
 
 WORKLOAD = json.loads((BUNDLED / "workload_64.json").read_text())
 WORKLOAD["tasks"] = WORKLOAD["tasks"][:3]
-TASK = WORKLOAD["tasks"][0]
+# the last task as two instructions of half its cycles, so that mutations
+# reach an instruction array; aggregate and match read it too
+HALF = dict(WORKLOAD["tasks"][2]["requirements"][0], amount=5e12)
+TASK = WORKLOAD["tasks"][2] = {"task_id": "md-100k-0002",
+                               "instructions": [[dict(HALF)] for _ in range(2)]}
 POOL = json.loads((BUNDLED / "pool.json").read_text())
 CLOCKS = json.loads((BUNDLED / "clocks.json").read_text())
 CONFIG = json.loads((BUNDLED / "config.json").read_text())

@@ -173,12 +173,13 @@ class TestViableSet:
         task, yes, _ = self._pool()
         assert viable_set(task, [yes("r1")]).resource_ids == ("r1",)
 
-    def test_empty_instructions_raise_unless_the_pool_is_empty(self):
-        empty = TaskSpec("t", instructions=())
-        _, yes, _ = self._pool()
-        with pytest.raises(EmptyTaskError):
-            viable_set(empty, [yes("r1")], {})
-        assert viable_set(empty, [], {}).resource_ids == ()
+    def test_empty_instructions_raise_where_the_task_is_built(self):
+        with pytest.raises(EmptyTaskError, match="task must have at least one instruction"):
+            TaskSpec("t", instructions=())
+        task, _, _ = self._pool()
+        sequenced = TaskSpec("t", instructions=(Instruction(task.requirements),))
+        for t in (task, sequenced):  # an empty pool runs nothing
+            assert viable_set(t, [], {}).resource_ids == ()
 
     @settings(max_examples=100)
     @given(st.integers(0, 10**9))

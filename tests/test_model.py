@@ -146,12 +146,8 @@ class TestAggregate:
         assert aggregate(built) is built
 
     def test_empty_task_errors(self):
-        task = TaskSpec.__new__(TaskSpec)
-        object.__setattr__(task, "task_id", "t")
-        object.__setattr__(task, "instructions", ())
-        object.__setattr__(task, "requirements", None)
-        with pytest.raises(EmptyTaskError, match="empty task"):
-            aggregate(task)
+        with pytest.raises(EmptyTaskError, match="task must have at least one instruction"):
+            TaskSpec("t", instructions=())
 
     def test_random_instructions_match_brute_force(self):
         rng = random.Random(1)
