@@ -20,7 +20,7 @@ from typing import List, Optional
 from . import codec, model
 from .config import Config
 from .match import EmptyViableSetError, viable_set
-from .plan import MissingClockError, plan_model, plan_random
+from .plan import MissingClockError, WalltimeRangeError, plan_model, plan_random
 from .predict import (ClockRangeError, InflationRangeError, ProfileConsistencyError,
                       UnknownTaskError, load_clocks, load_profiles, predict_sequential_cycles,
                       predict_tx, profiles_by_task)
@@ -342,6 +342,7 @@ _BLAME = {
     ProfileConsistencyError: ("profiles", None),
     InflationRangeError: ("config", None),
     ClockRangeError: ("clocks", None),
+    WalltimeRangeError: ("config", "clocks"),
     MissingClockError: ("clocks", "pool"),
     NoQueueHistoryError: ("history", "pool"),
 }

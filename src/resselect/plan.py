@@ -5,7 +5,6 @@ per-task time-to-completion estimates and assign each task a resource.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -14,7 +13,6 @@ from .match import EmptyViableSetError, neg_ttc, res_select, viable_set
 from .model import ResourceSpec, TaskSpec, Value, WorkloadSpec
 from .predict import (
     BaselineProfile,
-    ClockRangeError,
     ClockSpec,
     UnknownTaskError,
     predict_sequential_cycles,
@@ -26,6 +24,10 @@ from .queuewait import NoQueueHistoryError, QueueWaitEstimate, QueueWaitStore, S
 
 class MissingClockError(ValueError):
     """Raised when a viable resource has no clock specification."""
+
+
+class WalltimeRangeError(ValueError):
+    """Raised when walltime_safety_factor gives no finite walltime request."""
 
 
 class Assignment(Value):
@@ -119,9 +121,9 @@ def task_estimates(
         tx = report.tx_base_s if config.frequency_choice == "base" else report.tx_max_s
         walltime = report.tx_base_s * config.walltime_safety_factor
         if walltime == math.inf:  # both factors are finite
-            raise ClockRangeError(f"resource {rid!r}: {report.tx_base_s:g} s at its base clock "
-                                  "times walltime_safety_factor "
-                                  f"{config.walltime_safety_factor:g} gives no finite walltime")
+            raise WalltimeRangeError(f"walltime_safety_factor {config.walltime_safety_factor:g} "
+                                     f"gives no finite walltime for the {report.tx_base_s:g} s "
+                                     f"that resource {rid!r} takes at its base clock")
         machine, queue = config.machine_queue(rid)
         try:
             tq = queue_store.estimate_tq(
@@ -224,7 +226,9 @@ def plan_random(
     """Assign every task uniformly at random over its viable set using a
     Mersenne-Twister PRNG seeded with ``seed``; the plan records the seed.
     Tasks drawn to the same resource share one `Assignment` object."""
-    rng = random.Random(seed)
+    from random import Random
+
+    rng = Random(seed)
     viable: dict = {}
     masks: dict = {}
     by_resource = {r.resource_id: Assignment(r.resource_id) for r in pool}

@@ -33,8 +33,7 @@ class InflationRangeError(ValueError):
 
 
 class ClockRangeError(ValueError):
-    """Raised when a resource's base clock gives no finite execution time or
-    walltime request."""
+    """Raised when a resource's base clock gives no finite execution time."""
 
 
 class BaselineProfile(Value):

@@ -17,15 +17,16 @@ Draws are taken a list at a time, in two loops with no call of a Python
 function per key: the hash loop copies the hash of the ``seed|`` head,
 updates it with each key's tail and keeps the digest's top bits, and the
 sample loop maps those integers to samples.
+
+Only ``simulate`` draws, so ``hashlib`` is imported when it is called and
+``statistics`` by the first normal draw, which builds the standard normal.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import heapq
 import math
-import statistics
 from operator import add, itemgetter, sub
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -50,7 +51,7 @@ _DIST_FIELDS = {
 _BITS = 52
 _SHIFT = 64 - _BITS
 _ULP = 2.0 ** -_BITS
-_Z = statistics.NormalDist()
+_Z = None  # the standard normal, which the first normal draw builds
 
 # a single pilot's activations are drawn this many trials at a time, so the
 # call of _draws is paid once per block and a pilot holds one block of keys
@@ -109,6 +110,11 @@ class DistSpec(Value):
         if self.kind == "constant":
             return [self.value] * len(ks)
         if self.kind == "normal":
+            global _Z
+            if _Z is None:
+                from statistics import NormalDist
+
+                _Z = NormalDist()
             mean, stddev, inv_cdf = self.mean, self.stddev, _Z.inv_cdf
             xs = [mean + stddev * inv_cdf((k + 0.5) * _ULP) for k in ks]
             return [x if x > 0.0 else 0.0 for x in xs]
@@ -195,8 +201,10 @@ def _draw(dist: DistSpec, seed: int, *key) -> float:
     ``seed|`` head once, and the reference tests compare it with."""
     if dist.kind == "constant":
         return dist.value
+    from hashlib import blake2b
+
     token = "|".join(str(p) for p in (seed, *key))
-    digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
+    digest = blake2b(token.encode(), digest_size=8).digest()
     return dist.at(int.from_bytes(digest, "big") >> _SHIFT)
 
 
@@ -263,7 +271,9 @@ def simulate(
     for rid in tasks_by_res:
         if rid not in behaviors:
             raise MissingBehaviorError(f"no behavior for resource {rid!r}")
-    head = hashlib.blake2b(f"{seed}|".encode(), digest_size=8)
+    from hashlib import blake2b
+
+    head = blake2b(f"{seed}|".encode(), digest_size=8)
     # per resource, in id order: a single pilot's activations; a fixed
     # duration, for a single pilot with a core per task and a constant
     # duration, which is busy for exactly that long from activation; and the

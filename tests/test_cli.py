@@ -993,9 +993,19 @@ class TestCrossFileErrors:
         edited_bundled_copy(tmp_path, "clocks.json", [0],
                             lambda clock: clock.update(base_ghz=8e-305))
         assert self.run(tmp_path, capsys, self.MODEL) == (
-            f"error: {tmp_path / 'clocks.json'}: resource 'bridges': "
-            f"{1e13 / (8e-305 * 1e9):g} s at its base clock times walltime_safety_factor 1.5 "
-            "gives no finite walltime\n")
+            f"error: {tmp_path / 'config.json'}: walltime_safety_factor 1.5 gives no finite "
+            f"walltime for the {1e13 / (8e-305 * 1e9):g} s that resource 'bridges' takes at its "
+            f"base clock of {tmp_path / 'clocks.json'}\n")
+
+    def test_walltime_safety_factor_past_the_float_range_names_config_and_clocks(self, tmp_path,
+                                                                                 capsys):
+        # the bundled clocks give a finite time; the factor alone overflows it
+        edited_bundled_copy(tmp_path, "config.json", [],
+                            lambda config: config.update(walltime_safety_factor=1e306))
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'config.json'}: walltime_safety_factor 1e+306 gives no finite "
+            f"walltime for the {1e13 / 2.3e9:g} s that resource 'bridges' takes at its "
+            f"base clock of {tmp_path / 'clocks.json'}\n")
 
     @pytest.mark.parametrize("command", ["predict", "select"])
     def test_inflation_past_the_float_range_names_config(self, tmp_path, capsys, command):

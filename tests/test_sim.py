@@ -1,15 +1,20 @@
 import hashlib
+import json
 import math
+import os
 import random
 import statistics
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resselect
 from resselect import DistSpec, ResourceBehavior, SimulationResult, compare, simulate
-from resselect.codec import DIST, RESULT
+from resselect.codec import BEHAVIOR, DIST, RESULT
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan
 from resselect.sim import _BLOCK, MissingBehaviorError, _draw, _draws, _timeline
@@ -377,6 +382,51 @@ class TestSimulate:
             expected = timeline_oracle(per_task_schedule(assignments, behaviors, seed, trial))
             got = (result.ttc_wkd_s[trial], result.tq_wkd_s[trial], result.tx_wkd_s[trial])
             assert got == expected
+
+
+# simulates the scenario on stdin and prints, as JSON, the canonical result
+# and which of hashlib and statistics were loaded before and after the call
+FRESH_SIMULATE = """
+import json, sys
+from resselect import simulate
+from resselect.codec import SCENARIO
+from resselect.model import canonical_dumps
+
+doc = SCENARIO.decode(json.load(sys.stdin))
+watched = {"hashlib", "statistics"}
+before = sorted(watched & sys.modules.keys())
+result = simulate(doc["plan"], {b.resource_id: b for b in doc["behaviors"]},
+                  doc["trials"], doc["seed"])
+after = sorted(watched & sys.modules.keys())
+json.dump({"before": before, "after": after, "result": canonical_dumps(result.to_json())},
+          sys.stdout)
+"""
+
+
+def test_simulate_in_a_fresh_process_gives_the_same_result():
+    """The first `simulate` in a process imports `hashlib`, and its first
+    normal draw builds the standard normal; in this process earlier tests
+    have done both.  A fresh ``-S`` interpreter loads neither module before
+    the call, both during it, and draws the same result."""
+    normal = DistSpec("normal", mean=300.0, stddev=100.0)
+    behaviors = {
+        "r": behavior("r", normal, DistSpec("empirical", samples=(10.0, 50.0, 90.0)),
+                      pilot_mode="per_task"),
+        "s": behavior("s", DistSpec("normal", mean=60.0, stddev=30.0), normal,
+                      capacity_cores=2),
+    }
+    plan = make_plan({"t0": "r", "t1": "r", "t2": "s", "t3": "s", "t4": "s"})
+    scenario = {"plan": plan.to_json(), "trials": 40, "seed": 9,
+                "behaviors": [BEHAVIOR.encode(b) for b in behaviors.values()]}
+    src = str(Path(resselect.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-c", FRESH_SIMULATE],
+                          input=json.dumps(scenario), capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    fresh = json.loads(proc.stdout)
+    assert fresh["before"] == [] and fresh["after"] == ["hashlib", "statistics"]
+    here = simulate(plan, behaviors, trials=40, seed=9)
+    assert fresh["result"] == canonical_dumps(here.to_json())
+    assert len(set(here.ttc_wkd_s)) > 1
 
 
 class TestTimeline:

@@ -184,14 +184,27 @@ def test_assignment_and_deletion_raise_attribute_error(cls):
         assert repr(value) == before
 
 
-def test_importing_the_cli_loads_no_dataclass_machinery():
-    """Importing runs no dataclass decorator, so neither `dataclasses` nor
-    the modules it compiles methods with are loaded.  ``-S`` keeps
-    site-packages' start-up hooks out of the count."""
+def modules_loaded_by_importing_the_cli():
+    """The modules that ``import resselect.cli`` leaves in a fresh ``-S``
+    interpreter: ``-S`` keeps site-packages' start-up hooks out of the count."""
     src = str(Path(resselect.__file__).resolve().parent.parent)
     code = "import sys, resselect.cli; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     loaded = set(proc.stdout.split())
     assert "resselect.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    return loaded
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """Importing runs no dataclass decorator, so neither `dataclasses` nor
+    the modules it compiles methods with are loaded."""
+    assert not modules_loaded_by_importing_the_cli() & {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_importing_the_cli_loads_no_hashing_statistics_or_random():
+    """Only simulating draws with `hashlib` and `statistics`, and only a
+    random plan uses `random`; `statistics` would bring in `fractions`,
+    `decimal` and `random` too.  Each is imported where it is used."""
+    assert not modules_loaded_by_importing_the_cli() & {
+        "hashlib", "_hashlib", "statistics", "fractions", "decimal", "random"}
