@@ -1,7 +1,7 @@
 """Resource selection toolkit for heterogeneous computing pools.
 
 Models tasks and resources as consumable requirements and capabilities,
-predicts per-resource execution cost from baseline hardware-counter
+predicts per-resource execution time from baseline hardware-counter
 profiles, estimates queue waits from history, selects resources that
 minimize predicted time-to-completion, and simulates the benefit over
 random selection.
@@ -10,9 +10,7 @@ random selection.
 from .config import Config
 from .match import (
     EmptyViableSetError,
-    NotSatisfiableError,
     ViableSet,
-    cost,
     res_select,
     satisfy_req,
     viable_set,
@@ -60,7 +58,6 @@ __all__ = [
     "EmptyTaskError",
     "EmptyViableSetError",
     "Instruction",
-    "NotSatisfiableError",
     "PoolInventoryEntry",
     "PredictionReport",
     "QueueWaitEstimate",
@@ -77,7 +74,6 @@ __all__ = [
     "WorkloadSpec",
     "aggregate",
     "compare",
-    "cost",
     "diagnose",
     "plan_model",
     "plan_random",

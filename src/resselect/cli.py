@@ -20,7 +20,7 @@ from typing import List, Optional
 from . import codec, model
 from .config import Config
 from .match import EmptyViableSetError, viable_set
-from .plan import MissingClockError, WalltimeRangeError, plan_model, plan_random
+from .plan import MissingClockError, TtcRangeError, WalltimeRangeError, plan_model, plan_random
 from .predict import (ClockRangeError, InflationRangeError, ProfileConsistencyError,
                       UnknownTaskError, load_clocks, load_profiles, predict_sequential_cycles,
                       predict_tx, profiles_by_task)
@@ -82,14 +82,21 @@ def _load_config(path: Optional[str]) -> Config:
     return _load(path, codec.CONFIG.decode) if path else Config()
 
 
-def _check_resource_ids(config: Config, config_path: Optional[str], ids, source: str) -> None:
-    """Every key of the config's per-resource maps names a resource in
-    ``ids``, read from ``source``: a misspelt id would silently get the
-    default inflation or queue."""
-    for name in ("inflation_factors", "resource_queues"):
-        for rid in sorted(getattr(config, name)):
-            if rid not in ids:
-                raise CliError(f"{config_path}: {name}.{rid}: no resource {rid!r} in {source}")
+# the config's maps keyed by an id of another input, by what the id names
+_ID_MAPS = {"resource": ("inflation_factors", "resource_queues"), "task": ("profile_overrides",)}
+
+
+def _check_ids(config: Config, config_path: Optional[str], what: str, ids, source: str) -> None:
+    """Every key of the config's maps of ``what`` (``"resource"`` or
+    ``"task"``) is one of ``ids``, read from ``source``: a misspelt id would
+    silently get the default inflation, queue or profile.  ``ids`` is
+    iterated once per map, so one pass over a workload's tasks serves the
+    task map without a set of every task id."""
+    for name in _ID_MAPS[what]:
+        unknown = getattr(config, name).keys() - ids
+        if unknown:
+            key = min(unknown)
+            raise CliError(f"{config_path}: {name}.{key}: no {what} {key!r} in {source}")
 
 
 def _load_csv(path: str, load):
@@ -142,7 +149,7 @@ def _cmd_predict(args) -> None:
     profiles = _load_csv(args.profiles, load_profiles)
     clocks = _load(args.clocks, load_clocks)
     config = _load_config(args.config)
-    _check_resource_ids(config, args.config, clocks, args.clocks)
+    _check_ids(config, args.config, "resource", clocks, args.clocks)
     by_task = profiles_by_task(profiles)
     task_ids = [args.task_id] if args.task_id else sorted(by_task)
     reports = []
@@ -174,7 +181,8 @@ def _cmd_select(args) -> None:
     workload = _load(args.workload, codec.WORKLOAD.decode)
     pool = _load(args.pool, codec.POOL.decode)
     config = _load_config(args.config)
-    _check_resource_ids(config, args.config, {r.resource_id for r in pool}, args.pool)
+    _check_ids(config, args.config, "resource", {r.resource_id for r in pool}, args.pool)
+    _check_ids(config, args.config, "task", (t.task_id for t in workload.tasks), args.workload)
     if args.strategy == "model":
         profiles = _load_csv(args.profiles, load_profiles)
         clocks = _load(args.clocks, load_clocks)
@@ -343,6 +351,7 @@ _BLAME = {
     InflationRangeError: ("config", None),
     ClockRangeError: ("clocks", None),
     WalltimeRangeError: ("config", "clocks"),
+    TtcRangeError: ("history", "clocks"),
     MissingClockError: ("clocks", "pool"),
     NoQueueHistoryError: ("history", "pool"),
 }

@@ -340,7 +340,7 @@ CONFIG = Record(Config, {
     "inflation_factors": opt(Map(NUM)), "walltime_safety_factor": opt(NUM),
     "buckets": opt(Record(SimilarityBuckets, {"walltime_edges_s": Arr(NUM),
                                               "cores_edges": Arr(INT)})),
-    "window_s": opt(NUM), "affinity": opt(STR), "frequency_choice": opt(STR),
+    "window_s": opt(NUM), "frequency_choice": opt(STR),
     "resource_queues": opt(Map(Record(lambda machine, queue: (machine, queue),
                                       {"machine": STR, "queue": STR}))),
     "cores_per_task": opt(INT), "profile_overrides": opt(Map(STR)),

@@ -18,14 +18,12 @@ class Config(Value):
     queue-wait lookups; default is (resource_id, "default").
     profile_overrides / default_profile map workload task ids onto baseline
     profile task ids when they differ.
-    affinity must be "neg_ttc", the planner's one ranking (smallest TTC).
     """
 
     inflation_factors: Dict[str, float] = dict
     walltime_safety_factor: float = 1.5
     buckets: SimilarityBuckets = DEFAULT_BUCKETS
     window_s: float = DEFAULT_WINDOW_S
-    affinity: str = "neg_ttc"
     frequency_choice: str = "base"
     resource_queues: Dict[str, Tuple[str, str]] = dict
     cores_per_task: int = 1
@@ -39,8 +37,6 @@ class Config(Value):
             raise ValueError("walltime_safety_factor must be finite and > 0")
         if not 0 < self.window_s < math.inf:
             raise ValueError("window_s must be finite and > 0")
-        if self.affinity != "neg_ttc":
-            raise ValueError(f"affinity must be 'neg_ttc', got {self.affinity!r}")
         if self.frequency_choice not in ("base", "max"):
             raise ValueError("frequency_choice must be 'base' or 'max'")
         if self.cores_per_task < 1:

@@ -1,5 +1,5 @@
-"""Matchmaking: requirement/capability satisfaction, execution cost, viable
-sets, selection.
+"""Matchmaking: requirement/capability satisfaction, viable sets, and
+selection of the candidate with the smallest predicted TTC.
 
 ClassAd-style exact matching adapted to consumables.  Value comparison in
 form conditions is exact (no numeric tolerance).
@@ -7,21 +7,15 @@ form conditions is exact (no numeric tolerance).
 
 from __future__ import annotations
 
-import math
 from itertools import chain
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .model import (
-    Capability, ConsumableSpec, Requirement, ResourceSpec, TaskSpec, Value, aggregate,
-)
+from .model import Capability, ConsumableSpec, Requirement, ResourceSpec, TaskSpec, Value
+from .model import aggregate  # unused here: bench/tracing.py patches match.aggregate by name
 
 
 class EmptyViableSetError(ValueError):
     """Raised when selecting from an empty viable set."""
-
-
-class NotSatisfiableError(ValueError):
-    """Raised when costing a task on a resource that cannot run it."""
 
 
 class ViableSet(Value):
@@ -46,31 +40,6 @@ def satisfy_req(req: Requirement, cap: Capability) -> bool:
         if not (cc.form[attr] & cond):
             return False
     return True
-
-
-def cost(task: TaskSpec, resource: ResourceSpec) -> float:
-    """Total cost of running ``task`` on ``resource``: sum of amount/rate
-    over matched (requirement, capability) pairs.
-
-    Matching uses the full per-requirement satisfaction predicate, so a
-    capability with a superset form can supply a requirement.  When several
-    capabilities match one requirement, the one with the highest rate is
-    charged (never more than one, to avoid double-charging).
-    """
-    total = 0.0
-    for req in aggregate(task).requirements:
-        best_rate = None
-        for cap in resource.capabilities:
-            if satisfy_req(req, cap) and (best_rate is None or cap.rate > best_rate):
-                best_rate = cap.rate
-        if best_rate is None:
-            raise NotSatisfiableError(
-                "task not satisfiable by resource: no capability matches "
-                f"requirement for consumable {req.consumable.ctype!r} "
-                f"(form {dict(req.consumable.form)!r})"
-            )
-        total += req.amount / best_rate
-    return total
 
 
 def viable_set(task: TaskSpec, pool: Sequence[ResourceSpec],
@@ -100,33 +69,9 @@ def viable_set(task: TaskSpec, pool: Sequence[ResourceSpec],
     return ViableSet(task.task_id, ids)
 
 
-def res_select(
-    vrs_ids: Sequence[str],
-    inputs: Sequence,
-    affinity: Callable[..., float],
-) -> str:
-    """Pick the candidate whose payload yields the highest affinity value.
-
-    Ties go to the earliest candidate (strict improvement required).
-    -inf affinities are skipped unless every candidate is -inf, in which
-    case the first candidate is returned.
-    """
-    if not vrs_ids:
+def res_select(candidates: Sequence):
+    """The candidate `Assignment` with the smallest ``ttc_s``; ties go to
+    the first (pool order)."""
+    if not candidates:
         raise EmptyViableSetError("empty viable set")
-    if len(inputs) != len(vrs_ids):
-        raise ValueError("one affinity input required per candidate resource")
-    best_id = None
-    best_val = -math.inf
-    for rid, payload in zip(vrs_ids, inputs):
-        val = affinity(payload)
-        if best_val < val:
-            best_val = val
-            best_id = rid
-    return best_id if best_id is not None else vrs_ids[0]
-
-
-def neg_ttc(candidate) -> float:
-    """The planner's affinity: a candidate `Assignment`'s negated predicted
-    time-to-completion.  An affinity must be pure: same candidate, same
-    value, no side effects."""
-    return -candidate.ttc_s
+    return min(candidates, key=lambda a: a.ttc_s)

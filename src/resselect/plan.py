@@ -9,7 +9,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Config
-from .match import EmptyViableSetError, neg_ttc, res_select, viable_set
+from .match import EmptyViableSetError, res_select, viable_set
 from .model import ResourceSpec, TaskSpec, Value, WorkloadSpec
 from .predict import (
     BaselineProfile,
@@ -28,6 +28,10 @@ class MissingClockError(ValueError):
 
 class WalltimeRangeError(ValueError):
     """Raised when walltime_safety_factor gives no finite walltime request."""
+
+
+class TtcRangeError(ValueError):
+    """Raised when a queue wait plus an execution time gives no finite TTC."""
 
 
 class Assignment(Value):
@@ -137,6 +141,9 @@ def task_estimates(
             ).mean_wait_s
         except NoQueueHistoryError as exc:
             raise NoQueueHistoryError(f"{exc}, for resource {rid!r}") from exc
+        if tq + tx == math.inf:  # both are finite and >= 0
+            raise TtcRangeError(f"no finite TTC: a {tq:g} s queue wait plus the {tx:g} s that "
+                                f"resource {rid!r} takes at its {config.frequency_choice} clock")
         estimates.append(Assignment(rid, tq, tx, walltime))
     return estimates
 
@@ -188,8 +195,7 @@ def plan_model(
     now: float,
 ) -> SelectionPlan:
     """Assign every task the viable resource with the smallest predicted
-    TTC: `res_select` ranks the candidates by `neg_ttc`.  Ties go to pool
-    order.
+    TTC (`res_select`).  Ties go to pool order.
 
     A task's estimates depend on nothing but its profile id and its viable
     resources, so each distinct (profile id, viable ids) kind is estimated
@@ -205,9 +211,8 @@ def plan_model(
         kind = (config.profile_id(task.task_id), ids)
         chosen = chosen_by_kind.get(kind)
         if chosen is None:
-            estimates = task_estimates(task, ids, by_task, clocks, queries, config, now)
-            rid = res_select(ids, estimates, neg_ttc)
-            chosen = chosen_by_kind[kind] = next(e for e in estimates if e.resource_id == rid)
+            chosen = chosen_by_kind[kind] = res_select(
+                task_estimates(task, ids, by_task, clocks, queries, config, now))
         assignments[task.task_id] = chosen
     return SelectionPlan(
         workload_id=workload.workload_id,

@@ -86,18 +86,6 @@ def satisfy_task_oracle(requirements, capabilities) -> bool:
     return True
 
 
-def cost_oracle(requirements, capabilities) -> float:
-    """Per requirement, charge the matching capability with the highest rate."""
-    total = 0.0
-    for req in requirements:
-        rates = [
-            cap.rate for cap in capabilities if satisfy_req_oracle(req, cap)
-        ]
-        assert rates, "oracle: requirement unmatched"
-        total += req.amount / max(rates)
-    return total
-
-
 def first_argmax_oracle(values: Sequence[float]) -> int:
     """Explicit first-maximum bookkeeping over a full scan."""
     best_i = 0

@@ -16,7 +16,6 @@ from resselect import (
     ResourceBehavior,
     aggregate,
     compare,
-    cost,
     diagnose,
     plan_model,
     plan_random,
@@ -38,7 +37,6 @@ from resselect.codec import RESULT
 from conftest import (
     BUNDLED,
     bundled_json,
-    matching_resource,
     random_capability,
     random_requirement,
     random_resource,
@@ -47,7 +45,6 @@ from conftest import (
 from oracles import (
     aggregate_oracle,
     consumable_key,
-    cost_oracle,
     first_argmax_oracle,
     queue_filter_oracle,
     satisfy_req_oracle,
@@ -68,7 +65,7 @@ def report(criterion, started, detail=""):
     print(f"criterion {criterion}: PASS ({elapsed:.2f}s){suffix}")
 
 
-def test_criterion_1_aggregation_and_cost_oracle_equivalence():
+def test_criterion_1_aggregation_oracle_equivalence():
     started = time.perf_counter()
     rng = random.Random(20260823)
     for i in range(1000):
@@ -79,11 +76,6 @@ def test_criterion_1_aggregation_and_cost_oracle_equivalence():
         assert got.keys() == expected.keys()
         for key, amount in expected.items():
             assert got[key] == pytest.approx(amount, rel=1e-12)
-
-        res = matching_resource(rng, task, resource_id=f"r{i}")
-        assert cost(agg, res) == pytest.approx(
-            cost_oracle(agg.requirements, res.capabilities), rel=1e-12
-        )
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(1, started)
@@ -101,13 +93,14 @@ def test_criterion_2_matchmaking_conformance():
         assert bool(viable_set(task, [res]).resource_ids) == satisfy_task_oracle(
             task.requirements, res.capabilities
         )
-    # exhaustive argmax enumerations, all tie patterns
+    # exhaustive enumerations of all tie patterns: the smallest TTC is the
+    # first argmax of its negation
     checked = 0
     for n in range(1, 9):
         alphabet = (0, 1) if n > 5 else (0, 1, 2)
         for values in itertools.product(alphabet, repeat=n):
-            ids = [f"r{i}" for i in range(n)]
-            assert res_select(ids, values, float) == ids[first_argmax_oracle(values)]
+            candidates = [Assignment(f"r{i}", 0.0, float(-v)) for i, v in enumerate(values)]
+            assert res_select(candidates) is candidates[first_argmax_oracle(values)]
             checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

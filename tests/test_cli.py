@@ -139,9 +139,9 @@ class TestSchemas:
     PINNED = {  # sha256 of each subcommand's --schema output: the formats are the contract
         "aggregate": "dcd061321811dcfda577a78cc85bb1f86d0377dbbf4f68c1f67ac69e591b8b78",
         "match": "16122f877a60409fdb6f15913a5fac85ca90987a54a4ba9f191a623b327dadad",
-        "predict": "301f8e24e3d8ac3e8aeb2e6de02be03b5423cf3b694039213149ea6b20fc3b72",
-        "queue-wait": "43bd25decc87cbbb57e519b95e58accebc79245dc43277f3f51907825ad1e1ec",
-        "select": "9dc11d5e7c730814f56bb3810b8a7806bc36f572bf5e85596ab2d5efc944f7eb",
+        "predict": "a1fdda7200dc07965d0a03eb52b0c6c76d4d057b9063e1638ea17eded7d693cd",
+        "queue-wait": "4ee47c8d78e55f3dc89404883681112fd73ccf09c47be582fed49ce5ebd10d30",
+        "select": "0a81297fdd605167a3ee0592602a82adf639d6f21a195254850e0c301a059b92",
         "simulate": "58a37f117851e3aef6064e822c2562a70920fd3893f0e9dcb1e12116c9c1a9f1",
         "report": "20abe1442166f0bec3a18f171006c7fd13069abaffaecfedb5aace9debb0403b",
     }
@@ -841,9 +841,10 @@ class TestPipeline:
 
 
 class TestConfigResourceIds:
-    """A key of the config's per-resource maps that names no resource the
-    subcommand reads exits 1, naming the config file, the map and the id:
-    a misspelt id would silently get the default inflation or queue."""
+    """A key of the config's per-resource or per-task maps that names no
+    resource or task the subcommand reads exits 1, naming the config file,
+    the map and the id: a misspelt id would silently get the default
+    inflation, queue or profile."""
 
     PREDICT = ["predict", "--profiles", "@profiles.csv", "--clocks", "@clocks.json",
                "--config", "@config.json"]
@@ -859,18 +860,20 @@ class TestConfigResourceIds:
         (SELECT + MODEL, "inflation_factors", "osgg", 1.22, "pool.json"),
         (SELECT + ["--strategy", "random", "--seed", "1"], "resource_queues", "bridge", QUEUE,
          "pool.json"),
+        (SELECT + MODEL, "profile_overrides", "md-100k-0O1", "md-100k", "workload_64.json"),
     ], ids=["predict-inflation", "predict-queues", "select-model-inflation",
-            "select-random-queues"])
+            "select-random-queues", "select-model-profile-overrides"])
     def test_unknown_resource_exits_1(self, tmp_path, capsys, argv, name, rid, value, source):
-        def add(target):
-            target[rid] = value
+        def add(config):
+            config.setdefault(name, {})[rid] = value
 
-        config, _ = edited_bundled_copy(tmp_path, "config.json", [name], add)
+        config, _ = edited_bundled_copy(tmp_path, "config.json", [], add)
         argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
+        what = "task" if name == "profile_overrides" else "resource"
         assert captured.out == ""
-        assert (f"{config}: {name}.{rid}: no resource {rid!r} in {tmp_path / source}"
+        assert (f"{config}: {name}.{rid}: no {what} {rid!r} in {tmp_path / source}"
                 in captured.err), captured.err
 
 
@@ -997,6 +1000,20 @@ class TestCrossFileErrors:
             f"walltime for the {1e13 / (8e-305 * 1e9):g} s that resource 'bridges' takes at its "
             f"base clock of {tmp_path / 'clocks.json'}\n")
 
+    def test_ttc_past_the_float_range_names_history_and_clocks(self, tmp_path, capsys):
+        # the wait and the time are each finite; their sum is not
+        edited_bundled_copy(tmp_path, "clocks.json", [0],
+                            lambda clock: clock.update(base_ghz=1e-289, max_ghz=1e-289))
+        rows = (BUNDLED / "history.csv").read_text().splitlines(keepends=True)
+        wait = rows[0].split(",").index("wait_s")
+        (tmp_path / "history.csv").write_text(rows[0] + "".join(
+            ",".join(cells[:wait] + [repr(sys.float_info.max)] + cells[wait + 1:])
+            for cells in (r.split(",") for r in rows[1:])))
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'history.csv'}: no finite TTC: a {sys.float_info.max:g} s queue wait plus "
+            f"the {1e13 / (1e-289 * 1e9):g} s that resource 'bridges' takes at its base clock "
+            f"of {tmp_path / 'clocks.json'}\n")
+
     def test_walltime_safety_factor_past_the_float_range_names_config_and_clocks(self, tmp_path,
                                                                                  capsys):
         # the bundled clocks give a finite time; the factor alone overflows it
@@ -1071,17 +1088,15 @@ class TestEmptyInstructions:
 def test_every_planning_error_is_blamed_on_a_file():
     """Each `ValueError` subclass that the package defines is a key of
     `cli._BLAME`, or one handled elsewhere: `DecodeError` (``_load`` names
-    the file), `MissingBehaviorError` (``simulate`` names the scenario),
-    `EmptyTaskError` (a decode error) and `NotSatisfiableError` (raised by
-    `match.cost` alone, which no subcommand calls).  A new planning error
-    then cannot reach ``main``'s generic handler, which names no file."""
+    the file), `MissingBehaviorError` (``simulate`` names the scenario) and
+    `EmptyTaskError` (a decode error).  A new planning error then cannot
+    reach ``main``'s generic handler, which names no file."""
     errors = {obj for info in pkgutil.iter_modules(resselect.__path__)
               for module in [importlib.import_module(f"resselect.{info.name}")]
               for obj in vars(module).values()
               if isinstance(obj, type) and issubclass(obj, ValueError)
               and obj.__module__ == module.__name__}
-    elsewhere = {codec.DecodeError, sim.MissingBehaviorError, model.EmptyTaskError,
-                 match.NotSatisfiableError}
+    elsewhere = {codec.DecodeError, sim.MissingBehaviorError, model.EmptyTaskError}
     assert elsewhere <= errors and not elsewhere & cli._BLAME.keys()
     assert errors - elsewhere == cli._BLAME.keys()
 

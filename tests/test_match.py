@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -20,7 +19,6 @@ from resselect import (
     viable_set,
 )
 from resselect.codec import VIABLE_SET
-from resselect.match import neg_ttc
 from resselect.plan import Assignment
 
 from conftest import (
@@ -227,59 +225,44 @@ class TestViableSet:
         assert set(masks) == consumables  # one mask per distinct consumable
 
 
+def ttcs(*values):
+    """One candidate per TTC, in order, named r0, r1, ..."""
+    return [Assignment(f"r{i}", 0.0, float(v)) for i, v in enumerate(values)]
+
+
 class TestResSelect:
-    def test_argmax(self):
-        assert res_select(["a", "b", "c"], [-10, -5, -20], lambda v: v) == "b"
+    def test_smallest_ttc(self):
+        assert res_select(ttcs(10, 5, 20)).resource_id == "r1"
 
     def test_first_wins_ties(self):
-        assert res_select(["a", "b", "c"], [3, 3, 1], lambda v: v) == "a"
+        assert res_select(ttcs(3, 3, 1, 1)).resource_id == "r2"
 
     def test_single_candidate(self):
-        assert res_select(["only"], [0.0], lambda v: v) == "only"
+        assert res_select(ttcs(0.0)).resource_id == "r0"
 
     def test_empty_viable_set_is_typed_error(self):
         with pytest.raises(EmptyViableSetError, match="empty viable set"):
-            res_select([], [], lambda v: v)
+            res_select([])
 
-    def test_misaligned_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            res_select(["a"], [1, 2], lambda v: v)
+    def test_overflowing_ttc_skipped(self):
+        inf = Assignment("inf", 1e308, 1e308)
+        assert res_select([inf, *ttcs(5.0), inf]).resource_id == "r0"
 
-    def test_neg_infinity_skipped(self):
-        vals = [-math.inf, -5.0, -math.inf]
-        assert res_select(["a", "b", "c"], vals, lambda v: v) == "b"
-
-    def test_all_neg_infinity_returns_first(self):
-        vals = [-math.inf, -math.inf]
-        assert res_select(["a", "b"], vals, lambda v: v) == "a"
+    def test_all_overflowing_returns_first(self):
+        first, second = Assignment("a", 1e308, 1e308), Assignment("b", 1e308, 1e308)
+        assert res_select([first, second]) is first
 
     @settings(max_examples=200)
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=8))
     def test_matches_first_argmax_oracle(self, values):
-        ids = [f"r{i}" for i in range(len(values))]
-        assert res_select(ids, values, float) == ids[first_argmax_oracle(values)]
-
-    @settings(max_examples=100)
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=8))
-    def test_invariant_under_increasing_transform(self, values):
-        # integer affinities keep the transforms exactly monotone in floats
-        ids = [f"r{i}" for i in range(len(values))]
-        base = res_select(ids, values, float)
-        assert res_select(ids, values, lambda v: math.exp(v / 50)) == base
-        assert res_select(ids, values, lambda v: 3 * v + 7) == base
+        candidates = ttcs(*(-v for v in values))
+        assert res_select(candidates) is candidates[first_argmax_oracle(values)]
 
     @settings(max_examples=100)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=8, unique=True),
            st.randoms(use_true_random=False))
-    def test_permutation_covariance_unique_max(self, values, rnd):
-        ids = [f"r{i}" for i in range(len(values))]
-        chosen = res_select(ids, values, float)
-        paired = list(zip(ids, values))
-        rnd.shuffle(paired)
-        ids2, values2 = zip(*paired)
-        assert res_select(list(ids2), list(values2), float) == chosen
-
-
-class TestNegTtc:
-    def test_default_neg_ttc(self):
-        assert neg_ttc(Assignment("r", 100.0, 50.0)) == -150.0
+    def test_permutation_covariance_unique_min(self, values, rnd):
+        candidates = ttcs(*values)
+        chosen = res_select(candidates)
+        rnd.shuffle(candidates)
+        assert res_select(candidates) is chosen

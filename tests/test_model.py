@@ -11,21 +11,19 @@ from resselect import (
     ConsumableSpec,
     EmptyTaskError,
     Instruction,
-    NotSatisfiableError,
     Requirement,
     ResourceSpec,
     TaskSpec,
     WorkloadSpec,
     aggregate,
-    cost,
 )
 from resselect.codec import RESOURCE, TASK
 from resselect import model
 from resselect.model import canonical_dumps, mean_and_stddev
 
-from conftest import matching_resource, random_sequenced_task
+from conftest import random_sequenced_task
 from oracles import (
-    aggregate_oracle, canonical_dumps_oracle, consumable_key, cost_oracle, exact_mean_stddev_oracle,
+    aggregate_oracle, canonical_dumps_oracle, consumable_key, exact_mean_stddev_oracle,
 )
 
 MAX = sys.float_info.max
@@ -188,81 +186,6 @@ class TestAggregate:
         ]
         for r1, r2 in zip(agg.requirements, agg2.requirements):
             assert r2.amount == pytest.approx(r1.amount, rel=1e-12)
-
-
-class TestCost:
-    def test_amount_equals_rate(self):
-        x86 = c("x86cyc")
-        task = TaskSpec("t", requirements=(Requirement(x86, 2.5e9),))
-        res = ResourceSpec("r", (Capability(x86, 2.5e9),))
-        assert cost(task, res) == 1.0
-
-    def test_bridges_base_frequency_rate(self):
-        x86 = c("x86cyc")
-        task = TaskSpec("t", requirements=(Requirement(x86, 6.0e9),))
-        res = ResourceSpec("bridges", (Capability(x86, 2.30e9),))
-        assert cost(task, res) == pytest.approx(6.0e9 / 2.30e9, rel=1e-12)
-        assert cost(task, res) == pytest.approx(2.6087, abs=1e-4)
-
-    def test_two_requirement_sum(self):
-        a, b = c("A"), c("B")
-        task = TaskSpec("t", requirements=(Requirement(a, 4), Requirement(b, 6)))
-        res = ResourceSpec("r", (Capability(a, 2), Capability(b, 3)))
-        assert cost(task, res) == pytest.approx(4.0, rel=1e-12)
-
-    def test_unmatched_requirement_names_consumable(self):
-        task = TaskSpec("t", requirements=(Requirement(c("gpucyc"), 1),))
-        res = ResourceSpec("r", (Capability(c("x86cyc"), 1),))
-        with pytest.raises(NotSatisfiableError, match="gpucyc"):
-            cost(task, res)
-
-    def test_superset_form_capability_is_charged(self):
-        req_c = c("cyc", isa=["x86"])
-        cap_c = c("cyc", isa=["x86"], vendor=["intel", "amd"])
-        task = TaskSpec("t", requirements=(Requirement(req_c, 10),))
-        res = ResourceSpec("r", (Capability(cap_c, 5),))
-        assert cost(task, res) == pytest.approx(2.0)
-
-    def test_multiple_matches_charge_highest_rate_once(self):
-        x = c("cyc")
-        task = TaskSpec("t", requirements=(Requirement(x, 12),))
-        res = ResourceSpec("r", (Capability(x, 3), Capability(x, 4)))
-        assert cost(task, res) == pytest.approx(3.0)  # 12/4, not 12/3 + 12/4
-
-    @settings(max_examples=100)
-    @given(st.integers(0, 10**9))
-    def test_linearity_and_additivity(self, seed):
-        rng = random.Random(seed)
-        task = random_sequenced_task(rng)
-        res = matching_resource(rng, task)
-        agg = aggregate(task)
-        k = cost(agg, res)
-
-        doubled = TaskSpec(
-            "t", requirements=tuple(
-                Requirement(r.consumable, 2 * r.amount) for r in agg.requirements
-            )
-        )
-        assert cost(doubled, res) == pytest.approx(2 * k, rel=1e-12)
-
-        faster = ResourceSpec(
-            "r", tuple(Capability(cp.consumable, 2 * cp.rate) for cp in res.capabilities)
-        )
-        assert cost(agg, faster) == pytest.approx(k / 2, rel=1e-12)
-
-        # additivity: merging a task with itself doubles the cost
-        assert cost(doubled, res) == pytest.approx(cost(agg, res) + cost(agg, res), rel=1e-12)
-
-    @settings(max_examples=100)
-    @given(st.integers(0, 10**9))
-    def test_matches_brute_force_oracle(self, seed):
-        rng = random.Random(seed)
-        task = random_sequenced_task(rng)
-        res = matching_resource(rng, task)
-        agg = aggregate(task)
-        assert cost(agg, res) == pytest.approx(
-            cost_oracle(agg.requirements, res.capabilities), rel=1e-12
-        )
 
 
 class TestSerialization:

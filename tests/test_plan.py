@@ -25,7 +25,6 @@ from resselect import (
     aggregate,
     plan_model,
     plan_random,
-    res_select,
     viable_set,
 )
 from resselect.match import EmptyViableSetError
@@ -168,22 +167,6 @@ class TestPlanModel:
         for a in plan.assignments.values():
             assert a.ttc_s == pytest.approx(best)
             assert all(a.ttc_s <= ttcs[rid] for rid in ttcs)
-
-    def test_decreasing_transform_of_ttc_gives_same_assignment(self):
-        # rA: ttc 5400, rB: ttc 5000
-        workload, profiles = make_workload(4), make_profiles()
-        pool = make_pool({"rA": 2.0e9, "rB": 2.5e9})
-        store = make_store({"rA": [400.0], "rB": [1000.0]})
-        plan = plan_model(workload, pool, profiles, CLOCKS, store, base_config(), now=NOW)
-        ids = ("rA", "rB")
-        estimates = task_estimates(workload.tasks[0], ids, profiles_by_task(profiles), CLOCKS,
-                                   store, base_config(), NOW)
-        cubed = res_select(ids, estimates, lambda a: -(a.ttc_s ** 3))
-        assert {a.resource_id for a in plan.assignments.values()} == {cubed} == {"rB"}
-
-    def test_config_names_no_other_affinity(self):
-        with pytest.raises(ValueError, match="affinity must be 'neg_ttc', got 'neg_tq'"):
-            base_config(affinity="neg_tq")
 
     def test_plan_completeness_and_requests(self):
         wl = make_workload(10)

@@ -1,8 +1,10 @@
-"""The README's command-line pipeline on the bundled scenario, pinned by
-sha256: a change that alters any byte of these outputs fails here.  The
-commands run in a temporary directory, because the bundled scenario names
-its plan by a path relative to the working directory."""
+"""The README's quick start, run with each ``# ->`` value checked, and its
+command-line pipeline on the bundled scenario, pinned by sha256: a change
+that alters any byte of these outputs fails here.  The commands run in a
+temporary directory, because the bundled scenario names its plan by a path
+relative to the working directory."""
 
+import ast
 import hashlib
 import json
 
@@ -44,3 +46,27 @@ def test_readme_commands_on_bundled_scenario_are_pinned(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED}
     assert digests == PINNED
+
+
+def test_readme_quick_start_gives_each_stated_value():
+    readme = (BUNDLED.parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        code = compile(ast.Module([stmt], []), "README.md", "exec")
+        _, arrow, stated = lines[stmt.end_lineno - 1].partition("# ->")
+        if not arrow:
+            exec(code, namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        text = stated.strip()
+        if text.split()[-1].isalpha():  # a unit, as in "3571.4 seconds"
+            text = text.rsplit(None, 1)[0]
+        expected = ast.literal_eval(text)
+        if isinstance(expected, float):  # stated to as many decimals as it shows
+            value = round(value, len(text.partition(".")[2]))
+        assert value == expected, lines[stmt.end_lineno - 1]
+        checked += 1
+    assert checked == 2
