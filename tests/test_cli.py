@@ -222,6 +222,7 @@ MUTATIONS = [
     ("config.json", "turbo", [], "frequency_choice"),
     ("config.json", 0, [], "cores_per_task"),
     ("config.json", "x", [], "affinity"),
+    ("config.json", "neg_ttc", [], "affinity"),
     ("scenario.json", {"kind": "empirical", "samples": [1.0, -1.0]}, ["behaviors", 0, "tx_dist"],
      "samples"),
     ("scenario.json", 0, ["behaviors", 0], "capacity_cores"),
@@ -861,8 +862,11 @@ class TestConfigResourceIds:
         (SELECT + ["--strategy", "random", "--seed", "1"], "resource_queues", "bridge", QUEUE,
          "pool.json"),
         (SELECT + MODEL, "profile_overrides", "md-100k-0O1", "md-100k", "workload_64.json"),
+        (SELECT + ["--strategy", "random", "--seed", "1"], "profile_overrides", "md-100k-0O1",
+         "md-100k", "workload_64.json"),
     ], ids=["predict-inflation", "predict-queues", "select-model-inflation",
-            "select-random-queues", "select-model-profile-overrides"])
+            "select-random-queues", "select-model-profile-overrides",
+            "select-random-profile-overrides"])
     def test_unknown_resource_exits_1(self, tmp_path, capsys, argv, name, rid, value, source):
         def add(config):
             config.setdefault(name, {})[rid] = value
@@ -875,6 +879,16 @@ class TestConfigResourceIds:
         assert captured.out == ""
         assert (f"{config}: {name}.{rid}: no {what} {rid!r} in {tmp_path / source}"
                 in captured.err), captured.err
+
+    def test_override_of_a_workload_task_is_accepted(self, tmp_path, capsys):
+        # the override names the default profile, so the plan does not change
+        argv = self.SELECT + self.MODEL
+        assert main([str(BUNDLED / a[1:]) if a.startswith("@") else a for a in argv]) == 0
+        plan = capsys.readouterr().out
+        edited_bundled_copy(tmp_path, "config.json", [], lambda config: config.update(
+            profile_overrides={"md-100k-0001": "md-100k"}))
+        assert main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]) == 0
+        assert capsys.readouterr().out == plan
 
 
 class TestCrossFileErrors:
@@ -1010,9 +1024,25 @@ class TestCrossFileErrors:
             ",".join(cells[:wait] + [repr(sys.float_info.max)] + cells[wait + 1:])
             for cells in (r.split(",") for r in rows[1:])))
         assert self.run(tmp_path, capsys, self.MODEL) == (
-            f"error: {tmp_path / 'history.csv'}: no finite TTC: a {sys.float_info.max:g} s queue wait plus "
-            f"the {1e13 / (1e-289 * 1e9):g} s that resource 'bridges' takes at its base clock "
-            f"of {tmp_path / 'clocks.json'}\n")
+            f"error: {tmp_path / 'history.csv'}: no finite TTC: a {sys.float_info.max:g} s queue "
+            f"wait plus the {1e13 / (1e-289 * 1e9):g} s that resource 'bridges' takes at its base "
+            f"clock of {tmp_path / 'clocks.json'}\n")
+
+    def test_ttc_past_the_float_range_at_the_max_clock_names_it(self, tmp_path, capsys):
+        # the time that overflows the sum is the one frequency_choice picks
+        edited_bundled_copy(tmp_path, "clocks.json", [0],
+                            lambda clock: clock.update(base_ghz=1e-289, max_ghz=2e-289))
+        config = json.loads((tmp_path / "config.json").read_text())
+        write(tmp_path / "config.json", {**config, "frequency_choice": "max"})
+        rows = (BUNDLED / "history.csv").read_text().splitlines(keepends=True)
+        wait = rows[0].split(",").index("wait_s")
+        (tmp_path / "history.csv").write_text(rows[0] + "".join(
+            ",".join(cells[:wait] + [repr(sys.float_info.max)] + cells[wait + 1:])
+            for cells in (r.split(",") for r in rows[1:])))
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'history.csv'}: no finite TTC: a {sys.float_info.max:g} s queue "
+            f"wait plus the {1e13 / (2e-289 * 1e9):g} s that resource 'bridges' takes at its max "
+            f"clock of {tmp_path / 'clocks.json'}\n")
 
     def test_walltime_safety_factor_past_the_float_range_names_config_and_clocks(self, tmp_path,
                                                                                  capsys):

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resselect.codec import (
-    CAPABILITY, CLOCKS, DIST, PLAN, POOL, REQUIREMENT, STR, TASK, VIABLE_SET, WORKLOAD, Arr, Csv,
-    DecodeError, Record,
+    CAPABILITY, CLOCKS, CONFIG, DIST, PLAN, POOL, REQUIREMENT, STR, TASK, VIABLE_SET, WORKLOAD,
+    Arr, Csv, DecodeError, Record,
 )
 from resselect.match import ViableSet
 from resselect.model import ConsumableSpec, WorkloadSpec
@@ -50,6 +50,10 @@ class TestDecodeErrors:
         workload = {"workload_id": "w", "tasks": [{"task_id": "t", "instructions": steps}]}
         assert decode_error(WORKLOAD, workload) == \
             "tasks[0].instructions[1]: instruction must have at least one requirement"
+
+    def test_config_affinity_is_an_unknown_key(self):
+        # neg_ttc was the one value the removed key took; TTC is the only ranking
+        assert decode_error(CONFIG, {"affinity": "neg_ttc"}).startswith("affinity: unknown key")
 
     def test_source_prefixes_the_message(self):
         with pytest.raises(DecodeError) as info:

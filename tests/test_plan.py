@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -30,7 +31,8 @@ from resselect import (
 from resselect.match import EmptyViableSetError
 from resselect.codec import PLAN, WORKLOAD
 from resselect.model import canonical_dumps
-from resselect.plan import Assignment, MissingClockError, SelectionPlan, task_estimates
+from resselect.plan import (Assignment, MissingClockError, SelectionPlan, TtcRangeError,
+                            task_estimates)
 from resselect.predict import UnknownTaskError, profiles_by_task
 from resselect.queuewait import DEFAULT_BUCKETS, NoQueueHistoryError
 
@@ -126,6 +128,14 @@ class TestPlanModel:
             now=NOW,
         )
         assert plan.assignments["t-0000"].resource_id == "rA"
+
+    def test_overflowing_ttc_raises_beside_a_finite_one(self):
+        # rA's wait and time are each finite, their sum is not; rB's is 5000
+        clocks = {"rA": ClockSpec("rA", 1e-280, 1e-280), "rB": CLOCKS["rB"]}
+        store = make_store({"rA": [sys.float_info.max], "rB": [1000.0]})
+        with pytest.raises(TtcRangeError, match="resource 'rA'"):
+            plan_model(make_workload(1), make_pool({"rA": 2.0e9, "rB": 2.5e9}), make_profiles(),
+                       clocks, store, base_config(), now=NOW)
 
     def test_empty_viable_set_names_task(self):
         pool = [ResourceSpec("r", (Capability(ConsumableSpec("gpu"), 1e9),))]
@@ -341,6 +351,12 @@ class TestPlanErrorMessages:
     def test_missing_clock(self):
         exc = self.raised(MissingClockError, clocks={})
         assert str(exc) == "no clock for resource 'rA'"
+
+    def test_ttc_range(self):
+        exc = self.raised(TtcRangeError, clocks={"rA": ClockSpec("rA", 1e-280, 1e-280)},
+                          store=make_store({"rA": [sys.float_info.max]}))
+        assert str(exc) == (f"no finite TTC: a {sys.float_info.max:g} s queue wait plus the "
+                            f"{1e13 / 1e-280:g} s that resource 'rA' takes at its base clock")
 
     def test_no_queue_history(self):
         exc = self.raised(NoQueueHistoryError, store=make_store({"unrelated": [1.0]}))

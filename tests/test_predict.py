@@ -109,6 +109,23 @@ class TestPredictTx:
         report = predict_tx(6.9e9, clock)
         assert report.tx_base_s == pytest.approx(3.0, rel=1e-12)
 
+    def test_cycles_equal_to_the_clock_rate_take_one_second(self):
+        report = predict_tx(2.5e9, ClockSpec("r", 2.5e9, 3.0e9))
+        assert report.tx_base_s == 1.0
+        assert report.tx_max_s == 2.5e9 / 3.0e9
+
+    @settings(max_examples=100)
+    @given(st.floats(1e6, 1e14), st.floats(1e8, 1e10), st.floats(1.0, 2.0))
+    def test_linear_in_cycles_and_inverse_in_clock(self, cycles, base_hz, ratio):
+        clock = ClockSpec("r", base_hz, base_hz * ratio)
+        r1 = predict_tx(cycles, clock)
+        doubled = predict_tx(2 * cycles, clock)
+        assert doubled.tx_base_s == pytest.approx(2 * r1.tx_base_s, rel=1e-12)
+        assert doubled.tx_max_s == pytest.approx(2 * r1.tx_max_s, rel=1e-12)
+        faster = predict_tx(cycles, ClockSpec("r", 2 * base_hz, 2 * base_hz * ratio))
+        assert faster.tx_base_s == pytest.approx(r1.tx_base_s / 2, rel=1e-12)
+        assert faster.tx_max_s == pytest.approx(r1.tx_max_s / 2, rel=1e-12)
+
     def test_degenerate_clock_equalizes_base_and_max(self):
         clock = ClockSpec("r", 2.5e9, 2.5e9)
         report = predict_tx(1e10, clock)
