@@ -182,7 +182,8 @@ def _cmd_select(args) -> None:
     pool = _load(args.pool, codec.POOL.decode)
     config = _load_config(args.config)
     _check_ids(config, args.config, "resource", {r.resource_id for r in pool}, args.pool)
-    _check_ids(config, args.config, "task", (t.task_id for t in workload.tasks), args.workload)
+    _check_ids(config, args.config, "task", (i for _, ids in workload.kinds for i in ids),
+               args.workload)
     if args.strategy == "model":
         profiles = _load_csv(args.profiles, load_profiles)
         clocks = _load(args.clocks, load_clocks)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import marshal
 import sys
+from collections import defaultdict
 from functools import reduce
 from itertools import chain, compress, count, islice, repeat
 from math import isfinite, nan
@@ -116,16 +117,11 @@ class Arr:
         try:
             for i, item in enumerate(value):
                 out.append(decode(item))
-            if self.unique:
-                first = {}
-                for i, item in enumerate(out):
-                    key = getattr(item, self.unique)
-                    if first.setdefault(key, i) != i:
-                        raise DecodeError(
-                            f"duplicate {self.unique} {key!r}, first at index {first[key]}")
         except DecodeError as exc:
             exc.path.append(i)
             raise
+        if self.unique:
+            _unique(self.unique, map(attrgetter(self.unique), out))
         return tuple(out)
 
     def encode(self, value) -> list:
@@ -133,6 +129,17 @@ class Arr:
 
     def schema(self) -> dict:
         return {"type": "array", "items": self.item.schema()}
+
+
+def _unique(name: str, keys) -> None:
+    """Raise `DecodeError` at the index of the first of ``keys`` that an
+    earlier one repeats, naming the earlier one's index."""
+    first: dict = {}
+    for i, key in enumerate(keys):
+        if first.setdefault(key, i) != i:
+            exc = DecodeError(f"duplicate {name} {key!r}, first at index {first[key]}")
+            exc.path.append(i)
+            raise exc
 
 
 class Map:
@@ -274,19 +281,17 @@ TASK = Record(TaskSpec, {"task_id": STR, "requirements": opt(Arr(REQUIREMENT)),
 
 
 class Tasks(Arr):
-    """A workload's task array, in which tasks with the same body (every key
-    but ``task_id``) share one decoded body.  A body is keyed on its
+    """A workload's task array, decoded to its kinds (see `WorkloadSpec`):
+    the tasks with one body (every key but ``task_id``), in the order of
+    their first task, with their ids in file order.  A body is keyed on its
     ``marshal`` bytes, which are exact: they tell ``1``, ``1.0`` and
-    ``true`` apart, and ``-0.0`` from ``0.0``.  Format version 2 writes no
-    back-references, so the bytes do not depend on which objects the body
-    shares.  Each call passes `Arr.decode` an item decoder with a fresh
-    memo of bodies.  The first task with a body, and every task without a
+    ``true`` apart, and ``-0.0`` from ``0.0``; format version 2 writes no
+    back-references.  The first task with a body, and every task without a
     non-empty string ``task_id`` or with a value marshal cannot write, is
-    decoded in full, so errors and their paths are those of `Arr`; a body
-    that fails is never kept."""
+    decoded in full, so errors and their paths are those of `Arr`."""
 
     def decode(self, value) -> tuple:
-        decode, bodies = self.item.decode, {}
+        decode, first, more = self.item.decode, {}, defaultdict(list)  # by body key
 
         def task(item):
             key = None
@@ -298,18 +303,23 @@ class Tasks(Arr):
                         key = marshal.dumps(body, 2)
                     except ValueError:  # not a JSON value
                         pass
-                    first = bodies.get(key)
-                    if first is not None:
-                        return first.with_id(task_id)
+                    if key in first:
+                        more[key].append(task_id)
+                        return task_id
             decoded = decode(item)
-            if key is not None:
-                bodies[key] = decoded
-            return decoded
+            first[decoded if key is None else key] = decoded
+            return decoded.task_id
 
-        return Arr(SimpleNamespace(decode=task)).decode(value)
+        ids = Arr(SimpleNamespace(decode=task)).decode(value)
+        if len(set(ids)) < len(ids):
+            _unique("task_id", ids)
+        if not ids:
+            raise DecodeError("workload must have at least one task")
+        return tuple((task, (task.task_id, *more.get(key, ()))) for key, task in first.items())
 
 
-WORKLOAD = Record(WorkloadSpec, {"workload_id": STR, "tasks": Tasks(TASK)})
+WORKLOAD = Record(lambda workload_id, tasks: WorkloadSpec(workload_id, tasks),
+                  {"workload_id": STR, "tasks": Tasks(TASK)})
 RESOURCE = Record(ResourceSpec, {"resource_id": STR, "capabilities": Arr(CAPABILITY)})
 POOL = Arr(RESOURCE, unique="resource_id")
 VIABLE_SET = Record(lambda task_id, viable: ViableSet(task_id, resource_ids=viable),

@@ -178,6 +178,9 @@ class Capability(Value):
 
 def _merge_requirements(reqs) -> Tuple[Requirement, ...]:
     """Merge duplicate consumables by summing amounts; canonical order."""
+    reqs = tuple(reqs)
+    if len(reqs) == 1 and type(reqs[0].amount) is float:  # already as merging leaves it
+        return reqs
     totals = {}
     for req in reqs:
         totals[req.consumable] = totals.get(req.consumable, 0.0) + req.amount
@@ -218,36 +221,41 @@ class TaskSpec(Value):
         else:
             object.__setattr__(self, "requirements", _merge_requirements(self.requirements))
 
-    def with_id(self, task_id: str) -> TaskSpec:
-        """This task under ``task_id``, sharing its body objects: the body
-        is already checked and merged, so it is not checked or merged again
-        (``TaskSpec(task_id, ...)`` would merge it again)."""
-        if not task_id:
-            raise ValueError("task_id must be non-empty")
-        return _built(type(self), task_id, self.instructions, self.requirements)
-
-
-def _built(cls, task_id: str, instructions, requirements) -> TaskSpec:
-    """A ``cls`` task of a body that is already checked and merged:
-    ``__post_init__`` does not run."""
-    task = object.__new__(cls)
-    _set_dict(task, {"task_id": task_id, "instructions": instructions,
-                     "requirements": requirements})
-    return task
-
 
 class WorkloadSpec(Value):
-    """A bag of tasks with unique ids."""
+    """A bag of tasks with unique ids, as its kinds: each kind is a task
+    and the ids of every task with its body, its own id first.  A body is
+    checked, matched and estimated once per kind, not once per task."""
 
     workload_id: str
-    tasks: Tuple[TaskSpec, ...]
+    kinds: Tuple[Tuple[TaskSpec, Tuple[str, ...]], ...]
 
     def __post_init__(self):
-        tasks = tuple(self.tasks)
-        ids = [t.task_id for t in tasks]
-        if len(ids) != len(set(ids)):
-            raise ValueError("task_ids must be unique within a workload")
-        object.__setattr__(self, "tasks", tasks)
+        kinds = tuple(self.kinds)
+        ids = [i for _, ids in kinds for i in ids]
+        if not all(ids) or len(set(ids)) != len(ids):
+            raise ValueError("task_ids must be non-empty and unique within a workload")
+        object.__setattr__(self, "kinds", kinds)
+
+    @property
+    def tasks(self) -> Sequence[TaskSpec]:
+        """The tasks in id order, each built when it is read; ``len`` builds none."""
+        return _TaskView(self.kinds)
+
+
+class _TaskView:
+    def __init__(self, kinds):
+        self._kinds, self._pairs = kinds, None
+
+    def __len__(self) -> int:
+        return sum(len(ids) for _, ids in self._kinds)
+
+    def __getitem__(self, index):
+        if self._pairs is None:  # ids are unique: a tie never compares tasks
+            self._pairs = sorted((i, task) for task, ids in self._kinds for i in ids)
+        pairs = self._pairs[index]
+        build = lambda i, task: TaskSpec(i, task.instructions, task.requirements)  # noqa: E731
+        return [build(*p) for p in pairs] if isinstance(index, slice) else build(*pairs)
 
 
 class ResourceSpec(Value):
@@ -277,7 +285,7 @@ def aggregate(task: TaskSpec) -> TaskSpec:
     reqs = []
     for ins in task.instructions:
         reqs.extend(ins.requirements)
-    return _built(TaskSpec, task.task_id, None, _merge_requirements(reqs))
+    return TaskSpec(task.task_id, requirements=reqs)
 
 
 # --- JSON: the file formats live in resselect.codec; canonical output is

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .config import Config
 from .match import EmptyViableSetError, res_select, viable_set
-from .model import ResourceSpec, TaskSpec, Value, WorkloadSpec
+from .model import ResourceSpec, Value, WorkloadSpec
 from .predict import (
     BaselineProfile,
     ClockSpec,
@@ -38,8 +38,8 @@ class Assignment(Value):
     """A task's resource and, in a model plan, the predicted queue wait and
     execution time there.  walltime_s is the walltime the queue-wait query
     asked for; a plan read back from a file does not carry it.  Tasks of one
-    kind (`plan_model`) or drawn to one resource (`plan_random`) share one
-    object."""
+    profile id and viable set (`plan_model`) or drawn to one resource
+    (`plan_random`) share one object."""
 
     resource_id: str
     tq_s: Optional[float] = None
@@ -101,7 +101,7 @@ def _resource_requests(assignments: Dict[str, Assignment], cores_per_task: int) 
 
 
 def task_estimates(
-    task,
+    task_id: str,
     viable_ids: Sequence[str],
     profiles: Dict[str, List[BaselineProfile]],
     clocks: Dict[str, ClockSpec],
@@ -111,10 +111,10 @@ def task_estimates(
 ) -> List[Assignment]:
     """One candidate `Assignment`, with its estimate, per viable resource of
     the task."""
-    profile_id = config.profile_id(task.task_id)
+    profile_id = config.profile_id(task_id)
     task_profiles = profiles.get(profile_id)
     if not task_profiles:
-        raise UnknownTaskError(f"no baseline profile {profile_id!r} for task {task.task_id!r}")
+        raise UnknownTaskError(f"no baseline profile {profile_id!r} for task {task_id!r}")
     cycles = predict_sequential_cycles(task_profiles)
     estimates = []
     for rid in viable_ids:
@@ -167,22 +167,18 @@ class _BucketedQueries:
         return self._memo[key]
 
 
-def _viable_ids(task: TaskSpec, pool: Sequence[ResourceSpec], memo: dict,
-                masks: dict) -> Tuple[str, ...]:
-    """The task's viable resource ids.  ``memo`` holds them under the ``id``
-    of each body object seen (its ``requirements`` or ``instructions``),
-    next to the body, which keeps the id valid, so a body that many tasks
-    share is matched once.  ``masks`` is `viable_set`'s per-consumable masks
-    over ``pool``, one dict per plan call, so each distinct consumable is
-    matched against each resource once and no task is aggregated."""
-    body = task.instructions if task.requirements is None else task.requirements
-    seen = memo.get(id(body))
-    if seen is None:
-        seen = memo[id(body)] = (body, viable_set(task, pool, masks).resource_ids)
-    ids = seen[1]
-    if not ids:
-        raise EmptyViableSetError(f"no resource can run task {task.task_id!r}")
-    return ids
+def _viable_by_task(workload: WorkloadSpec, pool: Sequence[ResourceSpec]):
+    """Yield each task's id and viable resource ids in id order, matching
+    each kind once with one dict of `viable_set`'s masks.  A task no resource
+    can run raises `EmptyViableSetError` when it is reached, in id order."""
+    masks, viable = {}, {}
+    for task, ids in workload.kinds:
+        viable.update(dict.fromkeys(ids, viable_set(task, pool, masks).resource_ids))
+    for task_id in sorted(viable):  # not .items(): a pair per task would feed the GC
+        ids = viable[task_id]
+        if not ids:
+            raise EmptyViableSetError(f"no resource can run task {task_id!r}")
+        yield task_id, ids
 
 
 def plan_model(
@@ -197,23 +193,20 @@ def plan_model(
     """Assign every task the viable resource with the smallest predicted
     TTC (`res_select`).  Ties go to pool order.
 
-    A task's estimates depend on nothing but its profile id and its viable
-    resources, so each distinct (profile id, viable ids) kind is estimated
-    once and every task of the kind gets the same `Assignment` object."""
+    Each kind is matched once.  A task's estimates depend on nothing but its
+    profile id and viable ids, so each such pair is estimated once and its
+    tasks share one `Assignment`; ``profile_overrides`` can split a kind."""
     by_task = profiles_by_task(profiles)
     queries = _BucketedQueries(queue_store)
-    viable: dict = {}
-    masks: dict = {}
     chosen_by_kind: Dict[tuple, Assignment] = {}
     assignments: Dict[str, Assignment] = {}
-    for task in sorted(workload.tasks, key=lambda t: t.task_id):
-        ids = _viable_ids(task, pool, viable, masks)
-        kind = (config.profile_id(task.task_id), ids)
+    for task_id, ids in _viable_by_task(workload, pool):
+        kind = (config.profile_id(task_id), ids)
         chosen = chosen_by_kind.get(kind)
         if chosen is None:
             chosen = chosen_by_kind[kind] = res_select(
-                task_estimates(task, ids, by_task, clocks, queries, config, now))
-        assignments[task.task_id] = chosen
+                task_estimates(task_id, ids, by_task, clocks, queries, config, now))
+        assignments[task_id] = chosen
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="model",
@@ -234,12 +227,10 @@ def plan_random(
     from random import Random
 
     rng = Random(seed)
-    viable: dict = {}
-    masks: dict = {}
     by_resource = {r.resource_id: Assignment(r.resource_id) for r in pool}
     assignments: Dict[str, Assignment] = {}
-    for task in sorted(workload.tasks, key=lambda t: t.task_id):
-        assignments[task.task_id] = by_resource[rng.choice(_viable_ids(task, pool, viable, masks))]
+    for task_id, ids in _viable_by_task(workload, pool):
+        assignments[task_id] = by_resource[rng.choice(ids)]
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="random",

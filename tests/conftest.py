@@ -14,6 +14,7 @@ from resselect import (
     Requirement,
     ResourceSpec,
     TaskSpec,
+    WorkloadSpec,
 )
 
 BUNDLED = Path(__file__).parent.parent / "scenarios" / "bundled"
@@ -21,6 +22,20 @@ BUNDLED = Path(__file__).parent.parent / "scenarios" / "bundled"
 CTYPES = ["cyc", "byte", "op", "flop", "msg"]
 ATTRS = ["isa", "simd", "vendor"]
 VALUES = [0, 1, 2, 2.5, "x86", "avx", "sse4.1", "intel"]
+
+
+def workload_of(workload_id: str, tasks) -> WorkloadSpec:
+    """The workload of ``tasks``: tasks with equal bodies are one kind, in
+    the order of their first task."""
+    kinds = {}
+    for task in tasks:
+        kinds.setdefault((task.instructions, task.requirements), (task, []))[1].append(task.task_id)
+    return WorkloadSpec(workload_id, tuple((task, tuple(ids)) for task, ids in kinds.values()))
+
+
+def task_ids(workload: WorkloadSpec) -> list:
+    """The ids of ``workload``'s tasks, kind by kind."""
+    return [i for _, ids in workload.kinds for i in ids]
 
 
 @pytest.fixture

@@ -296,6 +296,31 @@ class TestDuplicateIds:
         assert f"{file}: {key}[{dup}]: duplicate resource_id {rid!r}, first at index {index}" in \
             captured.err, captured.err
 
+    @pytest.mark.parametrize("body", ["same", "other"])
+    def test_duplicate_task_id_exits_1(self, tmp_path, capsys, body):
+        """A task id listed twice names both places, whether or not the two
+        tasks have one body."""
+        other = {"requirements": [{"type": "x86_cycle", "amount": 1.0}]}
+        file, argv = edited_bundled_copy(tmp_path, "workload_64.json", ["tasks"], lambda tasks: (
+            tasks.append(tasks[7] if body == "same" else {"task_id": tasks[7]["task_id"], **other})))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {file}: tasks[64]: duplicate task_id 'md-100k-0007', first at index 7\n")
+
+
+@pytest.mark.parametrize("strategy", ["model", "random"])
+def test_empty_workload_exits_1_naming_its_tasks(tmp_path, capsys, strategy):
+    """A workload of no tasks has no plan: `simulate` would reject it."""
+    edited_bundled_copy(tmp_path, "workload_64.json", ["tasks"], list.clear)
+    argv = TestCrossFileErrors.MODEL if strategy == "model" else TestCrossFileErrors.RANDOM
+    assert main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {tmp_path / 'workload_64.json'}: tasks: "
+                            "workload must have at least one task\n")
+
 
 class TestUnreadFields:
     """A field that a distribution's kind or a behavior's pilot mode never

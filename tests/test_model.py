@@ -85,10 +85,10 @@ class TestTypes:
         assert CYC_A.__eq__("cycA") is NotImplemented
         assert CYC_A != "cycA"
 
-    def test_task_copy_needs_an_id(self):
+    def test_every_task_of_a_kind_needs_an_id(self):
         task = TaskSpec("t1", requirements=(Requirement(CYC_A, 1),))
-        with pytest.raises(ValueError, match="^task_id must be non-empty$"):
-            task.with_id("")
+        with pytest.raises(ValueError, match="^task_ids must be non-empty and unique"):
+            WorkloadSpec("w", ((task, ("t1", "")),))
 
     def test_instruction_merges_duplicate_consumables(self):
         ins = Instruction((Requirement(CYC_A, 3), Requirement(CYC_A, 2)))
@@ -97,8 +97,10 @@ class TestTypes:
 
     def test_workload_rejects_duplicate_task_ids(self):
         t = TaskSpec("t1", requirements=(Requirement(CYC_A, 1),))
-        with pytest.raises(ValueError):
-            WorkloadSpec("w", (t, t))
+        u = TaskSpec("t2", requirements=(Requirement(CYC_A, 2),))
+        for kinds in [((t, ("t1", "t1")),), ((t, ("t1",)), (u, ("t2", "t1")))]:
+            with pytest.raises(ValueError, match="^task_ids must be non-empty and unique"):
+                WorkloadSpec("w", kinds)
 
     def test_resource_needs_capabilities(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from resselect.plan import (Assignment, MissingClockError, SelectionPlan, TtcRan
 from resselect.predict import UnknownTaskError, profiles_by_task
 from resselect.queuewait import DEFAULT_BUCKETS, NoQueueHistoryError
 
+from conftest import task_ids, workload_of
 from oracles import canonical_dumps_oracle, first_argmax_oracle
 
 NOW = 1_700_000_000.0
@@ -43,11 +44,9 @@ X86 = ConsumableSpec("x86_cycle", {"isa": frozenset(["x86"])})
 
 
 def make_workload(n_tasks, amount=1e13, workload_id="w"):
-    tasks = tuple(
-        TaskSpec(f"t-{i:04d}", requirements=(Requirement(X86, amount),))
-        for i in range(n_tasks)
-    )
-    return WorkloadSpec(workload_id, tasks)
+    tasks = (TaskSpec(f"t-{i:04d}", requirements=(Requirement(X86, amount),))
+             for i in range(n_tasks))
+    return workload_of(workload_id, tasks)
 
 
 def make_pool(rates):
@@ -182,7 +181,7 @@ class TestPlanModel:
         wl = make_workload(10)
         plan = plan_model(wl, make_pool({"rA": 2.0e9}), make_profiles(), CLOCKS,
                           make_store({"rA": [100.0]}), base_config(), now=NOW)
-        assert set(plan.assignments) == {t.task_id for t in wl.tasks}
+        assert set(plan.assignments) == set(task_ids(wl))
         req = plan.resource_requests["rA"]
         assert req["cores"] == 10
         assert req["max_walltime_s"] == pytest.approx(1e13 / 2.0e9 * 1.5)
@@ -282,9 +281,11 @@ MEM = ConsumableSpec("byte")
 
 
 def kinds_bag():
-    """24 tasks in four (requirement set, profile id) kinds, interleaved by id.
-    Kind x86-p1 mixes tasks given as requirements with tasks given as two
-    instructions that aggregate to the same requirements."""
+    """24 tasks, interleaved by id, in four (viable set, profile id) pairs
+    and four kinds.  Pair x86-p1 mixes tasks given as requirements with
+    tasks given as two instructions that aggregate to the same requirements,
+    which are a kind of their own; the kind of the x86 requirements holds
+    tasks of both profiles."""
     x86 = (Requirement(X86, 1e13),)
     x86_split = (Instruction((Requirement(X86, 4e12),)), Instruction((Requirement(X86, 6e12),)))
     x86_mem = (Requirement(X86, 5e12), Requirement(MEM, 1e9))
@@ -320,7 +321,7 @@ def kinds_bag():
     ]
     config = Config(profile_overrides=overrides)
     store = QueueWaitStore(records)
-    return WorkloadSpec("bag", tuple(tasks)), pool, profiles, clocks, store, config
+    return workload_of("bag", tasks), pool, profiles, clocks, store, config
 
 
 class TestPlanErrorMessages:
@@ -370,11 +371,11 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
     selected on its own."""
     by_task = profiles_by_task(profiles)
     assignments, requests = {}, {}
-    for task in sorted(workload.tasks, key=lambda t: t.task_id):
+    for task_id, task in each_task(workload):
         ids = viable_set(task, pool).resource_ids
-        estimates = task_estimates(task, ids, by_task, clocks, store, config, NOW)
+        estimates = task_estimates(task_id, ids, by_task, clocks, store, config, NOW)
         best = estimates[first_argmax_oracle([-e.ttc_s for e in estimates])]
-        assignments[task.task_id] = best
+        assignments[task_id] = best
         entry = requests.setdefault(
             best.resource_id, {"task_count": 0, "cores": 0, "max_walltime_s": None})
         entry["task_count"] += 1
@@ -383,23 +384,24 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
     return SelectionPlan(workload.workload_id, "model", assignments, requests)
 
 
-def unshared(workload):
-    """``workload`` with every task's body rebuilt as objects of its own,
-    equal to the original ones."""
+def each_task(workload):
+    """Each task's id and the task of its kind, in id order."""
+    return sorted((i, task) for task, ids in workload.kinds for i in ids)
+
+
+def bodies(workload):
+    """Each task's id and body, in id order."""
+    return [(i, t.instructions, t.requirements) for i, t in each_task(workload)]
+
+
+def split(workload):
+    """``workload`` with every task a kind of its own, its body rebuilt as
+    objects of its own, equal to the original ones."""
     return WorkloadSpec(workload.workload_id, tuple(
-        TaskSpec(t.task_id, requirements=t.requirements) if t.instructions is None else
-        TaskSpec(t.task_id, instructions=[Instruction(i.requirements) for i in t.instructions])
-        for t in workload.tasks))
-
-
-def body_objects(workload):
-    """The distinct body objects of ``workload``'s instruction-stream tasks."""
-    return {id(t.instructions): t.instructions for t in workload.tasks
-            if t.instructions is not None}
-
-
-def body(task):
-    return task.instructions if task.requirements is None else task.requirements
+        (TaskSpec(i, requirements=[Requirement(r.consumable, r.amount) for r in t.requirements])
+         if t.instructions is None else
+         TaskSpec(i, instructions=[Instruction(x.requirements) for x in t.instructions]), (i,))
+        for i, t in each_task(workload)))
 
 
 def spy_matching(monkeypatch):
@@ -412,18 +414,17 @@ def spy_matching(monkeypatch):
 
 def assert_matched_per_consumable(calls, workload, pool):
     """Check the matching ``calls`` of one plan call of ``workload``, then
-    empty them for the next: `viable_set` ran once per body object with one
-    mask dict, `satisfy_req` at most once per (distinct consumable, pool
-    capability) pair, and `aggregate` never."""
+    empty them for the next: `viable_set` ran once per kind, on its task,
+    with one mask dict, `satisfy_req` at most once per (distinct
+    consumable, pool capability) pair, and `aggregate` never."""
     matched, satisfied, aggregated = calls
-    assert sorted(id(body(c["task"])) for c in matched) == sorted(
-        {id(body(t)) for t in workload.tasks})
+    assert [id(c["task"]) for c in matched] == [id(task) for task, _ in workload.kinds]
     assert len({id(c["masks"]) for c in matched}) == 1
     pairs = Counter((c["req"].consumable, id(c["cap"])) for c in satisfied)
     assert set(pairs.values()) == {1}
     assert {cap for _, cap in pairs} <= {id(cap) for r in pool for cap in r.capabilities}
     assert {consumable for consumable, _ in pairs} == {
-        req.consumable for t in workload.tasks for req in aggregate(t).requirements}
+        req.consumable for t, _ in workload.kinds for req in aggregate(t).requirements}
     assert aggregated == []
     for calls_of_one_plan in calls:
         calls_of_one_plan.clear()
@@ -463,8 +464,8 @@ class TestKindDedupe:
     def test_random_plan_equals_per_task_rescan(self):
         workload, pool = kinds_bag()[:2]
         rng = random.Random(7)
-        expected = {t.task_id: rng.choice(viable_set(t, pool).resource_ids)
-                    for t in sorted(workload.tasks, key=lambda t: t.task_id)}
+        expected = {i: rng.choice(viable_set(t, pool).resource_ids)
+                    for i, t in each_task(workload)}
         plan = plan_random(workload, pool, seed=7)
         assert {t: a.resource_id for t, a in plan.assignments.items()} == expected
 
@@ -487,31 +488,30 @@ class TestKindDedupe:
         plan_random(workload, args[1], seed=3)
         assert_matched_per_consumable(matching, workload, args[1])
 
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
-    def test_each_body_object_is_matched_once(self, monkeypatch, shared):
-        """A body object is matched once per plan call however many tasks
-        hold it, and equal bodies in objects of their own match each
-        consumable against the pool only once between them."""
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "split"])
+    def test_each_kind_is_matched_once(self, monkeypatch, grouped):
+        """A kind is matched once per plan call however many tasks it
+        holds, and equal bodies in kinds of their own match each consumable
+        against the pool only once between them."""
         args = kinds_bag()
-        workload = args[0] if shared else unshared(args[0])
-        assert len(body_objects(workload)) == (1 if shared else 3)
+        workload = args[0] if grouped else split(args[0])
+        assert len(workload.kinds) == (4 if grouped else 24)
         matching = spy_matching(monkeypatch)
         plan_model(workload, *args[1:], now=NOW)
         assert_matched_per_consumable(matching, workload, args[1])
         plan_random(workload, args[1], seed=3)
         assert_matched_per_consumable(matching, workload, args[1])
 
-    def test_shared_and_unshared_bodies_plan_the_same(self):
+    def test_grouped_and_split_kinds_plan_the_same(self):
         args = kinds_bag()
         workload, pool = args[:2]
-        copy = unshared(workload)
-        assert copy == workload
-        assert not ({id(t.requirements or t.instructions) for t in workload.tasks}
-                    & {id(t.requirements or t.instructions) for t in copy.tasks})
+        copy = split(workload)
+        assert bodies(copy) == bodies(workload)
+        assert not ({id(t.requirements or t.instructions) for t, _ in workload.kinds}
+                    & {id(t.requirements or t.instructions) for t, _ in copy.kinds})
         expected = canonical_dumps(PLAN.encode(rescan_model_plan(*args)))
         rng = random.Random(7)
-        drawn = {t.task_id: rng.choice(viable_set(t, pool).resource_ids)
-                 for t in sorted(workload.tasks, key=lambda t: t.task_id)}
+        drawn = {i: rng.choice(viable_set(t, pool).resource_ids) for i, t in each_task(workload)}
         for bag in (workload, copy):
             assert canonical_dumps(PLAN.encode(plan_model(bag, *args[1:], now=NOW))) == expected
             plan = plan_random(bag, pool, seed=7)
@@ -531,9 +531,8 @@ class TestKindDedupe:
 
 
 def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatch):
-    """Decoded tasks of one body share its requirements tuple, so the
-    planners match it once, under its object's id, and never compare
-    requirements or consumables."""
+    """Decoded tasks of one body are one kind, so the planners match it
+    once and never compare requirements or consumables."""
     body = {"requirements": [{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": 1e13}]}
     workload = WORKLOAD.decode(
         {"workload_id": "w", "tasks": [{"task_id": f"t-{i:04d}", **body} for i in range(64)]})
@@ -547,15 +546,15 @@ def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatc
 
 
 def test_decoded_instruction_bag_matches_each_body_once(monkeypatch):
-    """Decoded tasks of one instruction body share its tuple, so each
-    planner matches each distinct body once, matches its one consumable
-    against each resource once, and aggregates nothing."""
+    """Decoded tasks of one instruction body are one kind, so each planner
+    matches each distinct body once, matches its one consumable against
+    each resource once, and aggregates nothing."""
     bodies = [{"instructions": [[{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": a}],
                                 [{"type": "x86_cycle", "form": {"isa": ["x86"]}, "amount": a}]]}
               for a in (1e12, 2e12, 3e12, 4e12)]
     workload = WORKLOAD.decode({"workload_id": "w", "tasks": [
         {"task_id": f"t-{i:04d}", **bodies[i % 4]} for i in range(64)]})
-    assert len(body_objects(workload)) == 4
+    assert len(workload.kinds) == 4
     args = (workload, make_pool({"rA": 2.0e9, "rB": 2.5e9}), make_profiles(), CLOCKS,
             make_store({"rA": [400.0], "rB": [1000.0]}), base_config())
     expected = rescan_model_plan(*args)
@@ -579,9 +578,9 @@ class TestSharedAssignments:
         workload, pool, profiles, clocks, store, config = kinds_bag()
         plan = plan_model(workload, pool, profiles, clocks, store, config, now=NOW)
         by_kind = {}
-        for task in workload.tasks:
-            kind = (config.profile_id(task.task_id), viable_set(task, pool).resource_ids)
-            by_kind.setdefault(kind, set()).add(id(plan.assignments[task.task_id]))
+        for task_id, task in each_task(workload):
+            kind = (config.profile_id(task_id), viable_set(task, pool).resource_ids)
+            by_kind.setdefault(kind, set()).add(id(plan.assignments[task_id]))
         assert len(by_kind) == 4
         assert all(len(ids) == 1 for ids in by_kind.values())
         assert len({id(a) for a in plan.assignments.values()}) == 4

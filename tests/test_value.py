@@ -39,7 +39,8 @@ SAMPLES = {
                     {"requirements": (REQ, Requirement(CPU, 1.0))}),
     "TaskSpec": ({"task_id": "t", "instructions": (Instruction((REQ,)),)},
                  {"task_id": "t", "requirements": (REQ,)}),
-    "WorkloadSpec": ({"workload_id": "w", "tasks": (TASK,)}, {"workload_id": "w", "tasks": ()}),
+    "WorkloadSpec": ({"workload_id": "w", "kinds": ((TASK, ("t", "u")),)},
+                     {"workload_id": "w", "kinds": ()}),
     "ResourceSpec": ({"resource_id": "r", "capabilities": (Capability(CPU, 1e9),)},
                      {"resource_id": "s", "capabilities": (Capability(CPU, 1e9),)}),
     "Assignment": ({"resource_id": "r", "tq_s": 1.0, "tx_s": 2.0, "walltime_s": 3.0},
