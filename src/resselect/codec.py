@@ -288,7 +288,8 @@ class Tasks(Arr):
     ``true`` apart, and ``-0.0`` from ``0.0``; format version 2 writes no
     back-references.  The first task with a body, and every task without a
     non-empty string ``task_id`` or with a value marshal cannot write, is
-    decoded in full, so errors and their paths are those of `Arr`."""
+    decoded in full, so errors and their paths are those of an `Arr` with
+    ``unique="task_id"``.  A workload with no task is an error."""
 
     def decode(self, value) -> tuple:
         decode, first, more = self.item.decode, {}, defaultdict(list)  # by body key
@@ -311,13 +312,13 @@ class Tasks(Arr):
             return decoded.task_id
 
         ids = Arr(SimpleNamespace(decode=task)).decode(value)
-        if len(set(ids)) < len(ids):
-            _unique("task_id", ids)
+        _unique("task_id", ids)
         if not ids:
             raise DecodeError("workload must have at least one task")
         return tuple((task, (task.task_id, *more.get(key, ()))) for key, task in first.items())
 
 
+# only input files give workloads, so nothing encodes one
 WORKLOAD = Record(lambda workload_id, tasks: WorkloadSpec(workload_id, tasks),
                   {"workload_id": STR, "tasks": Tasks(TASK)})
 RESOURCE = Record(ResourceSpec, {"resource_id": STR, "capabilities": Arr(CAPABILITY)})

@@ -223,9 +223,9 @@ class TaskSpec(Value):
 
 
 class WorkloadSpec(Value):
-    """A bag of tasks with unique ids, as its kinds: each kind is a task
-    and the ids of every task with its body, its own id first.  A body is
-    checked, matched and estimated once per kind, not once per task."""
+    """A bag of tasks with unique ids, as its kinds: each kind is a pair of
+    a task and the tuple of the ids of every task with its body, its own id
+    first.  A body is checked and matched once per kind, not once per task."""
 
     workload_id: str
     kinds: Tuple[Tuple[TaskSpec, Tuple[str, ...]], ...]

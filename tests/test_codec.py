@@ -243,7 +243,7 @@ def test_counting_the_tasks_of_a_decoded_bag_builds_none(monkeypatch):
     benchmark checks ``len(workload.tasks)`` after every setup: a view that
     built all 8192 tasks of bag-homog-8k left them to the garbage
     collector, which collected them inside the next timed stage and raised
-    its select_s by about 30 % (a cached list: 70 %, and 2.5 MB of peak
+    its select_s by about 30 % (a cached one: 70 %, and 2.5 MB of peak
     RSS), while the planner's own timings did not move."""
     body = {"requirements": [{"type": "cyc", "amount": 5}]}
     workload = WORKLOAD.decode({"workload_id": "w", "tasks": [
