@@ -179,7 +179,7 @@ class Capability(Value):
 def _merge_requirements(reqs) -> Tuple[Requirement, ...]:
     """Merge duplicate consumables by summing amounts; canonical order."""
     reqs = tuple(reqs)
-    if len(reqs) == 1 and type(reqs[0].amount) is float:  # already as merging leaves it
+    if len(reqs) == 1 and type(reqs[0].amount) is float:  # merging would rebuild it as is
         return reqs
     totals = {}
     for req in reqs:
