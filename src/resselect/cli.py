@@ -49,8 +49,18 @@ def _read(path: str, read):
 
 
 def _read_json(path: str):
+    """The JSON value of the file at ``path`` (see `_read`); an object that
+    repeats a key is an error, where `json.load` would keep the last."""
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise CliError(f"{path}: duplicate key {key!r}")
+        return obj
+
     try:
-        return _read(path, json.load)
+        return _read(path, lambda fh: json.load(fh, object_pairs_hook=unique))
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
@@ -74,8 +84,7 @@ def _load(path: str, decode):
     try:
         return decode(obj)
     except codec.DecodeError as exc:
-        exc.source = exc.source or path
-        raise
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _load_config(path: Optional[str]) -> Config:
@@ -216,9 +225,17 @@ def _cmd_simulate(args) -> None:
         _emit(buf.getvalue(), args.trials_csv)
 
 
+def _load_result(path: str, strategy: str):
+    """The simulation result at ``path``, which must be of ``strategy``."""
+    result = _load(path, codec.RESULT.decode)
+    if result.strategy != strategy:
+        raise CliError(f"{path}: strategy {result.strategy!r}, not {strategy!r}")
+    return result
+
+
 def _cmd_report(args) -> None:
-    model_result = _load(args.model, codec.RESULT.decode)
-    random_result = _load(args.random, codec.RESULT.decode)
+    model_result = _load_result(args.model, "model")
+    random_result = _load_result(args.random, "random")
     if model_result.workload_id != random_result.workload_id:
         raise CliError(f"mismatched workloads: {model_result.workload_id!r} in {args.model} "
                        f"vs {random_result.workload_id!r} in {args.random}")

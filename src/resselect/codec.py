@@ -41,15 +41,15 @@ from .sim import METRICS, DistSpec, ResourceBehavior, SimulationResult
 class DecodeError(ValueError):
     """Input that does not match its format.  ``path`` collects the keys,
     innermost first, while the error propagates, so valid input builds no
-    location strings; ``source`` is the file, set by callers that know it."""
+    location strings."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
-        self.reason, self.path, self.source = reason, [], None
+        self.reason, self.path = reason, []
 
     def __str__(self) -> str:
         loc = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in reversed(self.path))
-        return ": ".join(part for part in (self.source, loc.lstrip("."), self.reason) if part)
+        return ": ".join(part for part in (loc.lstrip("."), self.reason) if part)
 
 
 def _expected(what: str, value) -> DecodeError:
@@ -439,10 +439,9 @@ class Csv:
         on; a short row reads its missing cells as empty.  A chunk is built
         whole however many of its rows are bad, and its bad rows are then
         dropped from its columns.  Text that is not CSV raises `ValueError`
-        naming its line.  So does a NUL character, on every Python: each
-        line is checked as it is read, ahead of any error on a later line,
-        and a NUL gets the message of Python 3.10's csv module (later ones
-        would read it as part of a cell).
+        naming its line.  So does a NUL character, which the csv module would
+        read as part of a cell: each line is checked as it is read, ahead
+        of any error on a later line.
 
         A chunk whose lines are one row each by the rules of `_split` is
         split at its commas.  Any other chunk is read by the csv module,
@@ -518,8 +517,8 @@ def _split(lines: List[str], width: int, limit: int) -> Optional[List[str]]:
 
 def _no_nul(lines: Iterator[str], line: int) -> Iterator[str]:
     """``lines``, which follow line ``line``, each checked before it is
-    yielded: the first that holds a NUL raises the error of Python 3.10's
-    csv module, naming that line."""
+    yielded: the first that holds a NUL raises ``line contains NUL``,
+    naming that line."""
     for line, text in enumerate(lines, line + 1):
         if "\0" in text:
             raise ValueError(f"line {line}: line contains NUL")

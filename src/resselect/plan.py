@@ -27,7 +27,8 @@ class MissingClockError(ValueError):
 
 
 class WalltimeRangeError(ValueError):
-    """Raised when walltime_safety_factor gives no finite walltime request."""
+    """Raised when walltime_safety_factor gives no positive finite walltime
+    request."""
 
 
 class TtcRangeError(ValueError):
@@ -124,10 +125,11 @@ def task_estimates(
                             inflation=config.inflation_factors.get(rid, 1.0))
         tx = report.tx_base_s if config.frequency_choice == "base" else report.tx_max_s
         walltime = report.tx_base_s * config.walltime_safety_factor
-        if walltime == math.inf:  # both factors are finite
+        if not 0 < walltime < math.inf:  # both factors are finite and > 0
             raise WalltimeRangeError(f"walltime_safety_factor {config.walltime_safety_factor:g} "
-                                     f"gives no finite walltime for the {report.tx_base_s:g} s "
-                                     f"that resource {rid!r} takes at its base clock")
+                                     f"gives no {'finite' if walltime else 'positive'} walltime "
+                                     f"for the {report.tx_base_s:g} s that resource {rid!r} "
+                                     "takes at its base clock")
         machine, queue = config.machine_queue(rid)
         try:
             tq = queue_store.estimate_tq(

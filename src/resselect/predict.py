@@ -29,11 +29,12 @@ class UnknownTaskError(ValueError):
 
 
 class InflationRangeError(ValueError):
-    """Raised when a resource's inflation factor gives no finite cycle count."""
+    """Raised when a resource's inflation factor gives no positive finite
+    cycle count."""
 
 
 class ClockRangeError(ValueError):
-    """Raised when a resource's base clock gives no finite execution time."""
+    """Raised when a resource's clocks give no positive finite execution time."""
 
 
 class BaselineProfile(Value):
@@ -151,26 +152,31 @@ def predict_tx(
     """Predicted execution times at the resource's base and maximum clocks.
 
     ``inflation`` scales the cycle count, e.g. to account for extra
-    instructions executed on a pool like OSG.  An infinite cycle count
-    raises `InflationRangeError`, and an infinite time `ClockRangeError`.
+    instructions executed on a pool like OSG.  A cycle count of 0 or inf
+    raises `InflationRangeError`, and a time of 0 or inf `ClockRangeError`.
     """
     if pred_cycles <= 0:
         raise ValueError("pred_cycles must be > 0")
     if inflation <= 0:
         raise ValueError("inflation must be > 0")
     cycles = pred_cycles * inflation
-    if cycles == inf:  # pred_cycles is finite
+    if cycles in (0, inf):  # both factors are finite and > 0
         raise InflationRangeError(f"inflation_factors.{clock.resource_id}: {inflation:g} times "
-                                  f"{pred_cycles:g} predicted cycles gives no finite cycle count")
-    if cycles / clock.base_hz == inf:  # the longer time: base_hz <= max_hz
+                                  f"{pred_cycles:g} predicted cycles gives no "
+                                  f"{'finite' if cycles else 'positive'} cycle count")
+    tx_base_s, tx_max_s = cycles / clock.base_hz, cycles / clock.max_hz
+    if tx_base_s == inf:  # the longer time: base_hz <= max_hz
         raise ClockRangeError(f"resource {clock.resource_id!r}: {cycles:g} cycles take no "
                               f"finite time at its base clock of {clock.base_hz:g} Hz")
+    if tx_max_s == 0:  # the shorter time
+        raise ClockRangeError(f"resource {clock.resource_id!r}: {cycles:g} cycles take no "
+                              f"positive time at its max clock of {clock.max_hz:g} Hz")
     return PredictionReport(
         task_id=task_id,
         resource_id=clock.resource_id,
         pred_cycles=cycles,
-        tx_base_s=cycles / clock.base_hz,
-        tx_max_s=cycles / clock.max_hz,
+        tx_base_s=tx_base_s,
+        tx_max_s=tx_max_s,
         inflation_factor=inflation,
     )
 

@@ -170,8 +170,8 @@ class QueueWaitEstimate(Value):
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # The time forms read: ``YYYY-MM-DDTHH:MM:SS``, a 3- or 6-digit fraction or
 # none, and ``Z``, ``±HH:MM`` or no offset, as shapes with each ASCII digit
-# written 0.  `datetime.fromisoformat` reads these alike on every supported
-# Python, and other forms too, more of them on 3.11 and later.
+# written 0.  `datetime.fromisoformat` reads other forms too, such as week
+# dates and ``+HHMM``; a time in one of them is rejected as one it cannot read.
 _DIGITS = str.maketrans("123456789", "000000000")
 _TIME_SHAPES = frozenset(f"0000-00-00T00:00:00{fraction}{offset}"
                          for fraction in ("", ".000", ".000000")
@@ -187,13 +187,12 @@ def iso_times(bad: Dict[int, Optional[str]], texts: Sequence[str]) -> list:
     shapes are checked at once, as the joined texts with their digits
     written 0; texts of mixed shapes are then checked one by one."""
     joined = ",".join(texts)
-    times = parsed(bad, _EPOCH, datetime.fromisoformat, map(
-        str.replace, texts, repeat("Z"), repeat("+00:00")) if "Z" in joined else texts)
+    times = parsed(bad, _EPOCH, datetime.fromisoformat, texts)
     shape = texts[0].translate(_DIGITS)
     if shape not in _TIME_SHAPES or joined.translate(_DIGITS) + "," != (shape + ",") * len(texts):
         fits = map(_TIME_SHAPES.__contains__, map(str.translate, texts, repeat(_DIGITS)))
         for i in compress(count(), map(not_, fits)):
-            bad.setdefault(i, f"Invalid isoformat string: {texts[i].replace('Z', '+00:00')!r}")
+            bad.setdefault(i, f"Invalid isoformat string: {texts[i]!r}")
     try:
         deltas = list(map(sub, times, repeat(_EPOCH)))
     except TypeError:  # a naive time, which is read as UTC

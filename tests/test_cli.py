@@ -322,6 +322,26 @@ def test_empty_workload_exits_1_naming_its_tasks(tmp_path, capsys, strategy):
                             "workload must have at least one task\n")
 
 
+@pytest.mark.parametrize("name,before,after,key", [
+    ("config.json", '"walltime_safety_factor": 1.5',
+     '"walltime_safety_factor": 1.5, "walltime_safety_factor": 1e9', "walltime_safety_factor"),
+    ("workload_64.json", '"task_id": "md-100k-0003"',
+     '"task_id": "md-100k-0003", "task_id": "md-100k-9999"', "task_id"),
+], ids=["config", "task"])
+def test_repeated_json_key_exits_1_naming_it(tmp_path, capsys, name, before, after, key):
+    """`json.load` would keep the last value of a repeated key and say
+    nothing: a safety factor of 1e9, or a task planned under its second id."""
+    files = {f.name: str(shutil.copy(f, tmp_path / f.name)) for f in BUNDLED.iterdir()}
+    text = (tmp_path / name).read_text()
+    assert text.count(before) == 1
+    (tmp_path / name).write_text(text.replace(before, after))
+    argv = TestCrossFileErrors.MODEL + ["--out", "@plan.json"]
+    assert main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "plan.json").exists()
+    assert captured.err == f"error: {files[name]}: duplicate key {key!r}\n"
+
+
 class TestUnreadFields:
     """A field that a distribution's kind or a behavior's pilot mode never
     reads is rejected: exit 1, naming the file, the key path and the field."""
@@ -425,8 +445,10 @@ PARITY_CASES = {
     "predict": [["predict", "--profiles", FILES["profiles.csv"], "--clocks", FILES["clocks.json"]]],
     "bad-task": [["aggregate", "--task", FILES["workload_64.json"]]],
     "model-select-stdout": [MODEL_SELECT],
-    "pipeline": [PARSED["select-model"], PARSED["select-random"], PARSED["simulate"],
-                 ["report", "--model", "result.json", "--random", "result.json"]],
+    # the bundled scenario simulates plan.json: the model plan, then the random
+    "pipeline": [PARSED["select-model"], PARSED["simulate"], RANDOM_SELECT + ["--out", "plan.json"],
+                 ["simulate", "--scenario", FILES["scenario.json"], "--out", "random_result.json"],
+                 PARSED["report"]],
     **{f"{cmd}-{how}": [[cmd, *flags]] for cmd in COMMANDS
        for how, flags in (("schema", ["--schema"]), ("help", ["--help"]), ("bare", []))},
 }
@@ -769,8 +791,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
     def test_nul_character_exits_1_naming_its_line(self, tmp_path, capsys, flag):
-        """The csv module of Python 3.10 rejects a NUL and later ones read
-        it as a character; the CLI exits 1 naming the line on every one."""
+        """The csv module would read a NUL as a character; the CLI exits 1
+        naming its line."""
         def edit(lines):
             lines[2] = lines[2][:1] + "\0" + lines[2][1:]
             return lines
@@ -794,8 +816,8 @@ class TestPipeline:
     @pytest.mark.parametrize("flag", sorted(CSV_RUNS))
     def test_nul_is_reported_ahead_of_a_later_error_on_every_python(self, tmp_path, capsys, flag):
         """A quoted first row sends the file to the csv module, which would
-        read a NUL as a character after Python 3.10; the NUL on line 3 is
-        still reported, ahead of the cell past the field limit on line 5."""
+        read a NUL as a character; the NUL on line 3 is still reported,
+        ahead of the cell past the field limit on line 5."""
         limit = csv.field_size_limit()
 
         def edit(lines):
@@ -992,6 +1014,22 @@ class TestCrossFileErrors:
         assert captured.err == (f"error: {scenario}: trial 0: waits plus durations overflow "
                                 "to a TTC of inf\n")
 
+    @pytest.mark.parametrize("given,blamed", [
+        (("random", "model"), "model"), (("random", "random"), "model"),
+        (("model", "model"), "random"),
+    ], ids=["swapped", "both-random", "both-model"])
+    def test_result_of_the_wrong_strategy_names_its_file(self, tmp_path, capsys, given, blamed):
+        """Swapped, the files would report the random numbers as the model's
+        and a negative TTC reduction."""
+        results = {"model": RESULTS[0], "random": RESULTS[1]}
+        paths = {role: write(tmp_path / f"{role}.json", results[strategy])
+                 for role, strategy in zip(("model", "random"), given)}
+        assert main(["report", "--model", paths["model"], "--random", paths["random"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        got = given[0] if blamed == "model" else given[1]
+        assert captured.err == f"error: {paths[blamed]}: strategy {got!r}, not {blamed!r}\n"
+
     def test_mismatched_workloads_name_both_results(self, tmp_path, capsys):
         model = write(tmp_path / "model.json", {**RESULTS[0], "workload_id": "v"})
         random_path = write(tmp_path / "random.json", RESULTS[1])
@@ -1078,6 +1116,30 @@ class TestCrossFileErrors:
             f"error: {tmp_path / 'config.json'}: walltime_safety_factor 1e+306 gives no finite "
             f"walltime for the {1e13 / 2.3e9:g} s that resource 'bridges' takes at its "
             f"base clock of {tmp_path / 'clocks.json'}\n")
+
+    @pytest.mark.parametrize("command", ["predict", "select"])
+    def test_time_that_rounds_to_0_names_clocks_and_resource(self, tmp_path, capsys, command):
+        # 1e13 cycles times 1e-320 is a subnormal count, which 1e307 Hz runs in 0 s
+        edited_bundled_copy(tmp_path, "clocks.json", [0],
+                            lambda clock: clock.update(base_ghz=1e298, max_ghz=1e298))
+        config = json.loads((tmp_path / "config.json").read_text())
+        config["inflation_factors"]["bridges"] = 1e-320
+        write(tmp_path / "config.json", config)
+        argv = self.PREDICT + ["--config", "@config.json"] if command == "predict" else self.MODEL
+        assert self.run(tmp_path, capsys, argv) == (
+            f"error: {tmp_path / 'clocks.json'}: resource 'bridges': {1e13 * 1e-320:g} cycles "
+            f"take no positive time at its max clock of {1e298 * 1e9:g} Hz\n")
+
+    def test_walltime_that_rounds_to_0_names_config_and_clocks(self, tmp_path, capsys):
+        # each time is positive; times the safety factor it is 0
+        edited_bundled_copy(tmp_path, "clocks.json", [0],
+                            lambda clock: clock.update(base_ghz=1e298, max_ghz=1e298))
+        config = json.loads((tmp_path / "config.json").read_text())
+        write(tmp_path / "config.json", {**config, "walltime_safety_factor": 1e-320})
+        assert self.run(tmp_path, capsys, self.MODEL) == (
+            f"error: {tmp_path / 'config.json'}: walltime_safety_factor {1e-320:g} gives no "
+            f"positive walltime for the {1e13 / (1e298 * 1e9):g} s that resource 'bridges' "
+            f"takes at its base clock of {tmp_path / 'clocks.json'}\n")
 
     @pytest.mark.parametrize("command", ["predict", "select"])
     def test_inflation_past_the_float_range_names_config(self, tmp_path, capsys, command):

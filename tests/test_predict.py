@@ -150,6 +150,18 @@ class TestPredictTx:
             predict_tx(1e13, clock)
         assert predict_tx(1e-300, clock).tx_base_s > 0
 
+    def test_time_that_rounds_to_0_names_the_resource(self):
+        with pytest.raises(ClockRangeError, match="^resource 'r': 1e-307 cycles take no positive "
+                                                  "time at its max clock of 1e\\+307 Hz$"):
+            predict_tx(1e-307, ClockSpec("r", 1e9, 1e307))  # the time at base_hz is positive
+        assert predict_tx(1e-307, ClockSpec("r", 1e9, 1e9)).tx_max_s > 0
+
+    def test_cycle_count_that_rounds_to_0_names_the_factor(self):
+        with pytest.raises(InflationRangeError) as caught:
+            predict_tx(1e-10, ClockSpec("r", 1e9, 2e9), inflation=1e-320)
+        assert str(caught.value) == (f"inflation_factors.r: {1e-320:g} times 1e-10 predicted "
+                                     "cycles gives no positive cycle count")
+
     def test_inflation_past_the_float_range_names_the_factor(self):
         # the cycle count overflows before the clock divides it
         with pytest.raises(InflationRangeError) as caught:
@@ -338,8 +350,8 @@ class TestIngest:
         ("8.2e9,4.1e9,2.0,2.5,1.64", "8.2e9,4.1e9,2.0,2.5,1.64,\0", 3),  # past the header's cells
     ], ids=["cell", "header", "long-row"])
     def test_nul_rejected_with_line(self, before, after, line):
-        """Rejected with the message and line of Python 3.10's csv module,
-        whose later versions read a NUL as a character."""
+        """Rejected naming its line, where the csv module would read a NUL
+        as a character."""
         with pytest.raises(ValueError, match=f"^line {line}: line contains NUL$"):
             load_profiles(io.StringIO(self.CSV.replace(before, after, 1)))
 

@@ -421,8 +421,8 @@ class TestIngestCsv:
             "multi-line-cell-middle"])
     @pytest.mark.parametrize("newline", ["", None])
     def test_nul_fatal_naming_its_line_and_store_unchanged(self, text, line, newline):
-        """The csv module of Python 3.10 rejects a NUL with this message and
-        line, and later ones read it as a character: every one rejects it."""
+        """The csv module would read a NUL as a character; the store rejects
+        it, naming its line."""
         store = store_of(rec(100))
         held = {key: tuple(map(list, rows)) for key, rows in store._groups.items()}
         csv_text = self.HEADER + "n,q,2023-11-10T00:00:00Z,100,7200,1\n" + text
@@ -433,16 +433,26 @@ class TestIngestCsv:
     @pytest.mark.parametrize("when", [
         "20231110T000000Z", "2023-W45-5T00:00:00Z", "2023-11-10T00:00:00.5Z",
         "2023-11-10T00:00:00+0100",
-        # forms that Python 3.10 reads too
         "2023-11-10 00:00:00", "2023-11-10", "2023-11-10T00:00Z", "2023-11-10T00:00:00+01:00:30",
     ])
     def test_time_outside_the_grammar_is_a_bad_row_on_every_python(self, when):
-        """Python 3.11 and later read the first four forms and 3.10 does
-        not; every version skips such a row with 3.10's message."""
+        """`datetime.fromisoformat` reads each of these forms on every
+        supported Python; the grammar skips the row all the same."""
         good = "m,q,2023-11-11T00:00:00Z,100,7200,1\n"
         csv_text = self.HEADER + good + f"m,q,{when},100,7200,1\n" + good
         assert QueueWaitStore().ingest_csv(io.StringIO(csv_text)) == (
-            2, [f"line 3: Invalid isoformat string: {when.replace('Z', '+00:00')!r}"])
+            2, [f"line 3: Invalid isoformat string: {when!r}"])
+
+    @pytest.mark.parametrize("when,warning", [
+        ("2023-11-10TZ00:00:00", "Invalid isoformat string: '2023-11-10TZ00:00:00'"),
+        ("2023-11-10T00:00:00ZZ", "Invalid isoformat string: '2023-11-10T00:00:00ZZ'"),
+        ("2023-02-30T00:00:00Z", "day is out of range for month"),
+        ("2023-11-10T25:00:00Z", "hour must be in 0..23"),
+    ])
+    def test_bad_z_time_warns_quoting_the_text_the_file_holds(self, when, warning):
+        good = "m,q,2023-11-11T00:00:00Z,100,7200,1\n"
+        csv_text = self.HEADER + good + f"m,q,{when},100,7200,1\n" + good
+        assert QueueWaitStore().ingest_csv(io.StringIO(csv_text)) == (2, [f"line 3: {warning}"])
 
     @pytest.mark.parametrize("fraction,seconds", [("", 0), (".125", 0.125), (".000125", 1.25e-4)])
     @pytest.mark.parametrize("offset,shift", [("", 0), ("Z", 0), ("+01:30", -5400),
