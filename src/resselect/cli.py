@@ -210,12 +210,16 @@ def _cmd_simulate(args) -> None:
     plan = plan_path = scenario["plan"]
     if isinstance(plan, str):
         plan = _load(plan, codec.PLAN.decode)
-    behaviors = {b.resource_id: b for b in scenario["behaviors"]}
+    behaviors = behaviors_path = scenario["behaviors"]
+    if isinstance(behaviors, str):
+        behaviors = _load(behaviors, codec.BEHAVIORS.decode)
+    behaviors = {b.resource_id: b for b in behaviors}
     try:
         result = simulate(plan, behaviors, trials=scenario["trials"], seed=scenario["seed"])
     except MissingBehaviorError as exc:
         of = plan_path if isinstance(plan_path, str) else "its plan"
-        raise CliError(f"{args.scenario}: {exc} of {of}") from exc
+        blamed = behaviors_path if isinstance(behaviors_path, str) else args.scenario
+        raise CliError(f"{blamed}: {exc} of {of}") from exc
     except ValueError as exc:  # a zero-task plan, or a trial whose TTC overflows
         raise CliError(f"{args.scenario}: {exc}") from exc
     _emit(model.canonical_dumps(result.to_json()), args.out)

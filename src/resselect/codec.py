@@ -385,9 +385,11 @@ DIST = Record(DistSpec, {"kind": STR, "value": opt(NUM), "mean": opt(NUM),
 BEHAVIOR = Record(ResourceBehavior, {
     "resource_id": STR, "tq_dist": DIST, "tx_dist": DIST,
     "capacity_cores": opt(INT), "pilot_mode": opt(STR)})
-SCENARIO = Record(dict, {
-    "plan": OneOf(lambda v: STR if isinstance(v, str) else PLAN, STR, PLAN),  # path or plan
-    "behaviors": Arr(BEHAVIOR, unique="resource_id"), "trials": INT, "seed": INT}, dict)
+BEHAVIORS = Arr(BEHAVIOR, unique="resource_id")
+SCENARIO = Record(dict, {  # plan and behaviors: each a path, or the value itself
+    "plan": OneOf(lambda v: STR if isinstance(v, str) else PLAN, STR, PLAN),
+    "behaviors": OneOf(lambda v: STR if isinstance(v, str) else BEHAVIORS, STR, BEHAVIORS),
+    "trials": INT, "seed": INT}, dict)
 _STAT = Record(dict, {"mean": NUM, "sample_stddev": NUM_OR_NULL}, dict)
 
 

@@ -19,7 +19,7 @@ from .predict import (
     predict_tx,
     profiles_by_task,
 )
-from .queuewait import NoQueueHistoryError, QueueWaitEstimate, QueueWaitStore, SimilarityBuckets
+from .queuewait import NoQueueHistoryError, QueueWaitStore, QueueWindow
 
 
 class MissingClockError(ValueError):
@@ -111,7 +111,8 @@ def task_estimates(
     now: float,
 ) -> List[Assignment]:
     """One candidate `Assignment`, with its estimate, per viable resource of
-    the task."""
+    the task.  ``queue_store`` gives each query's window: the store, or one
+    planning call's memo of windows."""
     profile_id = config.profile_id(task_id)
     task_profiles = profiles.get(profile_id)
     if not task_profiles:
@@ -132,15 +133,8 @@ def task_estimates(
                                      "takes at its base clock")
         machine, queue = config.machine_queue(rid)
         try:
-            tq = queue_store.estimate_tq(
-                machine,
-                queue,
-                walltime_req_s=walltime,
-                cores_req=config.cores_per_task,
-                now=now,
-                window_s=config.window_s,
-                buckets=config.buckets,
-            ).mean_wait_s
+            tq = queue_store.window(machine, queue, now, config.window_s).estimate(
+                walltime, config.cores_per_task, config.buckets).mean_wait_s
         except NoQueueHistoryError as exc:
             raise NoQueueHistoryError(f"{exc}, for resource {rid!r}") from exc
         if tq + tx == math.inf:  # both are finite and >= 0
@@ -150,23 +144,20 @@ def task_estimates(
     return estimates
 
 
-class _BucketedQueries:
-    """A queue store's estimates for one planning call.  An estimate reads
-    the walltime and cores of its query only through their similarity
-    buckets, so each bucketed query reaches the store once."""
+class _Windows(dict):
+    """A queue store's windows for one planning call, keyed by (machine,
+    queue, now, window_s): each is bisected once, and memoizes its own
+    estimates (`QueueWindow`)."""
 
     def __init__(self, store: QueueWaitStore):
         self._store = store
-        self._memo: Dict[tuple, QueueWaitEstimate] = {}
 
-    def estimate_tq(self, machine: str, queue: str, walltime_req_s: float, cores_req: int,
-                    now: float, window_s: float, buckets: SimilarityBuckets) -> QueueWaitEstimate:
-        key = (machine, queue, buckets.walltime_bucket(walltime_req_s),
-               buckets.cores_bucket(cores_req), now, window_s, buckets)
-        if key not in self._memo:
-            self._memo[key] = self._store.estimate_tq(
-                machine, queue, walltime_req_s, cores_req, now, window_s, buckets)
-        return self._memo[key]
+    def window(self, machine: str, queue: str, now: float, window_s: float) -> QueueWindow:
+        key = (machine, queue, now, window_s)
+        window = self.get(key)
+        if window is None:
+            window = self[key] = self._store.window(machine, queue, now, window_s)
+        return window
 
 
 def _viable_by_task(workload: WorkloadSpec, pool: Sequence[ResourceSpec]):
@@ -199,7 +190,7 @@ def plan_model(
     profile id and viable ids, so each such pair is estimated once and its
     tasks share one `Assignment`; ``profile_overrides`` can split a kind."""
     by_task = profiles_by_task(profiles)
-    queries = _BucketedQueries(queue_store)
+    queries = _Windows(queue_store)
     chosen_by_kind: Dict[tuple, Assignment] = {}
     assignments: Dict[str, Assignment] = {}
     for task_id, ids in _viable_by_task(workload, pool):

@@ -6,14 +6,19 @@ walltime and core count fall in the same similarity bucket as the query.
 If no such jobs exist the size constraints are dropped (machine, queue and
 window are kept) and the estimate is flagged as a fallback.
 
-A query bisects its group's submit times for the window, turns the query's
-two buckets into their ``[lo, hi)`` bounds once, and keeps the window rows
-inside both with one comparison chain each.  The mean and stddev of the
-kept waits come from `model.mean_and_stddev`: the waits are scaled by one
-power of two to exact integers, whose sum and sum of squares give both
-statistics with one rounding each.  A query therefore costs a few C-level
-passes over its window rows (about 0.1 µs per row on a 2-vCPU host under
-Python 3.11) and keeps nothing between queries.
+A query's `QueueWaitStore.window` bisects its group's submit times for the
+window once; the window turns the query's two buckets into their ``[lo,
+hi)`` bounds and keeps the window rows inside both with one comparison
+chain each.  The mean and stddev of the kept waits come from
+`model.mean_and_stddev`: the waits are scaled by one power of two to exact
+integers, whose sum and sum of squares give both statistics with one
+rounding each.  A query therefore costs a few C-level passes over its
+window rows (about 0.1 µs per row on a 2-vCPU host under Python 3.11).
+The store keeps nothing between queries; a caller that asks one window
+many queries, as a planning call does, keeps the window, which estimates
+each bucket pair once, summarizes the whole window at most once for the
+fallbacks, and from a cores bucket's second query on scans only that
+bucket's rows.
 
 The history comes in as chunks of columns (`codec.Csv.read`), each checked
 by `checked_columns` in a few C-level passes; the store splits a chunk by
@@ -283,27 +288,12 @@ class QueueWaitStore:
         warnings: List[str] = []
         return self._extend(HISTORY.read(stream, warnings)), warnings
 
-    def estimate_tq(
-        self,
-        machine: str,
-        queue: str,
-        walltime_req_s: float,
-        cores_req: int,
-        now: float,
-        window_s: float = DEFAULT_WINDOW_S,
-        buckets: SimilarityBuckets = DEFAULT_BUCKETS,
-    ) -> QueueWaitEstimate:
-        """Estimate the queue wait for a job submitted now.
-
-        The window is closed on both ends: a record at exactly
-        now - window_s is included; future records are excluded.  The
-        estimate does not depend on the order of the records: the mean and
-        stddev are computed exactly.
-        """
-        if not (math.isfinite(walltime_req_s) and walltime_req_s > 0):
-            raise ValueError(f"walltime_req_s must be finite and > 0, got {walltime_req_s!r}")
-        if cores_req < 1:
-            raise ValueError(f"cores_req must be >= 1, got {cores_req!r}")
+    def window(self, machine: str, queue: str, now: float,
+               window_s: float = DEFAULT_WINDOW_S) -> "QueueWindow":
+        """The rows of (machine, queue) submitted within ``window_s`` before
+        ``now``, found by one bisect of each end.  The window is closed on
+        both ends: a record at exactly now - window_s is included; future
+        records are excluded.  Raises `NoQueueHistoryError` if it is empty."""
         if not window_s > 0:
             raise ValueError(f"window_s must be > 0, got {window_s!r}")
         if not math.isfinite(now):
@@ -315,22 +305,93 @@ class QueueWaitStore:
                 f"no queue history for machine {machine!r} queue {queue!r} "
                 f"in the past {window_s:g} s"
             )
-        w_lo, w_hi = _bucket_bounds(buckets.walltime_edges_s, walltime_req_s)
-        c_lo, c_hi = _bucket_bounds(buckets.cores_edges, cores_req)
-        base = rows.waits[lo:hi]
-        filtered = [
-            wait
-            for wait, walltime, cores in zip(base, rows.walltimes[lo:hi], rows.cores[lo:hi])
-            if w_lo <= walltime < w_hi and c_lo <= cores < c_hi
-        ]
-        fallback = not filtered
-        waits = base if fallback else filtered
-        mean, stddev = mean_and_stddev(waits)
+        return QueueWindow(machine, queue, rows, lo, hi)
+
+    def estimate_tq(
+        self,
+        machine: str,
+        queue: str,
+        walltime_req_s: float,
+        cores_req: int,
+        now: float,
+        window_s: float = DEFAULT_WINDOW_S,
+        buckets: SimilarityBuckets = DEFAULT_BUCKETS,
+    ) -> QueueWaitEstimate:
+        """Estimate the queue wait for a job submitted now: the estimate of
+        the query's `window`.  The estimate does not depend on the order of
+        the records: the mean and stddev are computed exactly."""
+        _check_request(walltime_req_s, cores_req)
+        return self.window(machine, queue, now, window_s).estimate(
+            walltime_req_s, cores_req, buckets)
+
+
+def _check_request(walltime_req_s: float, cores_req: int) -> None:
+    if not 0 < walltime_req_s < math.inf:  # NaN fails too
+        raise ValueError(f"walltime_req_s must be finite and > 0, got {walltime_req_s!r}")
+    if cores_req < 1:
+        raise ValueError(f"cores_req must be >= 1, got {cores_req!r}")
+
+
+class QueueWindow:
+    """One (machine, queue)'s rows in one window of its history, for the
+    queries of one caller: it reads the store's columns and writes nothing
+    to them.  Each bucket pair is estimated once.  The first query of a
+    cores bucket keeps the window rows inside both of its buckets in one
+    pass; a second query of that cores bucket picks the bucket's waits and
+    walltimes once, and every query of the bucket then scans only those.
+    The whole window's mean and stddev, which a fallback reports, are
+    computed at most once."""
+
+    __slots__ = ("machine", "queue", "_rows", "_lo", "_hi", "_estimates", "_by_cores", "_whole")
+
+    def __init__(self, machine: str, queue: str, rows: _Rows, lo: int, hi: int):
+        self.machine, self.queue = machine, queue
+        self._rows, self._lo, self._hi = rows, lo, hi
+        self._estimates: Dict[tuple, QueueWaitEstimate] = {}
+        # cores bounds -> None once queried, then (waits, walltimes) of the bucket
+        self._by_cores: Dict[tuple, Optional[Tuple[list, list]]] = {}
+        self._whole: Optional[tuple] = None
+
+    def estimate(self, walltime_req_s: float, cores_req: int,
+                 buckets: SimilarityBuckets = DEFAULT_BUCKETS) -> QueueWaitEstimate:
+        """The mean wait of the window's jobs whose walltime and cores fall
+        in the query's similarity buckets, or of the whole window, flagged
+        as a fallback, if none do."""
+        _check_request(walltime_req_s, cores_req)
+        key = (_bucket_bounds(buckets.walltime_edges_s, walltime_req_s),
+               _bucket_bounds(buckets.cores_edges, cores_req))
+        estimate = self._estimates.get(key)
+        if estimate is None:
+            estimate = self._estimates[key] = self._estimate(*key)
+        return estimate
+
+    def _estimate(self, walltime_bounds: tuple, cores_bounds: tuple) -> QueueWaitEstimate:
+        rows, lo, hi = self._rows, self._lo, self._hi
+        (w_lo, w_hi), (c_lo, c_hi) = walltime_bounds, cores_bounds
+        if cores_bounds not in self._by_cores:  # the bucket's first query: one pass
+            self._by_cores[cores_bounds] = None
+            rows_of_bucket = zip(rows.waits[lo:hi], rows.walltimes[lo:hi], rows.cores[lo:hi])
+            filtered = [wait for wait, walltime, cores in rows_of_bucket
+                        if w_lo <= walltime < w_hi and c_lo <= cores < c_hi]
+        else:
+            picked = self._by_cores[cores_bounds]
+            if picked is None:
+                inside = [c_lo <= cores < c_hi for cores in rows.cores[lo:hi]]
+                picked = self._by_cores[cores_bounds] = (
+                    list(compress(rows.waits[lo:hi], inside)),
+                    list(compress(rows.walltimes[lo:hi], inside)))
+            filtered = [wait for wait, walltime in zip(*picked) if w_lo <= walltime < w_hi]
+        if filtered:
+            (mean, stddev), n = mean_and_stddev(filtered), len(filtered)
+        else:
+            if self._whole is None:
+                self._whole = mean_and_stddev(rows.waits[lo:hi])
+            (mean, stddev), n = self._whole, hi - lo
         return QueueWaitEstimate(
-            machine=machine,
-            queue=queue,
+            machine=self.machine,
+            queue=self.queue,
             mean_wait_s=mean,
             sample_stddev_s=stddev,
-            n_samples=len(waits),
-            fallback_used=fallback,
+            n_samples=n,
+            fallback_used=not filtered,
         )

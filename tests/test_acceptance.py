@@ -378,9 +378,3 @@ def test_criterion_10_determinism_byte_identical_results():
     assert RESULT.decode(json.loads(b1)) == r1
     report(10, started)
 
-
-def test_bundled_scenario_holds_the_table_of_behaviors_json():
-    """The criteria read behaviors.json, and `simulate` the copy inside the
-    bundled scenario: until the scenario names the file instead (ROADMAP
-    item 2), the two copies must stay equal."""
-    assert bundled_json("scenario.json")["behaviors"] == bundled_json("behaviors.json")

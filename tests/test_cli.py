@@ -142,7 +142,7 @@ class TestSchemas:
         "predict": "a1fdda7200dc07965d0a03eb52b0c6c76d4d057b9063e1638ea17eded7d693cd",
         "queue-wait": "4ee47c8d78e55f3dc89404883681112fd73ccf09c47be582fed49ce5ebd10d30",
         "select": "0a81297fdd605167a3ee0592602a82adf639d6f21a195254850e0c301a059b92",
-        "simulate": "58a37f117851e3aef6064e822c2562a70920fd3893f0e9dcb1e12116c9c1a9f1",
+        "simulate": "5383451af1502ac9907d276fa5914579200fe07cfe726ebcbac834b247b996a5",
         "report": "20abe1442166f0bec3a18f171006c7fd13069abaffaecfedb5aace9debb0403b",
     }
 
@@ -184,6 +184,7 @@ STRICT_CASES = {
     "config.json": ["predict", "--profiles", "@profiles.csv", "--clocks", "@clocks.json",
                     "--config", "@config.json"],
     "scenario.json": ["simulate", "--scenario", "@scenario.json"],
+    "behaviors.json": ["simulate", "--scenario", "@scenario.json"],
 }
 MUTATIONS = [
     ("workload_64.json", "add", [], "tasks_"),
@@ -227,6 +228,10 @@ MUTATIONS = [
      "samples"),
     ("scenario.json", 0, ["behaviors", 0], "capacity_cores"),
     ("scenario.json", "batch", ["behaviors", 0], "pilot_mode"),
+    ("behaviors.json", "add", [1, "tq_dist"], "meen"),
+    ("behaviors.json", math.nan, [3, "tq_dist"], "stddev"),
+    ("behaviors.json", "del", [2], "tx_dist"),
+    ("behaviors.json", "batch", [0], "pilot_mode"),
 ]
 
 
@@ -260,14 +265,19 @@ class TestStrictInputs:
 def edited_bundled_copy(tmp_path, name, path, edit):
     """Copy the bundled files to ``tmp_path``, call ``edit`` on the value at
     ``path`` in the copy of ``name``, and return that copy's path and the
-    argv of the subcommand that reads it (a scenario's plan is a one-task
-    random plan)."""
+    argv of the subcommand that reads it.  A scenario's plan is a one-task
+    random plan; its behaviors are the copy of behaviors.json, inline when
+    ``name`` is the scenario and by path when it is behaviors.json."""
     files = {f.name: str(shutil.copy(f, tmp_path / f.name)) for f in BUNDLED.iterdir()}
+    if name in ("scenario.json", "behaviors.json"):
+        behaviors = json.loads((tmp_path / "behaviors.json").read_text())
+        write(tmp_path / "scenario.json", {
+            **json.loads((tmp_path / "scenario.json").read_text()),
+            "behaviors": behaviors if name == "scenario.json" else files["behaviors.json"],
+            "plan": write(tmp_path / "plan.json", {
+                "workload_id": "w", "strategy": "random",
+                "assignments": {"t": {"resource_id": "supermic"}}})})
     doc = json.loads((tmp_path / name).read_text())
-    if name == "scenario.json":
-        doc["plan"] = write(tmp_path / "plan.json", {
-            "workload_id": "w", "strategy": "random",
-            "assignments": {"t": {"resource_id": "supermic"}}})
     target = doc
     for step in path:
         target = target[step]
@@ -283,10 +293,11 @@ class TestDuplicateIds:
 
     @pytest.mark.parametrize("name,key,index", [
         ("pool.json", "", 1), ("clocks.json", "", 2), ("scenario.json", "behaviors", 0),
+        ("behaviors.json", "", 1),
     ])
     def test_duplicate_resource_id_exits_1(self, tmp_path, capsys, name, key, index):
-        items = json.loads((BUNDLED / name).read_text())
-        items = items[key] if key else items
+        source = "behaviors.json" if key == "behaviors" else name  # the scenario's behaviors
+        items = json.loads((BUNDLED / source).read_text())
         rid, dup = items[index]["resource_id"], len(items)  # the copy goes last
         file, argv = edited_bundled_copy(tmp_path, name, [key] if key else [],
                                          lambda target: target.append(target[index]))
@@ -354,6 +365,7 @@ class TestUnreadFields:
     ])
     def test_unread_field_exits_1(self, tmp_path, capsys, index, key, patch, named):
         doc = json.loads((BUNDLED / "scenario.json").read_text())
+        doc["behaviors"] = json.loads((BUNDLED / "behaviors.json").read_text())
         doc["plan"] = write(tmp_path / "plan.json", {
             "workload_id": "w", "strategy": "random",
             "assignments": {"t": {"resource_id": "supermic"}}})
@@ -483,9 +495,12 @@ class TestOneSubcommandParser:
                 _build_every_parser(monkeypatch)
             cwd = tmp_path / side
             cwd.mkdir()
+            # the bundled scenario names its behaviors relative to the repository
+            (cwd / "scenarios").symlink_to(BUNDLED.parent, target_is_directory=True)
             monkeypatch.chdir(cwd)
             results = [(main(list(argv)), *capsys.readouterr()) for argv in calls]
-            runs.append((results, {f.name: f.read_bytes() for f in cwd.iterdir()}))
+            runs.append((results, {f.name: f.read_bytes() for f in cwd.iterdir()
+                                   if not f.is_symlink()}))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("argv", [["select", "--help"], ["report", "--schema"], ["-h"], []])
@@ -614,7 +629,8 @@ class TestPipeline:
             edit(entry)
         write(plan_path, plan)
         scenario = json.loads((BUNDLED / "scenario.json").read_text())
-        scenario = write(tmp_path / "scenario.json", {**scenario, "plan": str(plan_path)})
+        scenario = write(tmp_path / "scenario.json", {
+            **scenario, "plan": str(plan_path), "behaviors": str(BUNDLED / "behaviors.json")})
         assert main(["simulate", "--scenario", scenario]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -989,19 +1005,24 @@ class TestCrossFileErrors:
             f"error: {tmp_path / 'profiles.csv'}: no baseline profile 'md-1m' for task "
             f"'md-100k-0000' of {tmp_path / 'workload_64.json'}\n")
 
-    @pytest.mark.parametrize("inline", [False, True], ids=["plan-file", "inline-plan"])
-    def test_missing_behavior_names_scenario_and_plan(self, tmp_path, capsys, inline):
-        def edit(scenario):
-            del scenario["behaviors"][0]  # supermic's
+    @pytest.mark.parametrize("inline,name", [
+        (False, "scenario.json"), (True, "scenario.json"), (False, "behaviors.json")],
+        ids=["plan-file", "inline-plan", "behaviors-file"])
+    def test_missing_behavior_names_scenario_and_plan(self, tmp_path, capsys, inline, name):
+        """The file that holds the behaviors is named: the scenario, or the
+        file its ``behaviors`` names."""
+        def edit(doc):
+            behaviors = doc["behaviors"] if name == "scenario.json" else doc
+            del behaviors[0]  # supermic's
             if inline:
-                scenario["plan"] = json.loads((tmp_path / "plan.json").read_text())
+                doc["plan"] = json.loads((tmp_path / "plan.json").read_text())
 
-        scenario, argv = edited_bundled_copy(tmp_path, "scenario.json", [], edit)
+        blamed, argv = edited_bundled_copy(tmp_path, name, [], edit)
         assert main(argv) == 1
         captured = capsys.readouterr()
         plan = "its plan" if inline else tmp_path / "plan.json"
         assert captured.out == ""
-        assert captured.err == f"error: {scenario}: no behavior for resource 'supermic' of {plan}\n"
+        assert captured.err == f"error: {blamed}: no behavior for resource 'supermic' of {plan}\n"
 
     def test_overflowing_trial_names_scenario(self, tmp_path, capsys):
         def edit(behavior):

@@ -1,3 +1,4 @@
+import copy
 import functools
 import inspect
 import json
@@ -7,9 +8,12 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resselect.match as match_module
 import resselect.plan as plan_module
+import resselect.queuewait as queuewait_module
 from resselect import (
     BaselineProfile,
     Capability,
@@ -34,12 +38,15 @@ from resselect.model import canonical_dumps
 from resselect.plan import (Assignment, MissingClockError, SelectionPlan, TtcRangeError,
                             task_estimates)
 from resselect.predict import UnknownTaskError, profiles_by_task
-from resselect.queuewait import DEFAULT_BUCKETS, NoQueueHistoryError
+from resselect.queuewait import (DEFAULT_BUCKETS, DEFAULT_WINDOW_S, NoQueueHistoryError,
+                                 QueueWindow, SimilarityBuckets, _bucket_bounds)
 
 from conftest import task_ids, workload_of
-from oracles import canonical_dumps_oracle, first_argmax_oracle
+from oracles import (canonical_dumps_oracle, exact_mean_stddev_oracle, first_argmax_oracle,
+                     queue_filter_oracle)
 
 NOW = 1_700_000_000.0
+DAY = 86400.0
 X86 = ConsumableSpec("x86_cycle", {"isa": frozenset(["x86"])})
 
 
@@ -280,12 +287,13 @@ ARM = ConsumableSpec("arm_cycle", {"isa": frozenset(["arm"])})
 MEM = ConsumableSpec("byte")
 
 
-def kinds_bag():
+def kinds_bag(config=None):
     """24 tasks, interleaved by id, in four (viable set, profile id) pairs
     and four kinds.  Pair x86-p1 mixes tasks given as requirements with
     tasks given as two instructions that aggregate to the same requirements,
     which are a kind of their own; the kind of the x86 requirements holds
-    tasks of both profiles."""
+    tasks of both profiles.  ``config`` is kept but for its
+    ``profile_overrides``."""
     x86 = (Requirement(X86, 1e13),)
     x86_split = (Instruction((Requirement(X86, 4e12),)), Instruction((Requirement(X86, 6e12),)))
     x86_mem = (Requirement(X86, 5e12), Requirement(MEM, 1e9))
@@ -319,9 +327,19 @@ def kinds_bag():
         for i, (wait, walltime) in enumerate([(300.0, 7200.0), (9000.0, 20000.0),
                                               (5000.0, 50000.0), (700.0, 7200.0)])
     ]
-    config = Config(profile_overrides=overrides)
+    config = Config(**{**vars(config or Config()), "profile_overrides": overrides})
     store = QueueWaitStore(records)
     return workload_of("bag", tasks), pool, profiles, clocks, store, config
+
+
+def shared_queues_config():
+    """`kinds_bag`'s x86 resources on one queue, with walltime buckets that
+    hold no job for two of the three buckets that queue is asked (7500 s and
+    15000 s on rA; 6000 s on rB and 5000 s on rD share the third), nor for
+    rC's 15000 s."""
+    return Config(resource_queues={"rB": ("rA", "default"), "rD": ("rA", "default")},
+                  buckets=SimilarityBuckets((7300.0, 14000.0, 16000.0),
+                                            DEFAULT_BUCKETS.cores_edges))
 
 
 class TestPlanErrorMessages:
@@ -432,24 +450,33 @@ def assert_matched_per_consumable(calls, workload, pool):
 
 def counted(monkeypatch, owner, name):
     """Replace ``owner.name`` with a wrapper that records each call's bound
-    arguments in the returned list."""
+    arguments, and under ``"returned"`` what it returned, in the returned
+    list."""
     original = getattr(owner, name)
     signature = inspect.signature(original)
     calls = []
 
     @functools.wraps(original)
     def wrapper(*args, **kwargs):
-        calls.append(signature.bind(*args, **kwargs).arguments)
-        return original(*args, **kwargs)
+        call = signature.bind(*args, **kwargs).arguments
+        calls.append(call)
+        call["returned"] = original(*args, **kwargs)
+        return call["returned"]
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
 def bucketed(call):
+    """A counted `QueueWindow.estimate` or `_estimate` call as (its
+    window's machine/queue, walltime bounds, cores bounds)."""
+    window = call["self"]
+    if "walltime_bounds" in call:
+        return window.machine + "/" + window.queue, call["walltime_bounds"], call["cores_bounds"]
     b = call.get("buckets", DEFAULT_BUCKETS)
-    return (call["machine"], call["queue"], b.walltime_bucket(call["walltime_req_s"]),
-            b.cores_bucket(call["cores_req"]))
+    return (window.machine + "/" + window.queue,
+            _bucket_bounds(b.walltime_edges_s, call["walltime_req_s"]),
+            _bucket_bounds(b.cores_edges, call["cores_req"]))
 
 
 class TestKindDedupe:
@@ -469,24 +496,40 @@ class TestKindDedupe:
         plan = plan_random(workload, pool, seed=7)
         assert {t: a.resource_id for t, a in plan.assignments.items()} == expected
 
-    def test_each_kind_and_query_is_computed_once(self, monkeypatch):
-        args = kinds_bag()
-        workload, _, _, _, store, config = args
-        rescan_queries = counted(monkeypatch, QueueWaitStore, "estimate_tq")
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-queues", "shared-queues"])
+    def test_each_kind_and_query_is_computed_once(self, monkeypatch, shared):
+        """One window per (machine, queue), one estimate per distinct
+        bucketed query and at most one whole-window summary per window.
+        With ``shared``, three resources use one queue and the walltime
+        buckets leave two of its queries without a similar job."""
+        args = kinds_bag(shared_queues_config() if shared else None)
+        workload, pool, _, _, store, config = args
+        rescan_queries = counted(monkeypatch, QueueWindow, "estimate")
         rescan_model_plan(*args)
         distinct = {bucketed(c) for c in rescan_queries}
         assert len(rescan_queries) > len(distinct)  # the rescan repeats queries
 
         predicted = counted(monkeypatch, plan_module, "predict_sequential_cycles")
-        queries = counted(monkeypatch, QueueWaitStore, "estimate_tq")
+        windows = counted(monkeypatch, QueueWaitStore, "window")
+        computed = counted(monkeypatch, QueueWindow, "_estimate")
+        summaries = counted(monkeypatch, queuewait_module, "mean_and_stddev")
         matching = spy_matching(monkeypatch)
+        held = copy.deepcopy(vars(store))
         plan_model(*args, now=NOW)
-        assert_matched_per_consumable(matching, workload, args[1])
+        assert_matched_per_consumable(matching, workload, pool)
         assert len(predicted) == 4  # (requirement set, profile id) kinds
-        assert sorted(bucketed(c) for c in queries) == sorted(distinct)
+        queues = sorted(c["machine"] + "/" + c["queue"] for c in windows)
+        assert queues == sorted({q for q, _, _ in distinct})
+        assert queues == (["rA/default", "rC/default"] if shared else
+                          ["rA/default", "rB/default", "rC/default", "rD/default"])
+        assert sorted(bucketed(c) for c in computed) == sorted(distinct)
+        fell_back = [id(c["self"]) for c in computed if c["returned"].fallback_used]
+        assert len(summaries) == len(computed) - len(fell_back) + len(set(fell_back))
+        assert (len(fell_back), len(set(fell_back))) == ((3, 2) if shared else (0, 0))
+        assert vars(store) == held  # the store keeps nothing of the plan call
 
-        plan_random(workload, args[1], seed=3)
-        assert_matched_per_consumable(matching, workload, args[1])
+        plan_random(workload, pool, seed=3)
+        assert_matched_per_consumable(matching, workload, pool)
 
     @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "split"])
     def test_each_kind_is_matched_once(self, monkeypatch, grouped):
@@ -528,6 +571,78 @@ class TestKindDedupe:
             rescan_model_plan(workload, pool, p1_only, clocks, store, config)
         assert str(memo.value) == str(rescan.value)
         assert "'t-001'" in str(memo.value)
+
+
+class TestQueueWindows:
+    """A planning call's windows give every query the estimate of a fresh
+    `QueueWaitStore.estimate_tq` call, on histories where many queries fall
+    back: each queue's jobs ask for one or two walltimes and a few core
+    counts, and in a plan several resources share one queue."""
+
+    MACHINES = ("m0", "m1", "m2")
+
+    def history(self, rng):
+        """Up to 30 jobs per queue, some submitted after ``NOW`` or before
+        its 7-day window, and one an hour before ``NOW``."""
+        records = []
+        for machine in self.MACHINES:
+            walltimes = rng.sample([600.0, 7200.0, 20000.0, 100000.0], rng.randint(1, 2))
+            ages = [3600.0] + [rng.uniform(-DAY, 9 * DAY) for _ in range(rng.randint(0, 29))]
+            records += [QueueWaitRecord(machine, "q", NOW - age, float(rng.randint(0, 5000)),
+                                        rng.choice(walltimes), rng.choice([1, 2, 16]))
+                        for age in ages]
+        rng.shuffle(records)
+        return records
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**9))
+    def test_window_estimates_equal_fresh_queries(self, seed):
+        rng = random.Random(seed)
+        records = self.history(rng)
+        store = QueueWaitStore(records)
+        windows = plan_module._Windows(store)
+        window_s = rng.choice([DAY, DEFAULT_WINDOW_S])
+        for _ in range(40):
+            query = (rng.choice(self.MACHINES), "q",
+                     rng.choice([300.0, 600.0, 5000.0, 7200.0, 20000.0, 50000.0, 100000.0]),
+                     rng.choice([1, 2, 3, 16, 64]))
+            try:
+                fresh = store.estimate_tq(*query, NOW, window_s)
+            except NoQueueHistoryError:
+                with pytest.raises(NoQueueHistoryError):
+                    windows.window(*query[:2], NOW, window_s)
+                continue
+            estimate = windows.window(*query[:2], NOW, window_s).estimate(*query[2:])
+            assert vars(estimate) == vars(fresh)  # mean, stddev, n_samples, fallback_used
+            in_window, same_bucket = queue_filter_oracle(records, *query, NOW, window_s,
+                                                         DEFAULT_BUCKETS)
+            waits = [r.wait_s for r in same_bucket or in_window]
+            assert (estimate.mean_wait_s, estimate.sample_stddev_s) == \
+                exact_mean_stddev_oracle(waits)
+            assert (estimate.n_samples, estimate.fallback_used) == (len(waits), not same_bucket)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**9))
+    def test_plan_tq_is_the_fresh_estimate(self, seed):
+        rng = random.Random(seed)
+        store = QueueWaitStore(self.history(rng))
+        rids = [f"r{i}" for i in range(6)]
+        pool = make_pool({rid: 1e9 for rid in rids})
+        clocks = {rid: ClockSpec(rid, hz, hz) for rid, hz in
+                  zip(rids, rng.sample([0.5e9, 1e9, 1.5e9, 2e9, 2.5e9, 3e9, 4e9], 6))}
+        profiles = [p for i in (1, 2, 3) for p in make_profiles(i * 1e13, f"p{i}")]
+        config = Config(resource_queues={rid: (rng.choice(self.MACHINES), "q") for rid in rids},
+                        profile_overrides={f"t-{i:04d}": f"p{i % 3 + 1}" for i in range(6)},
+                        cores_per_task=rng.choice([1, 2, 16]))
+        plan = plan_model(make_workload(6), pool, profiles, clocks, store, config, now=NOW)
+        for a in plan.assignments.values():
+            machine, queue = config.machine_queue(a.resource_id)
+            assert a.tq_s == store.estimate_tq(machine, queue, a.walltime_s,
+                                               config.cores_per_task, NOW).mean_wait_s
+        by_task, windows = profiles_by_task(profiles), plan_module._Windows(store)
+        for task_id in sorted(config.profile_overrides):
+            assert (task_estimates(task_id, rids, by_task, clocks, windows, config, NOW)
+                    == task_estimates(task_id, rids, by_task, clocks, store, config, NOW))
 
 
 def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatch):

@@ -1,8 +1,10 @@
 """The README's quick start, run with each ``# ->`` value checked, and its
 command-line pipeline on the bundled scenario, pinned by sha256: a change
 that alters any byte of these outputs fails here.  The commands run in a
-temporary directory, because the bundled scenario names its plan by a path
-relative to the working directory."""
+temporary directory, because the bundled scenario names its plan and its
+behaviors by paths relative to the working directory: the directory holds
+``scenarios``, a link to the repository's, as the README's commands run
+from the repository's root."""
 
 import ast
 import hashlib
@@ -25,6 +27,7 @@ PINNED = {
 
 def test_readme_commands_on_bundled_scenario_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenarios").symlink_to(BUNDLED.parent, target_is_directory=True)
     select = ["select", "--workload", str(BUNDLED / "workload_64.json"),
               "--pool", str(BUNDLED / "pool.json")]
     assert main(select + [
@@ -34,7 +37,8 @@ def test_readme_commands_on_bundled_scenario_are_pinned(tmp_path, monkeypatch):
     assert main(select + ["--strategy", "random", "--seed", "1",
                           "--out", "random_plan.json"]) == 0
     scenario = json.loads((BUNDLED / "scenario.json").read_text())
-    assert scenario["plan"] == "plan.json"
+    assert (scenario["plan"], scenario["behaviors"]) == (
+        "plan.json", "scenarios/bundled/behaviors.json")
     (tmp_path / "random_scenario.json").write_text(
         json.dumps({**scenario, "plan": "random_plan.json"}))
     for scenario_path, prefix in ((str(BUNDLED / "scenario.json"), ""),
