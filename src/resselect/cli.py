@@ -54,8 +54,8 @@ def _read_json(path: str):
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
-            keys = [key for key, _ in pairs]
-            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            seen = set()  # the first key, in file order, that repeats an earlier one
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
             raise CliError(f"{path}: duplicate key {key!r}")
         return obj
 

@@ -1,11 +1,13 @@
 """Workload planning: combine predicted execution time and queue wait into
-per-task time-to-completion estimates and assign each task a resource.
+time-to-completion estimates, one set per (profile id, viable resources)
+pair of tasks, and assign each task a resource.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 from .config import Config
@@ -87,7 +89,8 @@ def _resource_requests(assignments: Dict[str, Assignment], cores_per_task: int) 
     """Tasks that share an `Assignment` object are counted together."""
     tasks = Counter(map(id, assignments.values()))
     requests: Dict[str, dict] = {}
-    for a in {id(a): a for a in assignments.values()}.values():
+    values = assignments.values()
+    for a in dict(zip(map(id, values), values)).values():
         n = tasks[id(a)]
         entry = requests.setdefault(
             a.resource_id, {"task_count": 0, "cores": 0, "max_walltime_s": None}
@@ -160,20 +163,6 @@ class _Windows(dict):
         return window
 
 
-def _viable_by_task(workload: WorkloadSpec, pool: Sequence[ResourceSpec]):
-    """Yield each task's id and viable resource ids in id order, matching
-    each kind once with one dict of `viable_set`'s masks.  A task no resource
-    can run raises `EmptyViableSetError` when it is reached, in id order."""
-    masks, viable = {}, {}
-    for task, ids in workload.kinds:
-        viable.update(dict.fromkeys(ids, viable_set(task, pool, masks).resource_ids))
-    for task_id in sorted(viable):  # not .items(): a pair per task would feed the GC
-        ids = viable[task_id]
-        if not ids:
-            raise EmptyViableSetError(f"no resource can run task {task_id!r}")
-        yield task_id, ids
-
-
 def plan_model(
     workload: WorkloadSpec,
     pool: Sequence[ResourceSpec],
@@ -186,20 +175,27 @@ def plan_model(
     """Assign every task the viable resource with the smallest predicted
     TTC (`res_select`).  Ties go to pool order.
 
-    Each kind is matched once.  A task's estimates depend on nothing but its
-    profile id and viable ids, so each such pair is estimated once and its
-    tasks share one `Assignment`; ``profile_overrides`` can split a kind."""
+    Each kind is matched once and its tasks grouped by (profile id, viable
+    ids), on which alone their estimates depend; ``profile_overrides`` can
+    split a kind.  Each pair is estimated once, in order of its smallest
+    task id (which an error names), and its tasks share one `Assignment`."""
     by_task = profiles_by_task(profiles)
     queries = _Windows(queue_store)
-    chosen_by_kind: Dict[tuple, Assignment] = {}
-    assignments: Dict[str, Assignment] = {}
-    for task_id, ids in _viable_by_task(workload, pool):
-        kind = (config.profile_id(task_id), ids)
-        chosen = chosen_by_kind.get(kind)
-        if chosen is None:
-            chosen = chosen_by_kind[kind] = res_select(
-                task_estimates(task_id, ids, by_task, clocks, queries, config, now))
-        assignments[task_id] = chosen
+    overrides, default = config.profile_overrides, config.default_profile
+    masks, pairs = {}, {}
+    for task, ids in workload.kinds:
+        viable = viable_set(task, pool, masks).resource_ids
+        if default is not None and overrides.keys().isdisjoint(ids):
+            pairs.setdefault((default, viable), []).extend(ids)
+        else:
+            for task_id in ids:
+                pairs.setdefault((config.profile_id(task_id), viable), []).append(task_id)
+    assignments = dict.fromkeys(sorted(chain.from_iterable(pairs.values())))
+    for first, viable, ids in sorted((min(ids), v, ids) for (_, v), ids in pairs.items()):
+        if not viable:
+            raise EmptyViableSetError(f"no resource can run task {first!r}")
+        chosen = res_select(task_estimates(first, viable, by_task, clocks, queries, config, now))
+        assignments.update(dict.fromkeys(ids, chosen))
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="model",
@@ -216,14 +212,31 @@ def plan_random(
 ) -> SelectionPlan:
     """Assign every task uniformly at random over its viable set using a
     Mersenne-Twister PRNG seeded with ``seed``; the plan records the seed.
-    Tasks drawn to the same resource share one `Assignment` object."""
+    Tasks drawn to the same resource share one `Assignment` object.
+
+    Tasks draw in task-id order, each by `Random.choice`'s draw (3.11 to 3.13)
+    inlined: ``r = getrandbits(n.bit_length())`` until ``r < n`` picks ``ids[r]``."""
     from random import Random
 
-    rng = Random(seed)
+    getrandbits = Random(seed).getrandbits
     by_resource = {r.resource_id: Assignment(r.resource_id) for r in pool}
+    masks, viable_by_task, empty = {}, {}, []
+    for task, ids in workload.kinds:
+        viable = viable_set(task, pool, masks).resource_ids
+        viable_by_task.update(dict.fromkeys(ids, viable))
+        if not viable:
+            empty.append(min(ids))
+    if empty:
+        raise EmptyViableSetError(f"no resource can run task {min(empty)!r}")
     assignments: Dict[str, Assignment] = {}
-    for task_id, ids in _viable_by_task(workload, pool):
-        assignments[task_id] = by_resource[rng.choice(ids)]
+    for task_id in sorted(viable_by_task):  # not .items(): a pair per task feeds the GC
+        ids = viable_by_task[task_id]
+        n = len(ids)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        assignments[task_id] = by_resource[ids[r]]
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="random",

@@ -391,6 +391,8 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
     assignments, requests = {}, {}
     for task_id, task in each_task(workload):
         ids = viable_set(task, pool).resource_ids
+        if not ids:
+            raise EmptyViableSetError(f"no resource can run task {task_id!r}")
         estimates = task_estimates(task_id, ids, by_task, clocks, store, config, NOW)
         best = estimates[first_argmax_oracle([-e.ttc_s for e in estimates])]
         assignments[task_id] = best
@@ -400,6 +402,18 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
         entry["cores"] += config.cores_per_task
         entry["max_walltime_s"] = max(best.walltime_s, entry["max_walltime_s"] or 0.0)
     return SelectionPlan(workload.workload_id, "model", assignments, requests)
+
+
+def rescan_random_draws(workload, pool, seed):
+    """Each task's drawn resource id, the slow way: ``Random(seed).choice``
+    over each task's viable ids, in task-id order."""
+    rng, drawn = random.Random(seed), {}
+    for task_id, task in each_task(workload):
+        ids = viable_set(task, pool).resource_ids
+        if not ids:
+            raise EmptyViableSetError(f"no resource can run task {task_id!r}")
+        drawn[task_id] = rng.choice(ids)
+    return drawn
 
 
 def each_task(workload):
@@ -490,9 +504,7 @@ class TestKindDedupe:
 
     def test_random_plan_equals_per_task_rescan(self):
         workload, pool = kinds_bag()[:2]
-        rng = random.Random(7)
-        expected = {i: rng.choice(viable_set(t, pool).resource_ids)
-                    for i, t in each_task(workload)}
+        expected = rescan_random_draws(workload, pool, 7)
         plan = plan_random(workload, pool, seed=7)
         assert {t: a.resource_id for t, a in plan.assignments.items()} == expected
 
@@ -553,8 +565,7 @@ class TestKindDedupe:
         assert not ({id(t.requirements or t.instructions) for t, _ in workload.kinds}
                     & {id(t.requirements or t.instructions) for t, _ in copy.kinds})
         expected = canonical_dumps(PLAN.encode(rescan_model_plan(*args)))
-        rng = random.Random(7)
-        drawn = {i: rng.choice(viable_set(t, pool).resource_ids) for i, t in each_task(workload)}
+        drawn = rescan_random_draws(workload, pool, 7)
         for bag in (workload, copy):
             assert canonical_dumps(PLAN.encode(plan_model(bag, *args[1:], now=NOW))) == expected
             plan = plan_random(bag, pool, seed=7)
@@ -571,6 +582,85 @@ class TestKindDedupe:
             rescan_model_plan(workload, pool, p1_only, clocks, store, config)
         assert str(memo.value) == str(rescan.value)
         assert "'t-001'" in str(memo.value)
+
+
+PROFILE_NAMES = ["p1", "p2", "p3"] + [f"t-{i:02d}" for i in range(10)]
+
+
+@st.composite
+def pair_bags(draw):
+    """`kinds_bag`'s pool, clocks and history with a small bag of up to four
+    kinds (in some bags, one that no resource can run) whose task ids
+    interleave, a ``default_profile`` or none, ``profile_overrides`` that
+    may split a kind, and baseline profiles for all but up to two of the
+    names these can give."""
+    _, pool, _, clocks, store, _ = kinds_bag()
+    bodies = [(Requirement(X86, 1e13),), (Requirement(X86, 5e12), Requirement(MEM, 1e9)),
+              (Requirement(ARM, 2e13),), (Requirement(ConsumableSpec("gpu"), 1.0),)]
+    n = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(n)))
+    runnable = draw(st.sampled_from([2, 2, 2, 3]))  # the last body no resource can run
+    kinds = draw(st.lists(st.integers(0, runnable), min_size=n, max_size=n))
+    tasks = [TaskSpec(f"t-{order[i]:02d}", requirements=bodies[k]) for i, k in enumerate(kinds)]
+    ids = [t.task_id for t in tasks]
+    overrides = draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(PROFILE_NAMES[:3])))
+    config = Config(default_profile=draw(st.none() | st.sampled_from(PROFILE_NAMES[:3])),
+                    profile_overrides=overrides)
+    missing = draw(st.sets(st.sampled_from(PROFILE_NAMES), max_size=2))
+    profiles = [p for i, name in enumerate(PROFILE_NAMES) if name not in missing
+                for p in make_profiles(1e13 * (1 + i / 4), name)]
+    return workload_of("bag", tasks), pool, profiles, clocks, store, config
+
+
+def planned(plan, *args):
+    """``plan(*args)``, or the `ValueError` it raised."""
+    try:
+        return plan(*args)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair_bags())
+def test_pair_planner_equals_per_task_rescan(args):
+    """Grouping a kind's tasks by (profile id, viable ids), with or without
+    the default profile's shortcut, gives the per-task rescan's plan and
+    bytes, or its error, naming the same task; so do the random draws."""
+    workload, pool = args[:2]
+    drawn = planned(rescan_random_draws, workload, pool, 5)
+    plan = planned(plan_random, workload, pool, 5)
+    if isinstance(drawn, ValueError):
+        assert (type(plan), str(plan)) == (type(drawn), str(drawn))
+    else:
+        assert {i: a.resource_id for i, a in plan.assignments.items()} == drawn
+    expected = planned(rescan_model_plan, *args)
+    plan = planned(plan_model, *args, NOW)
+    if isinstance(expected, ValueError):
+        assert (type(plan), str(plan)) == (type(expected), str(expected))
+        return
+    assert plan == expected
+    assert canonical_dumps(PLAN.encode(plan)) == canonical_dumps(PLAN.encode(expected))
+    assert list(plan.assignments) == sorted(plan.assignments)
+
+
+def test_random_draw_is_random_choice():
+    """Each task's draw is ``Random(seed).choice`` over its viable ids, in
+    task-id order, on viable sets of 1 to 9 resources, so that draws are
+    rejected and drawn again, whether equal bodies are one kind or each
+    task a kind of its own."""
+    slot = lambda values: ConsumableSpec("slot", {"n": frozenset(values)})  # noqa: E731
+    pool = [ResourceSpec(f"r{j}", (Capability(slot([j]), 1.0),)) for j in range(9)]
+    needs = lambda size: (Requirement(slot(range(size)), 1.0),)  # noqa: E731 - r0 to r{size-1}
+    tasks = [TaskSpec(f"t-{(i * 7) % 45:02d}", requirements=needs(i % 9 + 1)) for i in range(45)]
+    workload = workload_of("w", tasks)
+    assert len(workload.kinds) == 9
+    sizes = {len(viable_set(t, pool).resource_ids) for t, _ in workload.kinds}
+    assert sorted(sizes) == list(range(1, 10))
+    for seed in range(300):
+        expected = rescan_random_draws(workload, pool, seed)
+        for bag in (workload, split(workload)):
+            plan = plan_random(bag, pool, seed)
+            assert {i: a.resource_id for i, a in plan.assignments.items()} == expected
 
 
 class TestQueueWindows:
