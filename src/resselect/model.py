@@ -6,9 +6,9 @@ amounts of consumables (requirements); resources offer them at fixed rates
 (capabilities).  All types here are immutable and hashable, and every
 operation is a pure function.
 
-The module also holds `mean_and_stddev`, the one exact summary that every
-reported mean and sample stddev comes from; it imports nothing from the
-package, so every module can use it.
+The module also holds the exact summaries that every mean and sample stddev
+comes from, `mean_and_stddev` and the mean alone, `exact_mean`; it imports
+nothing from the package, so every module can use them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from itertools import repeat
 from json.encoder import encode_basestring
-from math import frexp, inf, isfinite, isqrt, ldexp
+from math import frexp, fsum, inf, isfinite, isqrt, ldexp
 from operator import itemgetter, mul
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -390,6 +390,29 @@ def mean_and_stddev(values: Sequence[float]) -> Tuple[float, Optional[float]]:
     if n < 2:
         return mean, None
     return mean, _sqrt_ratio(n * sum(map(mul, xs, xs)) - total * total, n * (n - 1), -k)
+
+
+def exact_mean(values: Sequence[float]) -> float:
+    """`mean_and_stddev`'s mean, bit for bit, without the sum of squares.
+
+    ``hi = fsum(values)`` is the sum rounded once and ``lo`` the fsum of its
+    error; when ``lo``, or the fsum of the values, ``-hi`` and ``-lo``, is 0,
+    ``hi + lo`` is the exact sum and the mean one correctly rounded integer
+    division.  An error that is no float or a sum past the float range takes
+    `_exact_integers`; no values and non-finite ones raise `ValueError`."""
+    n = len(values)
+    try:
+        hi = fsum(values)
+        lo = fsum([*values, -hi])
+        if n and not (lo and fsum([*values, -hi, -lo])):
+            (a, b), (c, d) = hi.as_integer_ratio(), lo.as_integer_ratio()
+            return (a * d + c * b) / (b * d * n)  # b and d are powers of two
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        pass
+    if not n:
+        raise ValueError("no values to summarize")
+    xs, k = _exact_integers(values)
+    return sum(xs) / (n << k)
 
 
 def _exact_integers(values: Sequence[float]) -> Tuple[List[int], int]:

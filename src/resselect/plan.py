@@ -6,9 +6,8 @@ pair of tasks, and assign each task a resource.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import chain
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .config import Config
 from .match import EmptyViableSetError, res_select, viable_set
@@ -85,13 +84,10 @@ class SelectionPlan(Value):
         return PLAN.encode(self)
 
 
-def _resource_requests(assignments: Dict[str, Assignment], cores_per_task: int) -> Dict[str, dict]:
-    """Tasks that share an `Assignment` object are counted together."""
-    tasks = Counter(map(id, assignments.values()))
+def _resource_requests(shared: Iterable[tuple], cores_per_task: int) -> Dict[str, dict]:
+    """The requests of (`Assignment`, number of tasks that share it) pairs."""
     requests: Dict[str, dict] = {}
-    values = assignments.values()
-    for a in dict(zip(map(id, values), values)).values():
-        n = tasks[id(a)]
+    for a, n in shared:
         entry = requests.setdefault(
             a.resource_id, {"task_count": 0, "cores": 0, "max_walltime_s": None}
         )
@@ -136,8 +132,8 @@ def task_estimates(
                                      "takes at its base clock")
         machine, queue = config.machine_queue(rid)
         try:
-            tq = queue_store.window(machine, queue, now, config.window_s).estimate(
-                walltime, config.cores_per_task, config.buckets).mean_wait_s
+            tq = queue_store.window(machine, queue, now, config.window_s).mean_wait(
+                walltime, config.cores_per_task, config.buckets)
         except NoQueueHistoryError as exc:
             raise NoQueueHistoryError(f"{exc}, for resource {rid!r}") from exc
         if tq + tx == math.inf:  # both are finite and >= 0
@@ -150,7 +146,7 @@ def task_estimates(
 class _Windows(dict):
     """A queue store's windows for one planning call, keyed by (machine,
     queue, now, window_s): each is bisected once, and memoizes its own
-    estimates (`QueueWindow`)."""
+    means (`QueueWindow.mean_wait`)."""
 
     def __init__(self, store: QueueWaitStore):
         self._store = store
@@ -191,16 +187,18 @@ def plan_model(
             for task_id in ids:
                 pairs.setdefault((config.profile_id(task_id), viable), []).append(task_id)
     assignments = dict.fromkeys(sorted(chain.from_iterable(pairs.values())))
+    shared = []
     for first, viable, ids in sorted((min(ids), v, ids) for (_, v), ids in pairs.items()):
         if not viable:
             raise EmptyViableSetError(f"no resource can run task {first!r}")
         chosen = res_select(task_estimates(first, viable, by_task, clocks, queries, config, now))
         assignments.update(dict.fromkeys(ids, chosen))
+        shared.append((chosen, len(ids)))
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="model",
         assignments=assignments,
-        resource_requests=_resource_requests(assignments, config.cores_per_task),
+        resource_requests=_resource_requests(shared, config.cores_per_task),
     )
 
 
@@ -229,6 +227,7 @@ def plan_random(
     if empty:
         raise EmptyViableSetError(f"no resource can run task {min(empty)!r}")
     assignments: Dict[str, Assignment] = {}
+    drawn: Dict[str, int] = {}
     for task_id in sorted(viable_by_task):  # not .items(): a pair per task feeds the GC
         ids = viable_by_task[task_id]
         n = len(ids)
@@ -236,11 +235,14 @@ def plan_random(
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        assignments[task_id] = by_resource[ids[r]]
+        rid = ids[r]
+        assignments[task_id] = by_resource[rid]
+        drawn[rid] = drawn.get(rid, 0) + 1
+    shared = [(by_resource[rid], n) for rid, n in drawn.items()]
     return SelectionPlan(
         workload_id=workload.workload_id,
         strategy="random",
         assignments=assignments,
-        resource_requests=_resource_requests(assignments, cores_per_task),
+        resource_requests=_resource_requests(shared, cores_per_task),
         rng_seed=seed,
     )

@@ -9,14 +9,14 @@ window are kept) and the estimate is flagged as a fallback.
 A query's `QueueWaitStore.window` bisects its group's submit times for the
 window once; the window turns the query's two buckets into their ``[lo,
 hi)`` bounds and keeps the window rows inside both with one comparison
-chain each.  The mean and stddev of the kept waits come from
-`model.mean_and_stddev`: the waits are scaled by one power of two to exact
-integers, whose sum and sum of squares give both statistics with one
-rounding each.  A query therefore costs a few C-level passes over its
-window rows (about 0.1 µs per row on a 2-vCPU host under Python 3.11).
-The store keeps nothing between queries; a caller that asks one window
-many queries, as a planning call does, keeps the window, which estimates
-each bucket pair once, summarizes the whole window at most once for the
+chain each.  `QueueWindow.estimate` (and so `estimate_tq` and `queue-wait`)
+reports the kept waits' mean and stddev, from `model.mean_and_stddev`; the
+planner reads the mean alone, `QueueWindow.mean_wait`, from
+`model.exact_mean`: the same bits from three `math.fsum` passes, without
+the sum of squares.  A query therefore costs a few C-level passes over its
+window rows.  The store keeps nothing between queries; a caller that asks
+one window many queries, as a planning call does, keeps the window, which
+summarizes each bucket pair once, the whole window at most once for the
 fallbacks, and from a cores bucket's second query on scans only that
 bucket's rows.
 
@@ -36,7 +36,7 @@ from itertools import compress, count, islice, repeat
 from operator import attrgetter, gt, itemgetter, le, lt, not_, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .model import Value, mean_and_stddev
+from .model import Value, exact_mean, mean_and_stddev
 
 DEFAULT_WINDOW_S = 7 * 24 * 3600
 
@@ -335,37 +335,50 @@ def _check_request(walltime_req_s: float, cores_req: int) -> None:
 class QueueWindow:
     """One (machine, queue)'s rows in one window of its history, for the
     queries of one caller: it reads the store's columns and writes nothing
-    to them.  Each bucket pair is estimated once.  The first query of a
-    cores bucket keeps the window rows inside both of its buckets in one
-    pass; a second query of that cores bucket picks the bucket's waits and
-    walltimes once, and every query of the bucket then scans only those.
-    The whole window's mean and stddev, which a fallback reports, are
-    computed at most once."""
+    to them.  Each bucket pair, and the whole window for the fallbacks, is
+    summarized at most once per summary (`estimate`'s or `mean_wait`'s).
+    The first query of a cores bucket keeps the window rows inside both of
+    its buckets in one pass; a second query of that cores bucket picks the
+    bucket's waits and walltimes once, and every query of the bucket then
+    scans only those."""
 
-    __slots__ = ("machine", "queue", "_rows", "_lo", "_hi", "_estimates", "_by_cores", "_whole")
+    __slots__ = ("machine", "queue", "_rows", "_lo", "_hi", "_summaries", "_by_cores", "_whole")
 
     def __init__(self, machine: str, queue: str, rows: _Rows, lo: int, hi: int):
         self.machine, self.queue = machine, queue
         self._rows, self._lo, self._hi = rows, lo, hi
-        self._estimates: Dict[tuple, QueueWaitEstimate] = {}
+        # (summary, walltime bounds, cores bounds) -> (summary of the waits, n, fallback)
+        self._summaries: Dict[tuple, tuple] = {}
         # cores bounds -> None once queried, then (waits, walltimes) of the bucket
         self._by_cores: Dict[tuple, Optional[Tuple[list, list]]] = {}
-        self._whole: Optional[tuple] = None
+        self._whole: Dict[Callable, object] = {}  # summary -> of the whole window's waits
 
     def estimate(self, walltime_req_s: float, cores_req: int,
                  buckets: SimilarityBuckets = DEFAULT_BUCKETS) -> QueueWaitEstimate:
         """The mean wait of the window's jobs whose walltime and cores fall
         in the query's similarity buckets, or of the whole window, flagged
-        as a fallback, if none do."""
-        _check_request(walltime_req_s, cores_req)
-        key = (_bucket_bounds(buckets.walltime_edges_s, walltime_req_s),
-               _bucket_bounds(buckets.cores_edges, cores_req))
-        estimate = self._estimates.get(key)
-        if estimate is None:
-            estimate = self._estimates[key] = self._estimate(*key)
-        return estimate
+        as a fallback, if none do; with the stddev and count of those waits."""
+        (mean, stddev), n, fallback = self._summary(
+            mean_and_stddev, walltime_req_s, cores_req, buckets)
+        return QueueWaitEstimate(self.machine, self.queue, mean, stddev, n, fallback)
 
-    def _estimate(self, walltime_bounds: tuple, cores_bounds: tuple) -> QueueWaitEstimate:
+    def mean_wait(self, walltime_req_s: float, cores_req: int,
+                  buckets: SimilarityBuckets = DEFAULT_BUCKETS) -> float:
+        """`estimate`'s mean wait, bit for bit, from `model.exact_mean`: no
+        sum of squares, and no estimate built.  The planner reads this."""
+        return self._summary(exact_mean, walltime_req_s, cores_req, buckets)[0]
+
+    def _summary(self, summarize: Callable, walltime_req_s: float, cores_req: int,
+                 buckets: SimilarityBuckets) -> tuple:
+        _check_request(walltime_req_s, cores_req)
+        key = (summarize, _bucket_bounds(buckets.walltime_edges_s, walltime_req_s),
+               _bucket_bounds(buckets.cores_edges, cores_req))
+        summary = self._summaries.get(key)
+        if summary is None:
+            summary = self._summaries[key] = self._summarize(*key)
+        return summary
+
+    def _summarize(self, summarize: Callable, walltime_bounds: tuple, cores_bounds: tuple):
         rows, lo, hi = self._rows, self._lo, self._hi
         (w_lo, w_hi), (c_lo, c_hi) = walltime_bounds, cores_bounds
         if cores_bounds not in self._by_cores:  # the bucket's first query: one pass
@@ -382,16 +395,7 @@ class QueueWindow:
                     list(compress(rows.walltimes[lo:hi], inside)))
             filtered = [wait for wait, walltime in zip(*picked) if w_lo <= walltime < w_hi]
         if filtered:
-            (mean, stddev), n = mean_and_stddev(filtered), len(filtered)
-        else:
-            if self._whole is None:
-                self._whole = mean_and_stddev(rows.waits[lo:hi])
-            (mean, stddev), n = self._whole, hi - lo
-        return QueueWaitEstimate(
-            machine=self.machine,
-            queue=self.queue,
-            mean_wait_s=mean,
-            sample_stddev_s=stddev,
-            n_samples=n,
-            fallback_used=not filtered,
-        )
+            return summarize(filtered), len(filtered), False
+        if summarize not in self._whole:
+            self._whole[summarize] = summarize(rows.waits[lo:hi])
+        return self._whole[summarize], hi - lo, True

@@ -19,7 +19,7 @@ from resselect import (
 )
 from resselect.codec import RESOURCE, TASK
 from resselect import model
-from resselect.model import canonical_dumps, mean_and_stddev
+from resselect.model import canonical_dumps, exact_mean, mean_and_stddev
 
 from conftest import random_sequenced_task
 from oracles import (
@@ -349,3 +349,44 @@ class TestMeanAndStddev:
     def test_no_values_or_non_finite_values_rejected(self, values):
         with pytest.raises(ValueError):
             mean_and_stddev(values)
+
+
+class TestExactMean:
+    """`exact_mean` equals the exact-arithmetic oracle's mean bit for bit,
+    the sign of zero included, on lists of one sign over the whole float
+    range and lists of mixed signs within ±1e150."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(*(st.lists(values, min_size=1, max_size=40) for values in (
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.floats(max_value=-0.0, allow_nan=False, allow_infinity=False),
+        st.floats(-1e150, 1e150)))))
+    @example([MAX, MAX])  # fsum overflows
+    @example([TINY])
+    @example([1e-300, 1e300])
+    @example([2.0 ** 1000, 1.0, 2.0 ** -1000])  # the error of the fsum is no float
+    @example([0.0, -0.0])
+    @example([-0.0])
+    @example([-TINY, 0.0])  # the mean rounds to -0.0
+    @example([0.1] * 9)
+    @example([42.5])
+    def test_equals_exact_oracle_mean(self, values):
+        assert exact_mean(values).hex() == exact_mean_stddev_oracle(values)[0].hex()
+
+    def test_sums_past_fsum_take_the_exact_integer_path(self, monkeypatch):
+        calls = []
+        exact = model._exact_integers
+        monkeypatch.setattr(model, "_exact_integers", lambda v: calls.append(v) or exact(v))
+        cases = ([MAX, MAX], [2.0 ** 1000, 1.0, 2.0 ** -1000])
+        for values in cases:
+            assert exact_mean(values) == exact_mean_stddev_oracle(values)[0]
+        assert calls == list(cases)
+        assert exact_mean([MAX, -MAX, MAX]) == MAX / 3 and exact_mean([0.1] * 9) == 0.1
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("values", [[], [float("nan")], [1.0, float("inf")],
+                                        [float("-inf"), 2.0, 3.0],
+                                        [float("inf"), float("-inf")]], ids=repr)
+    def test_no_values_or_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError):
+            exact_mean(values)

@@ -482,7 +482,7 @@ def counted(monkeypatch, owner, name):
 
 
 def bucketed(call):
-    """A counted `QueueWindow.estimate` or `_estimate` call as (its
+    """A counted `QueueWindow.mean_wait` or `_summarize` call as (its
     window's machine/queue, walltime bounds, cores bounds)."""
     window = call["self"]
     if "walltime_bounds" in call:
@@ -510,21 +510,22 @@ class TestKindDedupe:
 
     @pytest.mark.parametrize("shared", [False, True], ids=["own-queues", "shared-queues"])
     def test_each_kind_and_query_is_computed_once(self, monkeypatch, shared):
-        """One window per (machine, queue), one estimate per distinct
-        bucketed query and at most one whole-window summary per window.
+        """One window per (machine, queue), one mean per distinct bucketed
+        query and at most one whole-window mean per window, and no stddev.
         With ``shared``, three resources use one queue and the walltime
         buckets leave two of its queries without a similar job."""
         args = kinds_bag(shared_queues_config() if shared else None)
         workload, pool, _, _, store, config = args
-        rescan_queries = counted(monkeypatch, QueueWindow, "estimate")
+        rescan_queries = counted(monkeypatch, QueueWindow, "mean_wait")
         rescan_model_plan(*args)
         distinct = {bucketed(c) for c in rescan_queries}
         assert len(rescan_queries) > len(distinct)  # the rescan repeats queries
 
         predicted = counted(monkeypatch, plan_module, "predict_sequential_cycles")
         windows = counted(monkeypatch, QueueWaitStore, "window")
-        computed = counted(monkeypatch, QueueWindow, "_estimate")
-        summaries = counted(monkeypatch, queuewait_module, "mean_and_stddev")
+        computed = counted(monkeypatch, QueueWindow, "_summarize")
+        means = counted(monkeypatch, queuewait_module, "exact_mean")
+        stddevs = counted(monkeypatch, queuewait_module, "mean_and_stddev")
         matching = spy_matching(monkeypatch)
         held = copy.deepcopy(vars(store))
         plan_model(*args, now=NOW)
@@ -535,9 +536,10 @@ class TestKindDedupe:
         assert queues == (["rA/default", "rC/default"] if shared else
                           ["rA/default", "rB/default", "rC/default", "rD/default"])
         assert sorted(bucketed(c) for c in computed) == sorted(distinct)
-        fell_back = [id(c["self"]) for c in computed if c["returned"].fallback_used]
-        assert len(summaries) == len(computed) - len(fell_back) + len(set(fell_back))
+        fell_back = [id(c["self"]) for c in computed if c["returned"][2]]
+        assert len(means) == len(computed) - len(fell_back) + len(set(fell_back))
         assert (len(fell_back), len(set(fell_back))) == ((3, 2) if shared else (0, 0))
+        assert stddevs == []  # the planner reads means only
         assert vars(store) == held  # the store keeps nothing of the plan call
 
         plan_random(workload, pool, seed=3)
@@ -710,6 +712,8 @@ class TestQueueWindows:
             assert (estimate.mean_wait_s, estimate.sample_stddev_s) == \
                 exact_mean_stddev_oracle(waits)
             assert (estimate.n_samples, estimate.fallback_used) == (len(waits), not same_bucket)
+            mean = windows.window(*query[:2], NOW, window_s).mean_wait(*query[2:])
+            assert math.copysign(1.0, mean) == 1.0 and mean == estimate.mean_wait_s
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 10**9))
