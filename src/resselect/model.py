@@ -389,7 +389,10 @@ def mean_and_stddev(values: Sequence[float]) -> Tuple[float, Optional[float]]:
     mean = total / (n << k) if k >= 0 else (total << -k) / n
     if n < 2:
         return mean, None
-    return mean, _sqrt_ratio(n * sum(map(mul, xs, xs)) - total * total, n * (n - 1), -k)
+    try:
+        return mean, _sqrt_ratio(n * sum(map(mul, xs, xs)) - total * total, n * (n - 1), -k)
+    except OverflowError:  # finite values of mixed signs, such as [MAX, -MAX, MAX]
+        raise ValueError("the sample stddev passes the float range") from None
 
 
 def exact_mean(values: Sequence[float]) -> float:

@@ -20,7 +20,7 @@ from .predict import (
     predict_tx,
     profiles_by_task,
 )
-from .queuewait import NoQueueHistoryError, QueueWaitStore, QueueWindow
+from .queuewait import NoQueueHistoryError, QueueQueries, QueueWaitStore
 
 
 class MissingClockError(ValueError):
@@ -105,13 +105,12 @@ def task_estimates(
     viable_ids: Sequence[str],
     profiles: Dict[str, List[BaselineProfile]],
     clocks: Dict[str, ClockSpec],
-    queue_store: QueueWaitStore,
+    queries: QueueQueries,
     config: Config,
-    now: float,
 ) -> List[Assignment]:
     """One candidate `Assignment`, with its estimate, per viable resource of
-    the task.  ``queue_store`` gives each query's window: the store, or one
-    planning call's memo of windows."""
+    the task.  ``queries``, made with ``config``'s window, cores per task
+    and buckets, gives each resource's mean queue wait."""
     profile_id = config.profile_id(task_id)
     task_profiles = profiles.get(profile_id)
     if not task_profiles:
@@ -132,8 +131,7 @@ def task_estimates(
                                      "takes at its base clock")
         machine, queue = config.machine_queue(rid)
         try:
-            tq = queue_store.window(machine, queue, now, config.window_s).mean_wait(
-                walltime, config.cores_per_task, config.buckets)
+            tq = queries.mean_wait(machine, queue, walltime)
         except NoQueueHistoryError as exc:
             raise NoQueueHistoryError(f"{exc}, for resource {rid!r}") from exc
         if tq + tx == math.inf:  # both are finite and >= 0
@@ -141,22 +139,6 @@ def task_estimates(
                                 f"resource {rid!r} takes at its {config.frequency_choice} clock")
         estimates.append(Assignment(rid, tq, tx, walltime))
     return estimates
-
-
-class _Windows(dict):
-    """A queue store's windows for one planning call, keyed by (machine,
-    queue, now, window_s): each is bisected once, and memoizes its own
-    means (`QueueWindow.mean_wait`)."""
-
-    def __init__(self, store: QueueWaitStore):
-        self._store = store
-
-    def window(self, machine: str, queue: str, now: float, window_s: float) -> QueueWindow:
-        key = (machine, queue, now, window_s)
-        window = self.get(key)
-        if window is None:
-            window = self[key] = self._store.window(machine, queue, now, window_s)
-        return window
 
 
 def plan_model(
@@ -176,7 +158,7 @@ def plan_model(
     split a kind.  Each pair is estimated once, in order of its smallest
     task id (which an error names), and its tasks share one `Assignment`."""
     by_task = profiles_by_task(profiles)
-    queries = _Windows(queue_store)
+    queries = QueueQueries(queue_store, now, config.window_s, config.cores_per_task, config.buckets)
     overrides, default = config.profile_overrides, config.default_profile
     masks, pairs = {}, {}
     for task, ids in workload.kinds:
@@ -191,7 +173,7 @@ def plan_model(
     for first, viable, ids in sorted((min(ids), v, ids) for (_, v), ids in pairs.items()):
         if not viable:
             raise EmptyViableSetError(f"no resource can run task {first!r}")
-        chosen = res_select(task_estimates(first, viable, by_task, clocks, queries, config, now))
+        chosen = res_select(task_estimates(first, viable, by_task, clocks, queries, config))
         assignments.update(dict.fromkeys(ids, chosen))
         shared.append((chosen, len(ids)))
     return SelectionPlan(

@@ -6,19 +6,14 @@ walltime and core count fall in the same similarity bucket as the query.
 If no such jobs exist the size constraints are dropped (machine, queue and
 window are kept) and the estimate is flagged as a fallback.
 
-A query's `QueueWaitStore.window` bisects its group's submit times for the
-window once; the window turns the query's two buckets into their ``[lo,
-hi)`` bounds and keeps the window rows inside both with one comparison
-chain each.  `QueueWindow.estimate` (and so `estimate_tq` and `queue-wait`)
-reports the kept waits' mean and stddev, from `model.mean_and_stddev`; the
-planner reads the mean alone, `QueueWindow.mean_wait`, from
-`model.exact_mean`: the same bits from three `math.fsum` passes, without
-the sum of squares.  A query therefore costs a few C-level passes over its
-window rows.  The store keeps nothing between queries; a caller that asks
-one window many queries, as a planning call does, keeps the window, which
-summarizes each bucket pair once, the whole window at most once for the
-fallbacks, and from a cores bucket's second query on scans only that
-bucket's rows.
+Queries go through a `QueueQueries`, which holds one caller's ``now``,
+window, requested cores and buckets.  `estimate_tq` (and so `queue-wait`)
+makes one per query and reports the kept waits' mean and stddev, from
+`model.mean_and_stddev`.  A planning call makes one for all its queries and
+reads the mean alone, `QueueQueries.mean_wait`, from `model.exact_mean`:
+the same bits from three `math.fsum` passes, without the sum of squares.
+A query costs a few C-level passes over its window's rows; the store keeps
+nothing between queries.
 
 The history comes in as chunks of columns (`codec.Csv.read`), each checked
 by `checked_columns` in a few C-level passes; the store splits a chunk by
@@ -288,25 +283,6 @@ class QueueWaitStore:
         warnings: List[str] = []
         return self._extend(HISTORY.read(stream, warnings)), warnings
 
-    def window(self, machine: str, queue: str, now: float,
-               window_s: float = DEFAULT_WINDOW_S) -> "QueueWindow":
-        """The rows of (machine, queue) submitted within ``window_s`` before
-        ``now``, found by one bisect of each end.  The window is closed on
-        both ends: a record at exactly now - window_s is included; future
-        records are excluded.  Raises `NoQueueHistoryError` if it is empty."""
-        if not window_s > 0:
-            raise ValueError(f"window_s must be > 0, got {window_s!r}")
-        if not math.isfinite(now):
-            raise ValueError(f"now must be finite, got {now!r}")
-        rows = self._groups.get((machine, queue), _NO_ROWS)
-        lo, hi = bisect_left(rows.times, now - window_s), bisect_right(rows.times, now)
-        if lo == hi:
-            raise NoQueueHistoryError(
-                f"no queue history for machine {machine!r} queue {queue!r} "
-                f"in the past {window_s:g} s"
-            )
-        return QueueWindow(machine, queue, rows, lo, hi)
-
     def estimate_tq(
         self,
         machine: str,
@@ -317,12 +293,15 @@ class QueueWaitStore:
         window_s: float = DEFAULT_WINDOW_S,
         buckets: SimilarityBuckets = DEFAULT_BUCKETS,
     ) -> QueueWaitEstimate:
-        """Estimate the queue wait for a job submitted now: the estimate of
-        the query's `window`.  The estimate does not depend on the order of
-        the records: the mean and stddev are computed exactly."""
+        """Estimate the queue wait for a job submitted now: the mean and
+        stddev of the waits that `QueueQueries.waits` keeps.  The estimate
+        does not depend on the order of the records: the mean and stddev are
+        computed exactly."""
         _check_request(walltime_req_s, cores_req)
-        return self.window(machine, queue, now, window_s).estimate(
-            walltime_req_s, cores_req, buckets)
+        waits, fallback = QueueQueries(self, now, window_s, cores_req, buckets).waits(
+            machine, queue, walltime_req_s)
+        mean, stddev = mean_and_stddev(waits)
+        return QueueWaitEstimate(machine, queue, mean, stddev, len(waits), fallback)
 
 
 def _check_request(walltime_req_s: float, cores_req: int) -> None:
@@ -332,70 +311,85 @@ def _check_request(walltime_req_s: float, cores_req: int) -> None:
         raise ValueError(f"cores_req must be >= 1, got {cores_req!r}")
 
 
-class QueueWindow:
-    """One (machine, queue)'s rows in one window of its history, for the
-    queries of one caller: it reads the store's columns and writes nothing
-    to them.  Each bucket pair, and the whole window for the fallbacks, is
-    summarized at most once per summary (`estimate`'s or `mean_wait`'s).
-    The first query of a cores bucket keeps the window rows inside both of
-    its buckets in one pass; a second query of that cores bucket picks the
-    bucket's waits and walltimes once, and every query of the bucket then
-    scans only those."""
+class QueueQueries:
+    """The queue-wait queries of one caller, which share ``now``,
+    ``window_s``, the requested cores and the buckets, as a planning call's
+    do: so a query varies only in machine, queue and walltime bucket.  It
+    reads the store's columns and writes nothing to them; the caller checks
+    each request (`_check_request`).
 
-    __slots__ = ("machine", "queue", "_rows", "_lo", "_hi", "_summaries", "_by_cores", "_whole")
+    Each (machine, queue)'s window is bisected once, at its first query,
+    which keeps the window rows inside both buckets with one comparison
+    chain each.  Its second query picks the cores bucket's waits and
+    walltimes once, and every later one scans only those.  `mean_wait`
+    computes each walltime bucket's mean, and each window's fallback mean,
+    at most once."""
 
-    def __init__(self, machine: str, queue: str, rows: _Rows, lo: int, hi: int):
-        self.machine, self.queue = machine, queue
-        self._rows, self._lo, self._hi = rows, lo, hi
-        # (summary, walltime bounds, cores bounds) -> (summary of the waits, n, fallback)
-        self._summaries: Dict[tuple, tuple] = {}
-        # cores bounds -> None once queried, then (waits, walltimes) of the bucket
-        self._by_cores: Dict[tuple, Optional[Tuple[list, list]]] = {}
-        self._whole: Dict[Callable, object] = {}  # summary -> of the whole window's waits
+    __slots__ = ("_store", "_now", "_window_s", "_cores", "_walltime_edges", "_windows", "_means")
 
-    def estimate(self, walltime_req_s: float, cores_req: int,
-                 buckets: SimilarityBuckets = DEFAULT_BUCKETS) -> QueueWaitEstimate:
-        """The mean wait of the window's jobs whose walltime and cores fall
-        in the query's similarity buckets, or of the whole window, flagged
-        as a fallback, if none do; with the stddev and count of those waits."""
-        (mean, stddev), n, fallback = self._summary(
-            mean_and_stddev, walltime_req_s, cores_req, buckets)
-        return QueueWaitEstimate(self.machine, self.queue, mean, stddev, n, fallback)
+    def __init__(self, store: QueueWaitStore, now: float, window_s: float = DEFAULT_WINDOW_S,
+                 cores_req: int = 1, buckets: SimilarityBuckets = DEFAULT_BUCKETS):
+        self._store, self._now, self._window_s = store, now, window_s
+        self._cores = _bucket_bounds(buckets.cores_edges, cores_req)
+        self._walltime_edges = buckets.walltime_edges_s
+        # (machine, queue) -> [rows, lo, hi, None], then with the cores
+        # bucket's (waits, walltimes) for None from its second query on
+        self._windows: Dict[Tuple[str, str], list] = {}
+        # (machine, queue, walltime bounds) -> mean; (machine, queue) -> fallback mean
+        self._means: Dict[tuple, float] = {}
 
-    def mean_wait(self, walltime_req_s: float, cores_req: int,
-                  buckets: SimilarityBuckets = DEFAULT_BUCKETS) -> float:
-        """`estimate`'s mean wait, bit for bit, from `model.exact_mean`: no
-        sum of squares, and no estimate built.  The planner reads this."""
-        return self._summary(exact_mean, walltime_req_s, cores_req, buckets)[0]
-
-    def _summary(self, summarize: Callable, walltime_req_s: float, cores_req: int,
-                 buckets: SimilarityBuckets) -> tuple:
-        _check_request(walltime_req_s, cores_req)
-        key = (summarize, _bucket_bounds(buckets.walltime_edges_s, walltime_req_s),
-               _bucket_bounds(buckets.cores_edges, cores_req))
-        summary = self._summaries.get(key)
-        if summary is None:
-            summary = self._summaries[key] = self._summarize(*key)
-        return summary
-
-    def _summarize(self, summarize: Callable, walltime_bounds: tuple, cores_bounds: tuple):
-        rows, lo, hi = self._rows, self._lo, self._hi
-        (w_lo, w_hi), (c_lo, c_hi) = walltime_bounds, cores_bounds
-        if cores_bounds not in self._by_cores:  # the bucket's first query: one pass
-            self._by_cores[cores_bounds] = None
+    def waits(self, machine: str, queue: str, walltime_req_s: float) -> Tuple[list, bool]:
+        """The waits of the window's jobs whose walltime and cores fall in
+        the query's similarity buckets, or of the whole window, flagged as a
+        fallback, if none do."""
+        w_lo, w_hi = _bucket_bounds(self._walltime_edges, walltime_req_s)
+        c_lo, c_hi = self._cores
+        window = self._windows.get((machine, queue))
+        if window is None:  # the window's first query: one pass
+            rows, lo, hi = self._window(machine, queue)
+            self._windows[machine, queue] = [rows, lo, hi, None]
             rows_of_bucket = zip(rows.waits[lo:hi], rows.walltimes[lo:hi], rows.cores[lo:hi])
             filtered = [wait for wait, walltime, cores in rows_of_bucket
                         if w_lo <= walltime < w_hi and c_lo <= cores < c_hi]
         else:
-            picked = self._by_cores[cores_bounds]
+            rows, lo, hi, picked = window
             if picked is None:
                 inside = [c_lo <= cores < c_hi for cores in rows.cores[lo:hi]]
-                picked = self._by_cores[cores_bounds] = (
-                    list(compress(rows.waits[lo:hi], inside)),
-                    list(compress(rows.walltimes[lo:hi], inside)))
+                picked = window[3] = (list(compress(rows.waits[lo:hi], inside)),
+                                      list(compress(rows.walltimes[lo:hi], inside)))
             filtered = [wait for wait, walltime in zip(*picked) if w_lo <= walltime < w_hi]
-        if filtered:
-            return summarize(filtered), len(filtered), False
-        if summarize not in self._whole:
-            self._whole[summarize] = summarize(rows.waits[lo:hi])
-        return self._whole[summarize], hi - lo, True
+        return (filtered, False) if filtered else (rows.waits[lo:hi], True)
+
+    def mean_wait(self, machine: str, queue: str, walltime_req_s: float) -> float:
+        """The mean of `waits`, from `model.exact_mean`: `mean_and_stddev`'s
+        mean bit for bit, without the sum of squares.  The planner reads this."""
+        key = (machine, queue, _bucket_bounds(self._walltime_edges, walltime_req_s))
+        mean = self._means.get(key)
+        if mean is None:
+            waits, fallback = self.waits(machine, queue, walltime_req_s)
+            if not fallback:
+                mean = exact_mean(waits)
+            elif (mean := self._means.get(key[:2])) is None:
+                mean = self._means[key[:2]] = exact_mean(waits)
+            self._means[key] = mean
+        return mean
+
+    def _window(self, machine: str, queue: str) -> Tuple[_Rows, int, int]:
+        """The rows of (machine, queue) submitted within ``window_s`` before
+        ``now``, as the group's rows and the bounds found by one bisect of
+        each end.  The window is closed on both ends: a record at exactly
+        now - window_s is included; future records are excluded.  Raises
+        `NoQueueHistoryError` if it is empty."""
+        now, window_s = self._now, self._window_s
+        if not window_s > 0:
+            raise ValueError(f"window_s must be > 0, got {window_s!r}")
+        if not math.isfinite(now):
+            raise ValueError(f"now must be finite, got {now!r}")
+        rows = self._store._groups.get((machine, queue), _NO_ROWS)
+        lo, hi = bisect_left(rows.times, now - window_s), bisect_right(rows.times, now)
+        if lo == hi:
+            raise NoQueueHistoryError(
+                f"no queue history for machine {machine!r} queue {queue!r} "
+                f"in the past {window_s:g} s"
+            )
+        return rows, lo, hi

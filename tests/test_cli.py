@@ -592,6 +592,39 @@ class TestPipeline:
         assert report.startswith("group,metric,mean")
         assert "ttc_reduction_pct" in report
 
+    def test_model_plan_agrees_with_queue_wait(self, tmp_path):
+        """The bundled model plan puts every task on supermic, whose walltime
+        falls in the bucket of the 7200 s queue-wait query, so every tq_s is
+        that query's mean wait.  Under a config whose profile_overrides map
+        every odd task to md-100k, the default profile, the planner groups
+        those tasks one by one, not the kind at once, and the plan is the
+        same bytes.  Under a config whose one walltime edge at 7200 s leaves
+        supermic's walltime bucket without a history row, select and a 3600 s
+        queue-wait both fall back to the whole window, so every tq_s is
+        queue-wait's fallback mean."""
+        config = json.loads((BUNDLED / "config.json").read_text())
+        configs = {
+            "plain": FILES["config.json"],
+            "overrides": write(tmp_path / "config_overrides.json", {**config, "profile_overrides": {
+                f"md-100k-{i:04d}": "md-100k" for i in range(1, 64, 2)}}),
+            "fallback": write(tmp_path / "config_fallback.json", {**config, "buckets": {
+                "walltime_edges_s": [7200.0], "cores_edges": [1]}}),
+        }
+
+        def run(argv, name):
+            out = tmp_path / f"{argv[0]}_{name}.json"
+            assert main([*argv, "--config", configs[name], "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        plans = {name: run(MODEL_SELECT[:-4] + MODEL_SELECT[-2:], name) for name in configs}
+        assert plans["overrides"] == plans["plain"]
+        for name, walltime in (("plain", "7200"), ("fallback", "3600")):
+            wait = json.loads(run(QUEUE_WAIT[:8] + [walltime] + QUEUE_WAIT[9:], name))
+            assignments = json.loads(plans[name])["assignments"].values()
+            assert {a["resource_id"] for a in assignments} == {"supermic"}
+            assert {a["tq_s"] for a in assignments} == {wait["mean_wait_s"]}
+            assert wait["fallback_used"] == (name == "fallback")
+
     def test_one_trial_report_leaves_each_stddev_cell_empty(self, tmp_path, capsys):
         """One trial has no sample stddev: its cell is empty, as the
         comparison row's missing cell is, not the text ``None``."""

@@ -350,6 +350,13 @@ class TestMeanAndStddev:
         with pytest.raises(ValueError):
             mean_and_stddev(values)
 
+    def test_stddev_past_the_float_range_rejected(self):
+        """Finite values of mixed signs can have a stddev past the float
+        range, though their mean is finite."""
+        with pytest.raises(ValueError, match="^the sample stddev passes the float range$"):
+            mean_and_stddev([MAX, -MAX, MAX])
+        assert exact_mean([MAX, -MAX, MAX]) == MAX / 3
+
 
 class TestExactMean:
     """`exact_mean` equals the exact-arithmetic oracle's mean bit for bit,

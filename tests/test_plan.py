@@ -34,12 +34,12 @@ from resselect import (
 )
 from resselect.match import EmptyViableSetError
 from resselect.codec import PLAN, WORKLOAD
-from resselect.model import canonical_dumps
+from resselect.model import canonical_dumps, mean_and_stddev
 from resselect.plan import (Assignment, MissingClockError, SelectionPlan, TtcRangeError,
                             task_estimates)
 from resselect.predict import UnknownTaskError, profiles_by_task
 from resselect.queuewait import (DEFAULT_BUCKETS, DEFAULT_WINDOW_S, NoQueueHistoryError,
-                                 QueueWindow, SimilarityBuckets, _bucket_bounds)
+                                 QueueQueries, SimilarityBuckets, _bucket_bounds)
 
 from conftest import task_ids, workload_of
 from oracles import (canonical_dumps_oracle, exact_mean_stddev_oracle, first_argmax_oracle,
@@ -346,10 +346,10 @@ class TestPlanErrorMessages:
     """Each planning error says what is wrong in the words the CLI prints
     after the file name, and carries no ids for a caller to reword."""
 
-    def plan(self, pool=None, profiles=None, clocks=CLOCKS, store=None):
+    def plan(self, pool=None, profiles=None, clocks=CLOCKS, store=None, now=NOW):
         return plan_model(make_workload(1), pool or make_pool({"rA": 2.0e9}),
                           profiles or make_profiles(), clocks,
-                          store or make_store({"rA": [1.0]}), base_config(), now=NOW)
+                          store or make_store({"rA": [1.0]}), base_config(), now=now)
 
     def raised(self, error, **kwargs):
         with pytest.raises(error) as caught:
@@ -383,6 +383,19 @@ class TestPlanErrorMessages:
                             "in the past 604800 s, for resource 'rA'")
         assert isinstance(exc.__cause__, NoQueueHistoryError)
 
+    def test_no_queue_history_after_a_window(self):
+        """A queue without history names its resource also when another
+        queue's window was opened first."""
+        exc = self.raised(NoQueueHistoryError, pool=make_pool({"rA": 2.0e9, "rB": 2.0e9}),
+                          store=make_store({"rA": [1.0]}))
+        assert str(exc) == ("no queue history for machine 'rB' queue 'default' "
+                            "in the past 604800 s, for resource 'rB'")
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_now_not_finite(self, now):
+        exc = self.raised(ValueError, now=now, store=make_store({"unrelated": [1.0]}))
+        assert str(exc) == f"now must be finite, got {now!r}"
+
 
 def rescan_model_plan(workload, pool, profiles, clocks, store, config):
     """The model plan the slow way: every task matched, estimated and
@@ -393,7 +406,8 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
         ids = viable_set(task, pool).resource_ids
         if not ids:
             raise EmptyViableSetError(f"no resource can run task {task_id!r}")
-        estimates = task_estimates(task_id, ids, by_task, clocks, store, config, NOW)
+        estimates = task_estimates(task_id, ids, by_task, clocks, queries_of(store, config),
+                                   config)
         best = estimates[first_argmax_oracle([-e.ttc_s for e in estimates])]
         assignments[task_id] = best
         entry = requests.setdefault(
@@ -402,6 +416,11 @@ def rescan_model_plan(workload, pool, profiles, clocks, store, config):
         entry["cores"] += config.cores_per_task
         entry["max_walltime_s"] = max(best.walltime_s, entry["max_walltime_s"] or 0.0)
     return SelectionPlan(workload.workload_id, "model", assignments, requests)
+
+
+def queries_of(store, config):
+    """A fresh `QueueQueries` for ``config``'s queries at ``NOW``."""
+    return QueueQueries(store, NOW, config.window_s, config.cores_per_task, config.buckets)
 
 
 def rescan_random_draws(workload, pool, seed):
@@ -481,16 +500,13 @@ def counted(monkeypatch, owner, name):
     return calls
 
 
-def bucketed(call):
-    """A counted `QueueWindow.mean_wait` or `_summarize` call as (its
-    window's machine/queue, walltime bounds, cores bounds)."""
-    window = call["self"]
-    if "walltime_bounds" in call:
-        return window.machine + "/" + window.queue, call["walltime_bounds"], call["cores_bounds"]
-    b = call.get("buckets", DEFAULT_BUCKETS)
-    return (window.machine + "/" + window.queue,
+def bucketed(call, config):
+    """A counted `QueueQueries.mean_wait` or `waits` call under ``config``
+    as (its window's machine/queue, walltime bounds, cores bounds)."""
+    b = config.buckets
+    return (call["machine"] + "/" + call["queue"],
             _bucket_bounds(b.walltime_edges_s, call["walltime_req_s"]),
-            _bucket_bounds(b.cores_edges, call["cores_req"]))
+            _bucket_bounds(b.cores_edges, config.cores_per_task))
 
 
 class TestKindDedupe:
@@ -516,14 +532,14 @@ class TestKindDedupe:
         buckets leave two of its queries without a similar job."""
         args = kinds_bag(shared_queues_config() if shared else None)
         workload, pool, _, _, store, config = args
-        rescan_queries = counted(monkeypatch, QueueWindow, "mean_wait")
+        rescan_queries = counted(monkeypatch, QueueQueries, "mean_wait")
         rescan_model_plan(*args)
-        distinct = {bucketed(c) for c in rescan_queries}
+        distinct = {bucketed(c, config) for c in rescan_queries}
         assert len(rescan_queries) > len(distinct)  # the rescan repeats queries
 
         predicted = counted(monkeypatch, plan_module, "predict_sequential_cycles")
-        windows = counted(monkeypatch, QueueWaitStore, "window")
-        computed = counted(monkeypatch, QueueWindow, "_summarize")
+        windows = counted(monkeypatch, QueueQueries, "_window")
+        computed = counted(monkeypatch, QueueQueries, "waits")
         means = counted(monkeypatch, queuewait_module, "exact_mean")
         stddevs = counted(monkeypatch, queuewait_module, "mean_and_stddev")
         matching = spy_matching(monkeypatch)
@@ -535,8 +551,8 @@ class TestKindDedupe:
         assert queues == sorted({q for q, _, _ in distinct})
         assert queues == (["rA/default", "rC/default"] if shared else
                           ["rA/default", "rB/default", "rC/default", "rD/default"])
-        assert sorted(bucketed(c) for c in computed) == sorted(distinct)
-        fell_back = [id(c["self"]) for c in computed if c["returned"][2]]
+        assert sorted(bucketed(c, config) for c in computed) == sorted(distinct)
+        fell_back = [(c["machine"], c["queue"]) for c in computed if c["returned"][1]]
         assert len(means) == len(computed) - len(fell_back) + len(set(fell_back))
         assert (len(fell_back), len(set(fell_back))) == ((3, 2) if shared else (0, 0))
         assert stddevs == []  # the planner reads means only
@@ -666,8 +682,8 @@ def test_random_draw_is_random_choice():
 
 
 class TestQueueWindows:
-    """A planning call's windows give every query the estimate of a fresh
-    `QueueWaitStore.estimate_tq` call, on histories where many queries fall
+    """A planning call's `QueueQueries` gives every query the estimate of a
+    fresh `QueueWaitStore.estimate_tq` call, on histories where many queries fall
     back: each queue's jobs ask for one or two walltimes and a few core
     counts, and in a plan several resources share one queue."""
 
@@ -692,28 +708,33 @@ class TestQueueWindows:
         rng = random.Random(seed)
         records = self.history(rng)
         store = QueueWaitStore(records)
-        windows = plan_module._Windows(store)
         window_s = rng.choice([DAY, DEFAULT_WINDOW_S])
+        shared = {cores: QueueQueries(store, NOW, window_s, cores) for cores in (1, 2, 3, 16, 64)}
         for _ in range(40):
             query = (rng.choice(self.MACHINES), "q",
                      rng.choice([300.0, 600.0, 5000.0, 7200.0, 20000.0, 50000.0, 100000.0]),
                      rng.choice([1, 2, 3, 16, 64]))
+            queries = shared[query[3]]
             try:
                 fresh = store.estimate_tq(*query, NOW, window_s)
             except NoQueueHistoryError:
                 with pytest.raises(NoQueueHistoryError):
-                    windows.window(*query[:2], NOW, window_s)
+                    queries.waits(*query[:3])
+                with pytest.raises(NoQueueHistoryError):
+                    queries.mean_wait(*query[:3])
                 continue
-            estimate = windows.window(*query[:2], NOW, window_s).estimate(*query[2:])
-            assert vars(estimate) == vars(fresh)  # mean, stddev, n_samples, fallback_used
+            kept, fallback = queries.waits(*query[:3])
+            mean, stddev = mean_and_stddev(kept)
+            assert (mean, stddev, len(kept), fallback) == (
+                fresh.mean_wait_s, fresh.sample_stddev_s, fresh.n_samples, fresh.fallback_used)
             in_window, same_bucket = queue_filter_oracle(records, *query, NOW, window_s,
                                                          DEFAULT_BUCKETS)
             waits = [r.wait_s for r in same_bucket or in_window]
-            assert (estimate.mean_wait_s, estimate.sample_stddev_s) == \
-                exact_mean_stddev_oracle(waits)
-            assert (estimate.n_samples, estimate.fallback_used) == (len(waits), not same_bucket)
-            mean = windows.window(*query[:2], NOW, window_s).mean_wait(*query[2:])
-            assert math.copysign(1.0, mean) == 1.0 and mean == estimate.mean_wait_s
+            assert sorted(kept) == sorted(waits)
+            assert (mean, stddev) == exact_mean_stddev_oracle(waits)
+            assert (len(kept), fallback) == (len(waits), not same_bucket)
+            mean = queries.mean_wait(*query[:3])
+            assert math.copysign(1.0, mean) == 1.0 and mean == fresh.mean_wait_s
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 10**9))
@@ -733,10 +754,11 @@ class TestQueueWindows:
             machine, queue = config.machine_queue(a.resource_id)
             assert a.tq_s == store.estimate_tq(machine, queue, a.walltime_s,
                                                config.cores_per_task, NOW).mean_wait_s
-        by_task, windows = profiles_by_task(profiles), plan_module._Windows(store)
+        by_task, shared = profiles_by_task(profiles), queries_of(store, config)
         for task_id in sorted(config.profile_overrides):
-            assert (task_estimates(task_id, rids, by_task, clocks, windows, config, NOW)
-                    == task_estimates(task_id, rids, by_task, clocks, store, config, NOW))
+            assert (task_estimates(task_id, rids, by_task, clocks, shared, config)
+                    == task_estimates(task_id, rids, by_task, clocks, queries_of(store, config),
+                                      config))
 
 
 def test_decoded_homogeneous_bag_plans_without_comparing_requirements(monkeypatch):

@@ -326,6 +326,26 @@ class TestQueryValidation:
             store_of(rec(100)).estimate_tq("m", "q", **query)
         assert not isinstance(err.value, NoQueueHistoryError)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"now": math.nan}, "now must be finite, got nan"),
+        ({"now": math.inf}, "now must be finite, got inf"),
+        ({"now": -math.inf}, "now must be finite, got -inf"),
+        ({"window_s": 0}, "window_s must be > 0, got 0"),
+        ({"window_s": -1}, "window_s must be > 0, got -1"),
+        ({"window_s": math.nan}, "window_s must be > 0, got nan"),
+    ], ids=repr)
+    def test_window_messages(self, bad, message):
+        """A bad ``now`` or ``window_s`` is named after the request's checks
+        and before a queue without history."""
+        query = {"walltime_req_s": 7200.0, "cores_req": 1, "now": NOW, **bad}
+        for machine in ("m", "unknown"):
+            with pytest.raises(ValueError) as err:
+                store_of(rec(100)).estimate_tq(machine, "q", **query)
+            assert str(err.value) == message
+            assert not isinstance(err.value, NoQueueHistoryError)
+        with pytest.raises(ValueError, match="^cores_req must be >= 1, got 0$"):
+            store_of(rec(100)).estimate_tq("m", "q", **{**query, "cores_req": 0})
+
 
 class TestIngestCsv:
     HEADER = "machine,queue,submit_time_iso8601,wait_s,walltime_req_s,cores_req\n"
