@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, ne, sub
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .model import Value, mean_and_stddev
@@ -121,10 +121,6 @@ class DistSpec(Value):
         samples, n = self.samples, len(self.samples)
         return [samples[k * n >> _BITS] for k in ks]
 
-    def at(self, k: int) -> float:
-        """The sample at the 52-bit integer ``k``, by ``at_each``."""
-        return self.at_each([k])[0]
-
 
 class ResourceBehavior(Value):
     """Stochastic behavior of one resource during simulation.
@@ -178,6 +174,16 @@ class SimulationResult(Value):
                 raise ValueError(f"{m} holds {len(values)} values, not trials = {self.trials}")
             if not _finite(values):
                 raise ValueError(f"{m} values must be finite")
+        ttc, tq, tx = self.ttc_wkd_s, self.tq_wkd_s, self.tx_wkd_s
+        for m, values in (("ttc_wkd_s", ttc), ("tx_wkd_s", tx)):
+            if min(values) < 0:
+                trial = next(i for i, v in enumerate(values) if v < 0)
+                raise ValueError(f"trial {trial}: {m} {values[trial]!r} is below 0")
+        # tq is exactly what simulate computes: below 0 where rounding takes tx past ttc
+        if any(map(ne, tq, map(sub, ttc, tx))):
+            trial = next(i for i, t in enumerate(map(sub, ttc, tx)) if tq[i] != t)
+            raise ValueError(f"trial {trial}: tq_wkd_s {tq[trial]!r} is not "
+                             f"ttc_wkd_s - tx_wkd_s = {ttc[trial] - tx[trial]!r}")
 
     @property
     def mean_ttc_s(self) -> float:
@@ -195,23 +201,10 @@ class SimulationResult(Value):
             writer.writerow([i, *map(repr, row)])
 
 
-def _draw(dist: DistSpec, seed: int, *key) -> float:
-    """The sample of ``dist`` keyed by (seed, trial, resource, task), with
-    the token hashed in one piece: what ``simulate`` draws, hashing the
-    ``seed|`` head once, and the reference tests compare it with."""
-    if dist.kind == "constant":
-        return dist.value
-    from hashlib import blake2b
-
-    token = "|".join(str(p) for p in (seed, *key))
-    digest = blake2b(token.encode(), digest_size=8).digest()
-    return dist.at(int.from_bytes(digest, "big") >> _SHIFT)
-
-
 def _draws(dist: DistSpec, prefix, suffixes: List[bytes]) -> List[float]:
-    """``_draw``'s samples of ``dist`` for the keys ``prefix`` (a hash of the
-    token's head, copied and never updated) then each of ``suffixes``: each
-    tail's bits are kept before any is mapped to a sample."""
+    """The samples of ``dist`` keyed by the token head hashed in ``prefix``
+    (copied, never updated) followed by each of ``suffixes``: the hash loop
+    keeps every key's top 52 bits, then ``at_each`` maps them to samples."""
     if dist.kind == "constant":
         return [dist.value] * len(suffixes)
     copy, from_bytes = prefix.copy, int.from_bytes
@@ -320,7 +313,9 @@ def simulate(
             heapq.heapify(busy_ends)
             for dur in durations[capacity:]:  # the next task takes the core freed first
                 heapq.heapreplace(busy_ends, busy_ends[0] + dur)
-            intervals.append((activation, max(busy_ends)))
+            # when the last end is ±0 every task's is: the first task's end
+            # has the sign that max over the tasks' ends in task order gives
+            intervals.append((activation, max(busy_ends) or activation + durations[0]))
         ttc, tx = _timeline(intervals)
         if not math.isfinite(ttc):
             raise ValueError(f"trial {trial}: waits plus durations overflow to a TTC of {ttc!r}")

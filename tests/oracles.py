@@ -3,18 +3,21 @@
 These deliberately avoid the library's own code paths: matching is
 re-derived from nested loops over raw (type, form) data, aggregation is a
 literal double loop, and the simulator oracle is direct interval
-arithmetic.  Keep them dumb.
+arithmetic on draws re-derived from the README's keying rule.  Keep them
+dumb.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import struct
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from resselect.config import Config
@@ -231,6 +234,46 @@ def timeline_oracle(
     for start, end in merged:
         tx += end - start
     return ttc, ttc - tx, tx
+
+
+def draw_oracle(dist, seed: int, *key) -> float:
+    """The sample of ``dist`` keyed by ``seed`` and ``key`` (trial, resource,
+    task, "tq" or "tx"; a single pilot's wait has no task), by the README's
+    rule alone: a constant is its value and hashes nothing; otherwise ``k``
+    is the top 52 bits of the 8-byte blake2b digest of the whole token
+    ``seed|trial|resource|task|tx``, a normal draw is ``max(0.0, mean +
+    stddev * z((k + 0.5) / 2**52))`` with ``z`` the standard normal's inverse
+    CDF, and an empirical draw is the sample at index ``k * n >> 52``."""
+    if dist.kind == "constant":
+        return dist.value
+    token = "|".join(str(part) for part in (seed, *key))
+    k = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big") >> 12
+    if dist.kind == "normal":
+        return max(0.0, dist.mean + dist.stddev * NormalDist().inv_cdf((k + 0.5) / 2**52))
+    return dist.samples[k * len(dist.samples) >> 52]
+
+
+def per_task_schedule(assignments, behaviors, seed, trial) -> List[Tuple[float, float]]:
+    """One interval per task, on ``draw_oracle``'s draws: a per_task pilot
+    starts each task at its own wait; a single pilot starts each task, in
+    task-id order, on the core that frees first."""
+    intervals = []
+    for rid, beh in behaviors.items():
+        task_ids = sorted(t for t, r in assignments.items() if r == rid)
+        if beh.pilot_mode == "per_task":
+            for tid in task_ids:
+                start = draw_oracle(beh.tq_dist, seed, trial, rid, tid, "tq")
+                end = start + draw_oracle(beh.tx_dist, seed, trial, rid, tid, "tx")
+                intervals.append((start, end))
+            continue
+        activation = draw_oracle(beh.tq_dist, seed, trial, rid, "tq")
+        free_at = [activation] * (beh.capacity_cores or len(task_ids))  # per core
+        for tid in task_ids:
+            core = free_at.index(min(free_at))
+            start = free_at[core]
+            free_at[core] = start + draw_oracle(beh.tx_dist, seed, trial, rid, tid, "tx")
+            intervals.append((start, free_at[core]))
+    return intervals
 
 
 def canonical_dumps_oracle(obj) -> str:

@@ -473,7 +473,7 @@ PARITY_CASES = {
     "missing-required-flag": [SELECT[:3]], "bad-strategy": [SELECT + ["--strategy", "best"]],
     "extra-positional": [SELECT + ["extra"]], "flag-without-value": [["report", "--model"]],
     "model-flags-missing": [SELECT], "bad-now": [MODEL_SELECT[:-1] + ["yesterday"]],
-    "bad-walltime": [QUEUE_WAIT[:7] + ["-1"] + QUEUE_WAIT[8:]],
+    "bad-walltime": [QUEUE_WAIT[:8] + ["-1"] + QUEUE_WAIT[9:]],
     "help-then-bogus": [["select", "--help", "--bogus"]],
     "schema-then-bogus": [["report", "--schema", "--bogus"]],
     "queue-wait": [QUEUE_WAIT],
@@ -707,6 +707,18 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {model_path}: {reason}\n"
+
+    @pytest.mark.parametrize("per_trial,reason", [
+        ({"ttc_wkd_s": [10.0, 20.0], "tq_wkd_s": [99.0, 5.0], "tx_wkd_s": [1.0, -3.0]},
+         "trial 1: tx_wkd_s -3.0 is below 0"),
+        ({"ttc_wkd_s": [10.0, 20.0], "tq_wkd_s": [9.0, 5.0], "tx_wkd_s": [1.0, 3.0]},
+         "trial 1: tq_wkd_s 5.0 is not ttc_wkd_s - tx_wkd_s = 17.0"),
+    ], ids=["negative-tx", "tq-not-ttc-minus-tx"])
+    def test_result_simulate_cannot_write_exits_1(self, tmp_path, capsys, per_trial, reason):
+        model_path = write(tmp_path / "model.json", {**RESULTS[0], "per_trial": per_trial})
+        random_path = write(tmp_path / "random.json", RESULTS[1])
+        assert main(["report", "--model", model_path, "--random", random_path]) == 1
+        assert capsys.readouterr() == ("", f"error: {model_path}: {reason}\n")
 
     def test_byte_identical_output_for_identical_inputs(self, tmp_path):
         out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"

@@ -17,9 +17,9 @@ from resselect import DistSpec, ResourceBehavior, SimulationResult, compare, sim
 from resselect.codec import BEHAVIOR, DIST, RESULT
 from resselect.model import canonical_dumps
 from resselect.plan import Assignment, SelectionPlan
-from resselect.sim import _BLOCK, MissingBehaviorError, _draw, _draws, _timeline
+from resselect.sim import _BLOCK, MissingBehaviorError, _draws, _timeline
 
-from oracles import timeline_oracle
+from oracles import draw_oracle, per_task_schedule, timeline_oracle
 
 
 def const(v):
@@ -28,6 +28,11 @@ def const(v):
 
 def behavior(rid, tq, tx, **kwargs):
     return ResourceBehavior(rid, tq_dist=tq, tx_dist=tx, **kwargs)
+
+
+def hexes(values):
+    """The floats of ``values``, bit for bit: -0.0 is not 0.0."""
+    return list(map(float.hex, values))
 
 
 def make_plan(assignments, workload_id="w", strategy="model"):
@@ -41,17 +46,17 @@ def make_plan(assignments, workload_id="w", strategy="model"):
 
 class TestDistSpec:
     def test_constant(self):
-        assert const(5.0).at(random.Random(0).getrandbits(52)) == 5.0
+        assert const(5.0).at_each([random.Random(0).getrandbits(52)])[0] == 5.0
 
     def test_normal_truncated_at_zero(self):
         d = DistSpec("normal", mean=0.0, stddev=100.0)
         rng = random.Random(0)
-        assert all(d.at(rng.getrandbits(52)) >= 0.0 for _ in range(200))
+        assert all(d.at_each([rng.getrandbits(52)])[0] >= 0.0 for _ in range(200))
 
     def test_empirical(self):
         d = DistSpec("empirical", samples=(1.0, 2.0, 3.0))
         rng = random.Random(0)
-        assert all(d.at(rng.getrandbits(52)) in (1.0, 2.0, 3.0) for _ in range(20))
+        assert all(d.at_each([rng.getrandbits(52)])[0] in (1.0, 2.0, 3.0) for _ in range(20))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,12 +112,14 @@ class TestDistSpec:
 class TestKeyedDraws:
     """A draw is the top 52 bits ``k`` of its key's blake2b digest, mapped by
     ``DistSpec.at_each``: the normal's inverse CDF at (k + 0.5) / 2**52,
-    truncated at 0, or the empirical sample at index k * n >> 52."""
+    truncated at 0, or the empirical sample at index k * n >> 52.  The
+    statistical tests draw by ``draw_oracle``, which ``_draws`` matches bit
+    for bit."""
 
     N = 40_000
 
     def draws(self, dist):
-        return [_draw(dist, 11, 0, "r", f"t{i}", "tx") for i in range(self.N)]
+        return [draw_oracle(dist, 11, 0, "r", f"t{i}", "tx") for i in range(self.N)]
 
     def test_normal_mean_and_stddev_within_four_standard_errors(self):
         xs = self.draws(DistSpec("normal", mean=1000.0, stddev=50.0))
@@ -129,7 +136,7 @@ class TestKeyedDraws:
     def test_zero_stddev_gives_the_mean_exactly(self):
         d = DistSpec("normal", mean=123.456, stddev=0.0)
         assert d.at_each([0, 1, 2**51, 2**52 - 1]) == [123.456] * 4
-        assert _draw(d, 1, 0, "r", "t", "tx") == 123.456
+        assert draw_oracle(d, 1, 0, "r", "t", "tx").hex() == (123.456).hex()
 
     def test_extreme_bits_give_finite_values(self):
         d = DistSpec("normal", mean=100.0, stddev=1.0)
@@ -137,7 +144,6 @@ class TestKeyedDraws:
         assert math.isfinite(lo) and math.isfinite(hi)
         assert lo == pytest.approx(100.0 - 8.21, abs=0.01)
         assert hi == pytest.approx(100.0 + 8.21, abs=0.01)
-        assert (d.at(0), d.at(2**52 - 1)) == (lo, hi)
 
     def test_empirical_index_is_exact_and_uniform(self):
         samples = tuple(float(i) for i in range(7))
@@ -160,7 +166,7 @@ class TestKeyedDraws:
             expected = [0.0, *(x for i in range(1, n) for x in (i - 1.0, float(i))), n - 1.0]
             assert d.at_each(ks) == expected
 
-    def test_at_maps_52_random_bits_through_the_inverse_cdf(self):
+    def test_at_each_maps_52_random_bits_through_the_inverse_cdf(self):
         """Bit for bit, by ``float.hex``: a truncated draw is +0.0 and an
         overflowing one inf."""
         rng = random.Random(5)
@@ -169,8 +175,8 @@ class TestKeyedDraws:
         for mean, stddev in [(10.0, 3.0), (-5.0, 10.0), (-0.0, 0.0), (-0.0, 1.0), (1e308, 1e308)]:
             d = DistSpec("normal", mean=mean, stddev=stddev)
             expected = [max(0.0, mean + stddev * z((k + 0.5) / 2**52)) for k in ks]
-            assert list(map(float.hex, d.at_each(ks))) == list(map(float.hex, expected))
-            assert list(map(float.hex, map(d.at, ks))) == list(map(float.hex, expected))
+            assert hexes(d.at_each(ks)) == hexes(expected)
+            assert hexes(d.at_each([k])[0] for k in ks) == hexes(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(dist=st.one_of(
@@ -186,13 +192,13 @@ class TestKeyedDraws:
         n=st.one_of(st.just(0), st.just(1), st.integers(2, 64)))
     def test_draws_match_the_draw_of_each_key(self, dist, seed, trial, n):
         """``simulate``'s draws, a pilot's keys at a time with its head hashed
-        once, are ``_draw``'s of each key bit for bit: -0.0, a truncated 0.0
-        and an overflow to inf included."""
+        once, are ``draw_oracle``'s of each whole token bit for bit: -0.0, a
+        truncated 0.0 and an overflow to inf included."""
         prefix = hashlib.blake2b(f"{seed}|{trial}|r|".encode(), digest_size=8)
         tasks = [f"t{i}" for i in range(n)]
         got = _draws(dist, prefix, [f"{t}|tx".encode() for t in tasks])
-        expected = [_draw(dist, seed, trial, "r", t, "tx") for t in tasks]
-        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        expected = [draw_oracle(dist, seed, trial, "r", t, "tx") for t in tasks]
+        assert hexes(got) == hexes(expected)
 
     @pytest.mark.parametrize("dist", [DistSpec("normal", mean=5.0, stddev=2.0),
                                       DistSpec("empirical", samples=(1.0, 2.0, 3.0))],
@@ -228,10 +234,10 @@ class TestStreamProperties:
         model = simulate(make_plan({"t": "r", "u": "rA"}), self.BEHAVIORS, trials=30, seed=4)
         rand = simulate(make_plan({"u": "rB", "v": "rA", "t": "r"}, strategy="random"),
                         self.BEHAVIORS, trials=30, seed=4)
-        expected = tuple(_draw(self.BEHAVIORS["r"].tq_dist, 4, trial, "r", "t", "tq")
-                         + _draw(self.BEHAVIORS["r"].tx_dist, 4, trial, "r", "t", "tx")
+        expected = hexes(draw_oracle(self.BEHAVIORS["r"].tq_dist, 4, trial, "r", "t", "tq")
+                         + draw_oracle(self.BEHAVIORS["r"].tx_dist, 4, trial, "r", "t", "tx")
                          for trial in range(30))
-        assert model.ttc_wkd_s == rand.ttc_wkd_s == expected
+        assert hexes(model.ttc_wkd_s) == hexes(rand.ttc_wkd_s) == expected
         assert len(set(expected)) > 1
 
     def test_assignment_order_does_not_matter(self):
@@ -247,6 +253,30 @@ class TestStreamProperties:
             rng.shuffle(pairs)
             results.append(simulate(make_plan(dict(pairs)), behaviors, trials=10, seed=2))
         assert results[0] == results[1] == results[2]
+
+
+ZERO = st.sampled_from([0.0, -0.0])
+DISTS = st.one_of(
+    st.builds(const, ZERO | st.floats(0.0, 500.0)),
+    st.builds(lambda mean, stddev: DistSpec("normal", mean=mean, stddev=stddev),
+              ZERO | st.floats(-100.0, 300.0), ZERO | st.floats(0.0, 100.0)),
+    st.builds(lambda xs: DistSpec("empirical", samples=xs),
+              st.lists(ZERO | st.floats(0.0, 200.0), min_size=1, max_size=5)))
+
+
+@st.composite
+def pools(draw):
+    """(assignments, behaviors): 1-8 tasks on 1-3 resources, each a single
+    pilot, capped below, at or above its task count or uncapped, or per_task."""
+    rids = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
+    assignments = {f"t{i}": draw(st.sampled_from(rids)) for i in range(draw(st.integers(1, 8)))}
+    behaviors = {}
+    for rid in rids:
+        mode = draw(st.sampled_from(["single", "per_task"]))
+        capacity = None if mode == "per_task" else draw(st.none() | st.integers(1, 9))
+        behaviors[rid] = behavior(rid, draw(DISTS), draw(DISTS), capacity_cores=capacity,
+                                  pilot_mode=mode)
+    return assignments, behaviors
 
 
 class TestSimulate:
@@ -381,7 +411,21 @@ class TestSimulate:
         for trial in range(3):
             expected = timeline_oracle(per_task_schedule(assignments, behaviors, seed, trial))
             got = (result.ttc_wkd_s[trial], result.tq_wkd_s[trial], result.tx_wkd_s[trial])
-            assert got == expected
+            assert hexes(got) == hexes(expected)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pool=pools(), trials=st.integers(1, 40), seed=st.integers(0, 2**32))
+    def test_every_trial_matches_the_oracle_schedule(self, pool, trials, seed):
+        """On random pools, by ``float.hex``: every trial's (ttc, tq, tx) is
+        the interval oracle's on a per-core schedule of ``draw_oracle``'s
+        draws."""
+        assignments, behaviors = pool
+        result = simulate(make_plan(assignments), behaviors, trials=trials, seed=seed)
+        expected = [timeline_oracle(per_task_schedule(assignments, behaviors, seed, trial))
+                    for trial in range(trials)]
+        got = zip(result.ttc_wkd_s, result.tq_wkd_s, result.tx_wkd_s)
+        assert list(map(hexes, got)) == list(map(hexes, expected))
 
 
 # simulates the scenario on stdin and prints, as JSON, the canonical result
@@ -483,7 +527,7 @@ class TestActivationBlocks:
         for trial in range(self.TRIALS):
             expected = timeline_oracle(per_task_schedule(self.ASSIGNMENTS, behaviors, 17, trial))
             got = (result.ttc_wkd_s[trial], result.tq_wkd_s[trial], result.tx_wkd_s[trial])
-            assert got == expected
+            assert hexes(got) == hexes(expected)
         assert len(set(result.ttc_wkd_s[_BLOCK - 2:_BLOCK + 2])) == 4
 
     @pytest.mark.parametrize("capacity", [None, 2, 3])
@@ -496,28 +540,6 @@ class TestActivationBlocks:
                               trials=self.TRIALS, seed=3)
             results.append(canonical_dumps(result.to_json()))
         assert results[0] == results[1]
-
-
-def per_task_schedule(assignments, behaviors, seed, trial):
-    """One interval per task, on the simulator's keyed draws: a per_task
-    pilot starts each task at its own wait; a single pilot starts each task,
-    in task-id order, on the core that frees first."""
-    intervals = []
-    for rid, beh in behaviors.items():
-        task_ids = sorted(t for t, r in assignments.items() if r == rid)
-        if beh.pilot_mode == "per_task":
-            for tid in task_ids:
-                start = _draw(beh.tq_dist, seed, trial, rid, tid, "tq")
-                intervals.append((start, start + _draw(beh.tx_dist, seed, trial, rid, tid, "tx")))
-            continue
-        activation = _draw(beh.tq_dist, seed, trial, rid, "tq")
-        free_at = [activation] * (beh.capacity_cores or len(task_ids))  # per core
-        for tid in task_ids:
-            core = free_at.index(min(free_at))
-            start = free_at[core]
-            free_at[core] = start + _draw(beh.tx_dist, seed, trial, rid, tid, "tx")
-            intervals.append((start, free_at[core]))
-    return intervals
 
 
 class TestCompare:
@@ -585,6 +607,24 @@ class TestCompare:
         values[metric] = (1.0, bad)
         with pytest.raises(ValueError, match=f"^{metric} values must be finite$"):
             SimulationResult("w", "model", 2, **values)
+
+    @pytest.mark.parametrize("ttc,tq,tx,reason", [
+        ((10.0, 20.0), (99.0, 5.0), (1.0, -3.0), "trial 1: tx_wkd_s -3.0 is below 0"),
+        ((-1.0, 2.0), (-1.0, 2.0), (0.0, 0.0), "trial 0: ttc_wkd_s -1.0 is below 0"),
+        ((10.0, 20.0), (9.0, 16.0), (1.0, 3.0),
+         "trial 1: tq_wkd_s 16.0 is not ttc_wkd_s - tx_wkd_s = 17.0"),
+        ((0.3, 1.0), (0.2, 0.0), (0.1, 1.0),
+         "trial 0: tq_wkd_s 0.2 is not ttc_wkd_s - tx_wkd_s = 0.19999999999999998"),
+    ])
+    def test_values_simulate_cannot_write_rejected(self, ttc, tq, tx, reason):
+        """Times are >= 0 and each queue time is exactly ttc - tx."""
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            SimulationResult("w", "model", 2, ttc, tq, tx)
+
+    def test_rounding_may_take_tx_past_ttc(self):
+        ttc, tx = (-0.0, 0.3), (0.0, 0.1 + 0.2)
+        result = SimulationResult("w", "model", 2, ttc, (-0.0, 0.3 - (0.1 + 0.2)), tx)
+        assert hexes(result.tq_wkd_s) == ["-0x0.0p+0", "-0x1.0000000000000p-54"]
 
     def test_trials_counts_each_metric(self):
         with pytest.raises(ValueError, match="^tq_wkd_s holds 3 values, not trials = 2$"):
